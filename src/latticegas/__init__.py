@@ -6,7 +6,7 @@ and squeeze the per-vertex entropy constant between a strip lower
 bound and a wrapped upper bound.
 """
 
-from .statespace import BitState, StateKind, StateSpace, enumerate_states
+from .statespace import StateKind, StateSpace, enumerate_states
 from .compat import StepMatrix, compose
 from .chain import (
     Boundary,
@@ -25,7 +25,6 @@ from .bounds import BoundReport, entropy_interval, bound_table
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitState",
     "StateKind",
     "StateSpace",
     "enumerate_states",

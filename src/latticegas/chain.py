@@ -109,6 +109,29 @@ class TransferChain:
         )
 
 
+def _period_slices(
+    family: Family, direction: Direction, width: int
+) -> list[tuple[StateKind, int]]:
+    """(kind, length) of each slice one period lays down, in sweep order.
+
+    Step i of the chain runs from slice i to slice i+1, and the last
+    step back to slice 0.
+    """
+    lo = _MIN_WIDTH[(family, direction)]
+    if width < lo:
+        raise ValueError(
+            f"{family.value} {direction.value} chains need width >= {lo}, got {width}"
+        )
+    wrap = direction is Direction.ROWWISE
+    if family in (Family.QUADRATIC, Family.CROSSED):
+        return [(StateKind.CYCLE, width) if wrap else (StateKind.PATH, width + 1)]
+    if family is Family.AZTEC:
+        return [(StateKind.FREE, width), (StateKind.FREE, width if wrap else width + 1)]
+    p = width - 1
+    plain = (StateKind.FREE, p if wrap else p + 1)
+    return [(StateKind.PAIRED, 2 * p), plain, plain]
+
+
 def transfer_chain(
     family: Family,
     direction: Direction,
@@ -123,40 +146,22 @@ def transfer_chain(
     truncated-square tiling (whose paired slices then have 2(width-1)
     sites).
     """
-    lo = _MIN_WIDTH[(family, direction)]
-    if width < lo:
-        raise ValueError(
-            f"{family.value} {direction.value} chains need width >= {lo}, got {width}"
-        )
+    slices = _period_slices(family, direction, width)
+    spaces = {s: enumerate_states(*s) for s in slices}
+    first, last = spaces[slices[0]], spaces[slices[-1]]
     wrap = direction is Direction.ROWWISE
 
-    if family in (Family.QUADRATIC, Family.CROSSED):
-        if wrap:
-            space = enumerate_states(StateKind.CYCLE, width)
-        else:
-            space = enumerate_states(StateKind.PATH, width + 1)
-        if family is Family.QUADRATIC:
-            steps = (orthogonal_step(space, space),)
-        else:
-            steps = (crossed_step(space, space, wrap=wrap),)
-
+    if family is Family.QUADRATIC:
+        steps = (orthogonal_step(first, first),)
+    elif family is Family.CROSSED:
+        steps = (crossed_step(first, first, wrap=wrap),)
     elif family is Family.AZTEC:
-        if wrap:
-            free = enumerate_states(StateKind.FREE, width)
-            long_to_short = staggered_step(free, free, lean=-1)
-            steps = (long_to_short, long_to_short.transposed())
-        else:
-            short = enumerate_states(StateKind.FREE, width)
-            long = enumerate_states(StateKind.FREE, width + 1)
-            short_to_long = staggered_step(short, long)
-            steps = (short_to_long, short_to_long.transposed())
-
+        # The lean only matters for wrapped slices, which have equal length.
+        forward = staggered_step(first, last, lean=-1)
+        steps = (forward, forward.transposed())
     else:
-        p = width - 1
-        paired = enumerate_states(StateKind.PAIRED, 2 * p)
-        plain = enumerate_states(StateKind.FREE, p if wrap else p + 1)
-        fan_out = paired_step(paired, plain, wrap=wrap)
-        steps = (fan_out, orthogonal_step(plain, plain), fan_out.transposed())
+        fan_out = paired_step(first, last, wrap=wrap)
+        steps = (fan_out, orthogonal_step(last, last), fan_out.transposed())
 
     return TransferChain(family, direction, boundary, width, steps)
 
@@ -167,24 +172,8 @@ def chain_dimensions(family: Family, direction: Direction, width: int) -> tuple[
     Lets a caller size up a request before paying for enumeration or
     matrix construction.
     """
-    lo = _MIN_WIDTH[(family, direction)]
-    if width < lo:
-        raise ValueError(
-            f"{family.value} {direction.value} chains need width >= {lo}, got {width}"
-        )
-    wrap = direction is Direction.ROWWISE
-    if family in (Family.QUADRATIC, Family.CROSSED):
-        n = state_count(StateKind.CYCLE if wrap else StateKind.PATH,
-                        width if wrap else width + 1)
-        return ((n, n),)
-    if family is Family.AZTEC:
-        a = state_count(StateKind.FREE, width)
-        b = a if wrap else state_count(StateKind.FREE, width + 1)
-        return ((a, b), (b, a))
-    p = width - 1
-    a = state_count(StateKind.PAIRED, 2 * p)
-    b = state_count(StateKind.FREE, p if wrap else p + 1)
-    return ((a, b), (b, b), (b, a))
+    counts = [state_count(*s) for s in _period_slices(family, direction, width)]
+    return tuple(zip(counts, counts[1:] + counts[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +248,20 @@ def _periods(family: Family, direction: Direction, m: int, n: int) -> int:
     return raw
 
 
+def _sweep(chain: TransferChain, vec: list[int], periods: int) -> list[int]:
+    """Push vec through the chain's steps, periods times over."""
+    for _ in range(periods):
+        for step in chain.steps:
+            vec = step.push(vec)
+    return vec
+
+
 def count_open(chain: TransferChain, periods: int) -> int:
     """All-ones contraction: 1^T (chain composite)^periods 1."""
     if periods < 0:
         raise ValueError("periods must be >= 0")
-    vec = [1] * len(chain.entry_space)
-    for _ in range(periods):
-        for step in chain.steps:
-            vec = step.push(vec)
-    return sum(vec)
+    return sum(_sweep(chain, [1] * len(chain.entry_space), periods))
+
 
 def count_cyclic(chain: TransferChain, periods: int) -> int:
     """Trace contraction: tr((chain composite)^periods)."""
@@ -280,10 +274,7 @@ def count_cyclic(chain: TransferChain, periods: int) -> int:
     for s in range(size):
         vec = [0] * size
         vec[s] = 1
-        for _ in range(periods):
-            for step in chain.steps:
-                vec = step.push(vec)
-        total += vec[s]
+        total += _sweep(chain, vec, periods)[s]
     return total
 
 

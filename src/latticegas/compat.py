@@ -3,8 +3,9 @@
 A step matrix has one row per state of the outgoing slice and one
 column per state of the incoming slice; the entry is 1 when the two
 configurations can sit next to each other and 0 when some occupied
-pair of sites would touch.  Entries are kept as exact Python ints so
-that products of steps count configurations without rounding.
+pair of sites would touch.  A step is stored once, as that 0/1 numpy
+array; pushing a vector through it accumulates exact Python ints, so
+counts never round or wrap.
 
 Every relation used here can be written as
 
@@ -34,6 +35,13 @@ __all__ = [
 
 Spread = Callable[[np.ndarray, int], np.ndarray]
 
+# Entries per block of rows whenever a whole-step array is worked on a
+# block at a time (build_step's int64 intermediate, spectral's float64
+# rows): 2**15 entries is 256 KiB of int64 or float64, which stays in
+# cache, and is small enough that freeing it strands no large block in
+# the allocator's heap, so peak memory does not depend on job order.
+BLOCK_ENTRIES = 1 << 15
+
 
 def _rotl(x: np.ndarray, length: int) -> np.ndarray:
     wrap = (1 << length) - 1
@@ -45,67 +53,78 @@ def _rotr(x: np.ndarray, length: int) -> np.ndarray:
     return ((x >> 1) | (x << (length - 1))) & wrap
 
 
-@dataclass(frozen=True)
+# eq=False: an array field has no single truth value under ==, so steps
+# compare (and hash) by identity.
+@dataclass(frozen=True, eq=False)
 class StepMatrix:
-    """One transfer step, with exact integer entries."""
+    """One transfer step: a nonnegative integer matrix, rows x cols.
+
+    ``array`` is the only stored form, a read-only 2-D numpy array of
+    bools (the 0/1 steps build_step fills) or integers (products of
+    steps); every other form is derived from it on demand.
+    """
 
     rows: StateSpace
     cols: StateSpace
-    entries: tuple[tuple[int, ...], ...]
+    array: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.entries) != len(self.rows):
-            raise ValueError("entry rows do not match row space")
-        if any(len(r) != len(self.cols) for r in self.entries):
-            raise ValueError("entry columns do not match column space")
+        a = np.asarray(self.array)
+        if a.dtype.kind not in "bi":
+            raise ValueError(f"entries must be bools or int64-sized ints, got {a.dtype}")
+        if a.shape != self.shape:
+            raise ValueError(f"entries of shape {a.shape} do not match {self.shape}")
+        if a.min(initial=0) < 0:
+            raise ValueError("entries must be nonnegative")
+        a = a.view()
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
 
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.cols)
 
     @cached_property
-    def dense(self) -> np.ndarray:
-        """float64 copy, for spectral work only."""
-        return np.array(self.entries, dtype=np.float64)
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """Exact tuple-of-Python-ints view, for printing and tests."""
+        return tuple(map(tuple, self.array.astype(np.int64).tolist()))
 
     @cached_property
-    def row_lists(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per row, the (column, entry) pairs with entry != 0."""
-        return tuple(
-            tuple((j, e) for j, e in enumerate(row) if e)
-            for row in self.entries
-        )
+    def dense(self) -> np.ndarray:
+        """float64 copy of the whole step.
+
+        Eight bytes per entry; spectral work converts a block of rows at
+        a time instead.
+        """
+        return self.array.astype(np.float64)
+
+    @cached_property
+    def _row_columns(self) -> tuple[list[int], ...]:
+        """Per row, each column index repeated as often as its entry, so
+        push adds without multiplying (0/1 rows list their nonzeros)."""
+        cols = np.arange(len(self.cols))
+        return tuple(np.repeat(cols, r).tolist() for r in self.array)
 
     def transposed(self) -> "StepMatrix":
-        return StepMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
+        return StepMatrix(self.cols, self.rows, self.array.T)
 
     def __matmul__(self, other: "StepMatrix") -> "StepMatrix":
         if self.cols is not other.rows and self.cols.masks != other.rows.masks:
             raise ValueError("inner state spaces do not match")
-        n_out = len(other.cols)
-        prod = []
-        for pairs in self.row_lists:
-            acc = [0] * n_out
-            for j, e in pairs:
-                orow = other.entries[j]
-                if e == 1:
-                    for k, x in other.row_lists[j]:
-                        acc[k] += x
-                else:
-                    for k in range(n_out):
-                        acc[k] += e * orow[k]
-            prod.append(tuple(acc))
-        return StepMatrix(self.rows, other.cols, tuple(prod))
+        a, b = self.array, other.array
+        if int(a.max(initial=0)) * int(b.max(initial=0)) * len(self.cols) >= 2**63:
+            raise ValueError("product entries could pass 2**63")
+        return StepMatrix(self.rows, other.cols, a.astype(np.int64) @ b.astype(np.int64))
 
     def push(self, vec: list[int]) -> list[int]:
         """Exact vector-matrix product: vec (indexed by rows) -> cols."""
         if len(vec) != len(self.rows):
             raise ValueError("vector length does not match row space")
         out = [0] * len(self.cols)
-        for i, x in enumerate(vec):
+        for x, cols in zip(vec, self._row_columns):
             if x:
-                for j, e in self.row_lists[i]:
-                    out[j] += x * e
+                for j in cols:
+                    out[j] += x
         return out
 
 
@@ -136,8 +155,11 @@ def build_step(
     cm = np.array(cols.masks, dtype=np.int64)
     fr = row_spread(rm, cols.length) if row_spread else rm
     fc = col_spread(cm, rows.length) if col_spread else cm
-    ok = (fr[:, None] & fc[None, :]) == 0
-    return StepMatrix(rows, cols, tuple(tuple(int(x) for x in r) for r in ok))
+    ok = np.empty((len(fr), len(fc)), dtype=bool)
+    block = max(1, BLOCK_ENTRIES // len(fc))
+    for i in range(0, len(fr), block):
+        np.equal(fr[i:i + block, None] & fc, 0, out=ok[i:i + block])
+    return StepMatrix(rows, cols, ok)
 
 
 def orthogonal_step(rows: StateSpace, cols: StateSpace) -> StepMatrix:

@@ -4,7 +4,8 @@ The chains here are products of nonnegative 0/1 matrices whose empty
 slice is compatible with everything, so the composite has a strictly
 positive first row and column and the Perron root is simple.  The
 composite is never materialized; each iteration applies the factors
-one after another in float64.
+one after another in float64, converting a block of rows of each 0/1
+factor at a time, so no float copy of a whole factor is ever held.
 
 All composites in this package are symmetric (the factor lists read
 the same forwards as transposed backwards), which makes the Rayleigh
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compat import StepMatrix
+from .compat import BLOCK_ENTRIES, StepMatrix
 from .chain import TransferChain
 
 __all__ = ["ConvergenceError", "EigenResult", "dominant_eigenvalue"]
@@ -27,26 +28,21 @@ class ConvergenceError(RuntimeError):
     """Power iteration ran out of iterations before meeting tol."""
 
 
+def _times(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v in float64, for a C-contiguous integer or bool array a."""
+    out = np.empty(a.shape[0])
+    block = max(1, BLOCK_ENTRIES // a.shape[1])
+    for i in range(0, a.shape[0], block):
+        np.dot(a[i:i + block].astype(np.float64), v, out=out[i:i + block])
+    return out
+
+
 @dataclass(frozen=True)
 class EigenResult:
     value: float
     vector: np.ndarray
     iterations: int
     residual: float
-
-
-def _as_steps(chain: "TransferChain | Sequence[StepMatrix]") -> tuple[StepMatrix, ...]:
-    if isinstance(chain, TransferChain):
-        return chain.steps
-    return tuple(chain)
-
-
-def _apply(steps: tuple[StepMatrix, ...], dense: list[np.ndarray], v: np.ndarray) -> np.ndarray:
-    # Composite is steps[0] @ steps[1] @ ..., acting on column vectors,
-    # so the last factor hits the vector first.
-    for d in reversed(dense):
-        v = d @ v
-    return v
 
 
 def dominant_eigenvalue(
@@ -61,7 +57,7 @@ def dominant_eigenvalue(
     at most tol relatively AND the residual ||Av - lambda v|| is below
     tol relative to lambda * ||v||, both in the max norm.
     """
-    steps = _as_steps(chain)
+    steps = chain.steps if isinstance(chain, TransferChain) else tuple(chain)
     if not steps:
         raise ValueError("empty chain")
     n_in = steps[-1].shape[1]
@@ -71,11 +67,17 @@ def dominant_eigenvalue(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    dense = [s.dense for s in steps]
+    # Transposed steps are views of their source; a C-contiguous copy
+    # (one byte per entry for 0/1 steps) keeps each block of rows whole.
+    arrays = [np.ascontiguousarray(s.array) for s in steps]
     v = np.ones(n_in) / np.sqrt(n_in)
     lam = 0.0
     for it in range(1, max_iterations + 1):
-        w = _apply(steps, dense, v)
+        # The composite is steps[0] @ steps[1] @ ... acting on column
+        # vectors, so the last factor hits the vector first.
+        w = v
+        for a in reversed(arrays):
+            w = _times(a, w)
         lam_new = float(v @ w)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:

@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "StateKind",
-    "BitState",
     "StateSpace",
     "enumerate_states",
     "is_admissible",
@@ -36,47 +35,12 @@ __all__ = [
 # is capped well below the point where that stops being a desk-scale array.
 MAX_ENUM_LENGTH = 22
 
-# BitState itself only needs the mask to fit comfortably in an int64.
-MAX_STATE_LENGTH = 62
-
 
 class StateKind(Enum):
     PATH = "path"
     CYCLE = "cycle"
     FREE = "free"
     PAIRED = "paired"
-
-
-@dataclass(frozen=True)
-class BitState:
-    """One slice configuration: bits b1..bL of ``mask``, b1 = bit 0."""
-
-    mask: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.length <= MAX_STATE_LENGTH:
-            raise ValueError(f"state length {self.length} outside 1..{MAX_STATE_LENGTH}")
-        if self.mask < 0 or self.mask >> self.length:
-            raise ValueError(
-                f"mask {self.mask} does not fit in {self.length} sites"
-            )
-
-    def bit(self, site: int) -> int:
-        """Occupancy of a 1-based site."""
-        if not 1 <= site <= self.length:
-            raise ValueError(f"site {site} outside 1..{self.length}")
-        return (self.mask >> (site - 1)) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        """The vector (b1, ..., bL)."""
-        return tuple((self.mask >> i) & 1 for i in range(self.length))
-
-    def popcount(self) -> int:
-        return self.mask.bit_count()
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(b) for b in self.bits()) + ")"
 
 
 def _pair_conflict_mask(length: int) -> int:
@@ -119,10 +83,6 @@ class StateSpace:
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    @cached_property
-    def states(self) -> tuple[BitState, ...]:
-        return tuple(BitState(m, self.length) for m in self.masks)
 
     @cached_property
     def _index(self) -> dict[int, int]:

@@ -124,6 +124,7 @@ class TestStepMatrix:
     def test_shape_and_dense(self):
         step = orthogonal_step(path(2), path(2))
         assert step.shape == (3, 3)
+        assert step.array.dtype == bool
         assert step.dense.dtype == np.float64
         assert step.dense.tolist() == [[1, 1, 1], [1, 0, 1], [1, 1, 0]]
 
@@ -134,10 +135,18 @@ class TestStepMatrix:
         assert np.array_equal(exact, a.dense @ b.dense)
 
     def test_push_is_exact_vector_product(self):
-        step = orthogonal_step(path(3), path(3))
-        out = step.push((1, 10, 100, 1000, 10000))
-        expect = [sum(r * v for r, v in zip(row, (1, 10, 100, 1000, 10000))) for row in zip(*step.entries)]
-        assert list(out) == expect
+        # A 0/1 step, and an aztec composite (entries up to 8) fed
+        # entries past 2**64, where any int64 shortcut would wrap.
+        up = staggered_step(free(3), free(4))
+        cases = [
+            (orthogonal_step(path(3), path(3)), (1, 10, 100, 1000, 10000)),
+            (compose([up, up.transposed()]), [2**64 + 3**k for k in range(8)]),
+        ]
+        for step, vec in cases:
+            out = step.push(vec)
+            expect = [sum(r * v for r, v in zip(row, vec)) for row in zip(*step.entries)]
+            assert list(out) == expect
+        assert max(step.array.max() for step, _ in cases) > 1
 
     def test_push_rejects_wrong_length(self):
         step = orthogonal_step(path(3), path(3))
@@ -148,6 +157,17 @@ class TestStepMatrix:
         rows, cols = path(2), path(2)
         with pytest.raises(ValueError):
             StepMatrix(rows, cols, ((1, 1), (1, 0), (1, 1)))
+
+    def test_negative_entry_rejected(self):
+        two = free(1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            StepMatrix(two, two, ((1, -1), (1, 1)))
+
+    def test_matmul_refuses_possible_int64_overflow(self):
+        two = free(1)
+        big = StepMatrix(two, two, ((2**62, 1), (1, 1)))
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            big @ big
 
     def test_transposed_swaps_spaces(self):
         step = paired_step(paired(4), free(3))

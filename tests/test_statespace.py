@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from latticegas.statespace import (
     MAX_ENUM_LENGTH,
-    BitState,
     StateKind,
     enumerate_states,
     is_admissible,
@@ -117,29 +116,6 @@ class TestAdmissibility:
         assert not is_admissible(StateKind.PAIRED, 0b0011, 4)
         assert not is_admissible(StateKind.PAIRED, 0b1100, 4)
         assert is_admissible(StateKind.PAIRED, 0b0110, 4)
-
-
-class TestBitState:
-    def test_bits_and_str(self):
-        s = BitState(0b0101, 4)
-        assert s.bits() == (1, 0, 1, 0)
-        assert s.bit(1) == 1
-        assert s.bit(2) == 0
-        assert s.popcount() == 2
-        assert str(s) == "(1,0,1,0)"
-
-    def test_rejects_out_of_range_mask(self):
-        with pytest.raises(ValueError):
-            BitState(16, 4)
-        with pytest.raises(ValueError):
-            BitState(-1, 4)
-
-    def test_rejects_bad_site_index(self):
-        s = BitState(1, 3)
-        with pytest.raises(ValueError):
-            s.bit(0)
-        with pytest.raises(ValueError):
-            s.bit(4)
 
 
 @given(
