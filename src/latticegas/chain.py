@@ -17,15 +17,18 @@ aztec              diagonal grid; columns alternate short and long,
 truncated-square   the 8.8.4 tiling; a period is a paired column, a
                    plain column and another plain column (three steps)
 
-Counts are exact integers throughout.
+Counts are exact integers: float64 pushes mod primes below 2**23,
+joined by the Chinese remainder theorem.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .compat import StepMatrix, crossed_step, orthogonal_step, paired_step, staggered_step
+import numpy as np
+
+from .compat import BLOCK_ENTRIES, StepMatrix, crossed_step, orthogonal_step, paired_step, staggered_step
 from .statespace import StateKind, StateSpace, enumerate_states, state_count
 
 __all__ = [
@@ -248,34 +251,61 @@ def _periods(family: Family, direction: Direction, m: int, n: int) -> int:
     return raw
 
 
-def _sweep(chain: TransferChain, vec: list[int], periods: int) -> list[int]:
-    """Push vec through the chain's steps, periods times over."""
-    for _ in range(periods):
-        for step in chain.steps:
-            vec = step.push(vec)
-    return vec
+@lru_cache(maxsize=None)
+def _primes(count: int) -> tuple[int, ...]:
+    """The count largest primes below 2**23, largest first."""
+    found: list[int] = []
+    n = 2**23 - 1
+    while len(found) < count:
+        if all(n % d for d in range(3, int(n**0.5) + 1, 2)):
+            found.append(n)
+        n -= 2
+    return tuple(found)
+
+
+def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
+    """1^T M^periods 1, or tr(M^periods) if trace, for the composite M.
+
+    A 0/1 chain counts at most 2**sites, below the product of sites//22 + 1
+    primes in (2**22, 2**23).  A stack with one layer per prime is reduced
+    after each push, whose sums of residues stay exact in float64.
+    """
+    if any(step.array.max(initial=0) > 1 for step in chain.steps):
+        raise ValueError("exact counts need 0/1 steps")
+    size = len(chain.entry_space)
+    sites = periods * chain.period_sites + (0 if trace else chain.entry_space.length)
+    primes = _primes(sites // 22 + 1)
+    mods = np.array(primes, dtype=np.float64)[:, None]
+    k = max(1, BLOCK_ENTRIES // (len(primes) * size)) if trace else size
+    residues = np.zeros(len(primes))
+    for s in range(0, size, k):
+        start = np.eye(size, min(k, size - s), -s) if trace else np.ones((size, 1))
+        block = np.broadcast_to(start[:, None], (size, len(primes), start.shape[1]))
+        for _ in range(periods):
+            for step in reversed(chain.steps):
+                block = np.fmod(step.push(block), mods)
+        residues = np.fmod(residues + (block * start[:, None]).sum(axis=(0, 2)), primes)
+    count, modulus = 0, 1
+    for r, p in zip(residues, primes):
+        count += modulus * ((int(r) - count) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return count
 
 
 def count_open(chain: TransferChain, periods: int) -> int:
     """All-ones contraction: 1^T (chain composite)^periods 1."""
     if periods < 0:
         raise ValueError("periods must be >= 0")
-    return sum(_sweep(chain, [1] * len(chain.entry_space), periods))
+    return _contract(chain, periods, trace=False)
 
 
 def count_cyclic(chain: TransferChain, periods: int) -> int:
     """Trace contraction: tr((chain composite)^periods)."""
     if periods < 1:
         raise ValueError("a trace needs at least one period")
-    size = len(chain.entry_space)
-    if len(chain.exit_space) != size:
+    if len(chain.exit_space) != len(chain.entry_space):
         raise ValueError("trace needs matching entry and exit spaces")
-    total = 0
-    for s in range(size):
-        vec = [0] * size
-        vec[s] = 1
-        total += _sweep(chain, vec, periods)[s]
-    return total
+    return _contract(chain, periods, trace=True)
 
 
 def count_lattice(instance: LatticeInstance) -> int:

@@ -4,8 +4,9 @@ A step matrix has one row per state of the outgoing slice and one
 column per state of the incoming slice; the entry is 1 when the two
 configurations can sit next to each other and 0 when some occupied
 pair of sites would touch.  A step is stored once, as that 0/1 numpy
-array; pushing a vector through it accumulates exact Python ints, so
-counts never round or wrap.
+array.  ``StepMatrix.push``, the one product of a step with vectors,
+works in float64 a block of rows at a time; exact counts push residues
+mod primes below 2**23, where every sum is an exact float64 integer.
 
 Every relation used here can be written as
 
@@ -35,11 +36,11 @@ __all__ = [
 
 Spread = Callable[[np.ndarray, int], np.ndarray]
 
-# Entries per block of rows whenever a whole-step array is worked on a
-# block at a time (build_step's int64 intermediate, spectral's float64
-# rows): 2**15 entries is 256 KiB of int64 or float64, which stays in
-# cache, and is small enough that freeing it strands no large block in
-# the allocator's heap, so peak memory does not depend on job order.
+# Entries per block whenever a whole-step array is worked on a block at
+# a time (build_step's int64 intermediate, push's float64 rows, a trace's
+# stack of basis vectors): 2**15 entries is 256 KiB, which stays in cache,
+# and is small enough that freeing it strands no large block in the
+# allocator's heap, so peak memory does not depend on job order.
 BLOCK_ENTRIES = 1 << 15
 
 
@@ -93,20 +94,14 @@ class StepMatrix:
     def dense(self) -> np.ndarray:
         """float64 copy of the whole step.
 
-        Eight bytes per entry; spectral work converts a block of rows at
-        a time instead.
+        Eight bytes per entry; push converts a block of rows at a time
+        instead.
         """
         return self.array.astype(np.float64)
 
-    @cached_property
-    def _row_columns(self) -> tuple[list[int], ...]:
-        """Per row, each column index repeated as often as its entry, so
-        push adds without multiplying (0/1 rows list their nonzeros)."""
-        cols = np.arange(len(self.cols))
-        return tuple(np.repeat(cols, r).tolist() for r in self.array)
-
     def transposed(self) -> "StepMatrix":
-        return StepMatrix(self.cols, self.rows, self.array.T)
+        """The transpose, as a C-contiguous copy so its row blocks are whole."""
+        return StepMatrix(self.cols, self.rows, np.ascontiguousarray(self.array.T))
 
     def __matmul__(self, other: "StepMatrix") -> "StepMatrix":
         if self.cols is not other.rows and self.cols.masks != other.rows.masks:
@@ -116,16 +111,18 @@ class StepMatrix:
             raise ValueError("product entries could pass 2**63")
         return StepMatrix(self.rows, other.cols, a.astype(np.int64) @ b.astype(np.int64))
 
-    def push(self, vec: list[int]) -> list[int]:
-        """Exact vector-matrix product: vec (indexed by rows) -> cols."""
-        if len(vec) != len(self.rows):
-            raise ValueError("vector length does not match row space")
-        out = [0] * len(self.cols)
-        for x, cols in zip(vec, self._row_columns):
-            if x:
-                for j in cols:
-                    out[j] += x
-        return out
+    def push(self, block: np.ndarray) -> np.ndarray:
+        """array @ block in float64, for a vector or a stack of vectors
+        indexed by cols along axis 0, converting a block of rows at a time."""
+        block = np.asarray(block, dtype=np.float64)
+        if len(block) != len(self.cols):
+            raise ValueError("vector length does not match column space")
+        flat = block.reshape(len(self.cols), -1)
+        out = np.empty((len(self.rows), flat.shape[1]))
+        step = max(1, BLOCK_ENTRIES // len(self.cols))
+        for i in range(0, len(self.rows), step):
+            np.matmul(self.array[i:i + step].astype(np.float64), flat, out=out[i:i + step])
+        return out.reshape((len(self.rows),) + block.shape[1:])
 
 
 def compose(steps: "list[StepMatrix] | tuple[StepMatrix, ...]") -> StepMatrix:

@@ -3,9 +3,9 @@
 The chains here are products of nonnegative 0/1 matrices whose empty
 slice is compatible with everything, so the composite has a strictly
 positive first row and column and the Perron root is simple.  The
-composite is never materialized; each iteration applies the factors
-one after another in float64, converting a block of rows of each 0/1
-factor at a time, so no float copy of a whole factor is ever held.
+composite is never materialized; each iteration pushes the vector
+through the factors, last to first, with the ``StepMatrix.push`` that
+exact counts use too.
 
 All composites in this package are symmetric (the factor lists read
 the same forwards as transposed backwards), which makes the Rayleigh
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compat import BLOCK_ENTRIES, StepMatrix
+from .compat import StepMatrix
 from .chain import TransferChain
 
 __all__ = ["ConvergenceError", "EigenResult", "dominant_eigenvalue"]
@@ -26,15 +26,6 @@ __all__ = ["ConvergenceError", "EigenResult", "dominant_eigenvalue"]
 
 class ConvergenceError(RuntimeError):
     """Power iteration ran out of iterations before meeting tol."""
-
-
-def _times(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a @ v in float64, for a C-contiguous integer or bool array a."""
-    out = np.empty(a.shape[0])
-    block = max(1, BLOCK_ENTRIES // a.shape[1])
-    for i in range(0, a.shape[0], block):
-        np.dot(a[i:i + block].astype(np.float64), v, out=out[i:i + block])
-    return out
 
 
 @dataclass(frozen=True)
@@ -67,17 +58,14 @@ def dominant_eigenvalue(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    # Transposed steps are views of their source; a C-contiguous copy
-    # (one byte per entry for 0/1 steps) keeps each block of rows whole.
-    arrays = [np.ascontiguousarray(s.array) for s in steps]
     v = np.ones(n_in) / np.sqrt(n_in)
     lam = 0.0
     for it in range(1, max_iterations + 1):
         # The composite is steps[0] @ steps[1] @ ... acting on column
         # vectors, so the last factor hits the vector first.
         w = v
-        for a in reversed(arrays):
-            w = _times(a, w)
+        for s in reversed(steps):
+            w = s.push(w)
         lam_new = float(v @ w)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:

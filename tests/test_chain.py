@@ -1,3 +1,6 @@
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,13 +11,14 @@ from latticegas.chain import (
     LatticeInstance,
     Topology,
     TransferChain,
+    _MIN_WIDTH,
     chain_dimensions,
     count_cyclic,
     count_lattice,
     count_open,
     transfer_chain,
 )
-from latticegas.compat import staggered_step
+from latticegas.compat import compose, staggered_step
 from latticegas.statespace import StateKind, enumerate_states
 
 
@@ -238,3 +242,77 @@ def test_cylinder_contractions_agree(family, data):
     along = transfer_chain(family, Direction.ROWWISE, n, Boundary.OPEN)
     drop = 1 if family is Family.TRUNCATED_SQUARE else 0
     assert count_cyclic(around, n - drop) == count_open(along, m - drop)
+
+
+# ---------------------------------------------------------------------------
+# Exactness against a Python-int reference contraction
+
+
+def reference_sweep(chain, vec, periods):
+    """Push Python ints through the chain's 0/1 steps, periods times over,
+    adding each entry of vec into every column its row reaches."""
+    reach = [[np.flatnonzero(row).tolist() for row in step.array] for step in chain.steps]
+    for _ in range(periods):
+        for step, rows in zip(chain.steps, reach):
+            out = [0] * len(step.cols)
+            for x, cols in zip(vec, rows):
+                if x:
+                    for j in cols:
+                        out[j] += x
+            vec = out
+    return vec
+
+
+def reference_open(chain, periods):
+    return sum(reference_sweep(chain, [1] * len(chain.entry_space), periods))
+
+
+def reference_cyclic(chain, periods):
+    size = len(chain.entry_space)
+    basis = ([int(i == s) for i in range(size)] for s in range(size))
+    return sum(reference_sweep(chain, vec, periods)[s] for s, vec in enumerate(basis))
+
+
+class TestExactness:
+    """Counts that need several primes match the Python-int reference."""
+
+    def test_quadratic_plane_12x100(self):
+        chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 12)
+        got = count_open(chain, 100)
+        assert type(got) is int and got.bit_length() == 784
+        assert got == reference_open(chain, 100)
+
+    @pytest.mark.parametrize(
+        "family, width, periods",
+        [(Family.QUADRATIC, 11, 12), (Family.TRUNCATED_SQUARE, 6, 6)],
+    )
+    def test_torus(self, family, width, periods):
+        chain = transfer_chain(family, Direction.ROWWISE, width, Boundary.CYCLIC)
+        got = count_cyclic(chain, periods)
+        assert type(got) is int and got.bit_length() > 23
+        assert got == reference_cyclic(chain, periods)
+
+    def test_non_binary_step_refused(self):
+        chain = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3)
+        fused = dataclasses.replace(chain, steps=(compose(chain.steps),))
+        assert fused.steps[0].array.max() > 1
+        with pytest.raises(ValueError, match="0/1"):
+            count_open(fused, 2)
+        with pytest.raises(ValueError, match="0/1"):
+            count_cyclic(fused, 2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    family=st.sampled_from(list(Family)),
+    direction=st.sampled_from(list(Direction)),
+    data=st.data(),
+)
+def test_counts_match_reference(family, direction, data):
+    lo = _MIN_WIDTH[(family, direction)]
+    width = data.draw(st.integers(min_value=lo, max_value=lo + 3))
+    chain = transfer_chain(family, direction, width)
+    open_periods = data.draw(st.integers(min_value=0, max_value=6))
+    cyclic_periods = data.draw(st.integers(min_value=1, max_value=6))
+    assert count_open(chain, open_periods) == reference_open(chain, open_periods)
+    assert count_cyclic(chain, cyclic_periods) == reference_cyclic(chain, cyclic_periods)

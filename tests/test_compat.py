@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latticegas.compat import (
+    BLOCK_ENTRIES,
     StepMatrix,
     build_step,
     compose,
@@ -135,18 +136,27 @@ class TestStepMatrix:
         assert np.array_equal(exact, a.dense @ b.dense)
 
     def test_push_is_exact_vector_product(self):
-        # A 0/1 step, and an aztec composite (entries up to 8) fed
-        # entries past 2**64, where any int64 shortcut would wrap.
+        # A vector, a stack and a stack of stacks, through 0/1 steps (one
+        # of them tall enough for several row blocks, one non-square) and
+        # an aztec composite (entries up to 16).  Inputs below 2**30
+        # keep every float64 sum an exact integer, so any slip shows.
         up = staggered_step(free(3), free(4))
-        cases = [
-            (orthogonal_step(path(3), path(3)), (1, 10, 100, 1000, 10000)),
-            (compose([up, up.transposed()]), [2**64 + 3**k for k in range(8)]),
+        steps = [
+            orthogonal_step(path(12), path(12)),
+            paired_step(paired(4), free(3)),
+            compose([up, up.transposed()]),
         ]
-        for step, vec in cases:
-            out = step.push(vec)
-            expect = [sum(r * v for r, v in zip(row, vec)) for row in zip(*step.entries)]
-            assert list(out) == expect
-        assert max(step.array.max() for step, _ in cases) > 1
+        assert steps[0].shape[0] > BLOCK_ENTRIES // steps[0].shape[1]
+        assert max(step.array.max() for step in steps) > 1
+        rng = np.random.default_rng(1)
+        for step in steps:
+            entries = np.array(step.entries, dtype=np.int64)
+            for lead in ((), (3,), (2, 4)):
+                block = rng.integers(0, 2**30, size=(len(step.cols),) + lead)
+                out = step.push(block)
+                assert out.dtype == np.float64 and out.shape == (len(step.rows),) + lead
+                expect = np.tensordot(entries, block, axes=1)
+                assert out.astype(np.int64).tolist() == expect.tolist()
 
     def test_push_rejects_wrong_length(self):
         step = orthogonal_step(path(3), path(3))
@@ -173,6 +183,7 @@ class TestStepMatrix:
         step = paired_step(paired(4), free(3))
         t = step.transposed()
         assert t.rows is step.cols and t.cols is step.rows
+        assert t.array.dtype == bool and t.array.flags.c_contiguous
         assert gold.entries(t) == gold.transpose(gold.entries(step))
 
 
