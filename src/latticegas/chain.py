@@ -13,9 +13,14 @@ Families
 quadratic          square grid, slices are paths, one orthogonal step
 crossed            square grid with both diagonals in every cell
 aztec              diagonal grid; columns alternate short and long,
-                   each period is a short-to-long and a long-to-short step
-truncated-square   the 8.8.4 tiling; a period is a paired column, a
-                   plain column and another plain column (three steps)
+                   each period is a short-to-long step A and A^T
+truncated-square   the 8.8.4 tiling; a period is a paired column and
+                   two plain columns: steps B, C, B^T
+
+Every step is one ``build_step(rows, cols, f, g)``: entry (u, v) is 1
+iff f(u) & g(v) == 0.  ``_spread`` gives each family's one map from the
+period's first slice to the next; a return step (A^T, B^T) applies that
+same map to its columns, so it is built, not copied from a transpose.
 
 Counts are exact integers: float64 pushes mod primes below 2**23,
 joined by the Chinese remainder theorem.
@@ -28,7 +33,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .compat import BLOCK_ENTRIES, StepMatrix, crossed_step, orthogonal_step, paired_step, staggered_step
+from .compat import BLOCK_ENTRIES, Spread, StepMatrix, build_step
 from .statespace import StateKind, StateSpace, enumerate_states, state_count
 
 __all__ = [
@@ -135,6 +140,48 @@ def _period_slices(
     return [(StateKind.PAIRED, 2 * p), plain, plain]
 
 
+def _rotl(x: np.ndarray, length: int) -> np.ndarray:
+    return ((x << 1) | (x >> (length - 1))) & ((1 << length) - 1)
+
+
+def _rotr(x: np.ndarray, length: int) -> np.ndarray:
+    return ((x >> 1) | (x << (length - 1))) & ((1 << length) - 1)
+
+
+def _spread(family: Family, wrap: bool, length: int) -> Spread | None:
+    """Map a mask of the period's first slice (``length`` sites) to the
+    sites it touches in the next slice; None means the identity.
+
+    Site i touches site i for quadratic; i-1, i and i+1 for crossed;
+    i and i+1 for aztec (i-1 and i wrapped); and for truncated-square
+    pair k's first member touches site k, its second site k+1.  Wrapped
+    offsets are taken mod the next slice's length, open ones are cut
+    to it.
+    """
+    L = length
+    if family is Family.QUADRATIC:
+        return None
+    if family is Family.CROSSED:
+        if wrap:
+            return lambda u: u | _rotl(u, L) | _rotr(u, L)
+        return lambda u: (u | (u << 1) | (u >> 1)) & ((1 << L) - 1)
+    if family is Family.AZTEC:
+        if wrap:
+            return lambda u: u | _rotr(u, L)
+        return lambda u: u | (u << 1)
+    p = L // 2
+
+    def paired(u: np.ndarray) -> np.ndarray:
+        lo = np.zeros_like(u)
+        hi = np.zeros_like(u)
+        for k in range(p):
+            lo |= ((u >> (2 * k)) & 1) << k
+            hi |= ((u >> (2 * k + 1)) & 1) << k
+        return lo | (_rotl(hi, p) if wrap else hi << 1)
+
+    return paired
+
+
 def transfer_chain(
     family: Family,
     direction: Direction,
@@ -152,20 +199,12 @@ def transfer_chain(
     slices = _period_slices(family, direction, width)
     spaces = {s: enumerate_states(*s) for s in slices}
     first, last = spaces[slices[0]], spaces[slices[-1]]
-    wrap = direction is Direction.ROWWISE
-
-    if family is Family.QUADRATIC:
-        steps = (orthogonal_step(first, first),)
-    elif family is Family.CROSSED:
-        steps = (crossed_step(first, first, wrap=wrap),)
-    elif family is Family.AZTEC:
-        # The lean only matters for wrapped slices, which have equal length.
-        forward = staggered_step(first, last, lean=-1)
-        steps = (forward, forward.transposed())
+    f = _spread(family, direction is Direction.ROWWISE, first.length)
+    if len(slices) == 1:
+        steps = (build_step(first, first, f),)
     else:
-        fan_out = paired_step(first, last, wrap=wrap)
-        steps = (fan_out, orthogonal_step(last, last), fan_out.transposed())
-
+        middle = (build_step(last, last),) if len(slices) == 3 else ()
+        steps = (build_step(first, last, f), *middle, build_step(last, first, None, f))
     return TransferChain(family, direction, boundary, width, steps)
 
 

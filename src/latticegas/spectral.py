@@ -8,8 +8,9 @@ through the factors, last to first, with the ``StepMatrix.push`` that
 exact counts use too.
 
 All composites in this package are symmetric (the factor lists read
-the same forwards as transposed backwards), which makes the Rayleigh
-quotient estimate accurate to the residual squared.
+the same forwards as transposed backwards, since each return step is
+built from the first step's spread), which makes the Rayleigh quotient
+estimate accurate to the residual squared.
 """
 from __future__ import annotations
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -74,7 +73,7 @@ def is_admissible(kind: StateKind, mask: int, length: int) -> bool:
 class StateSpace:
     """All admissible slice configurations of one kind and length.
 
-    ``masks`` is strictly increasing; ``index_of`` inverts it.
+    ``masks`` is strictly increasing.
     """
 
     kind: StateKind
@@ -83,19 +82,6 @@ class StateSpace:
 
     def __len__(self) -> int:
         return len(self.masks)
-
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {m: i for i, m in enumerate(self.masks)}
-
-    def index_of(self, mask: int) -> int:
-        try:
-            return self._index[mask]
-        except KeyError:
-            raise ValueError(f"mask {mask} is not a state of {self.kind.value}({self.length})") from None
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self._index
 
 
 def state_count(kind: StateKind, length: int) -> int:

@@ -19,7 +19,7 @@ from latticegas.chain import (
     count_lattice,
     transfer_chain,
 )
-from latticegas.compat import compose, orthogonal_step, staggered_step
+from latticegas.compat import compose
 from latticegas.oracle import sweep
 from latticegas.spectral import dominant_eigenvalue
 from latticegas.statespace import StateKind, enumerate_states, state_count
@@ -126,7 +126,6 @@ def test_criterion_07_spectral_oracle():
     assert res.value == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-10)
 
     # every reference matrix at most 9x9, composites and square factors
-    free = lambda n: enumerate_states(StateKind.FREE, n)
     square_pieces = [
         transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 3).steps,
         transfer_chain(Family.QUADRATIC, Direction.ROWWISE, 4).steps,
@@ -136,8 +135,9 @@ def test_criterion_07_spectral_oracle():
         transfer_chain(Family.AZTEC, Direction.ROWWISE, 3).steps,
         transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 2).steps,
         transfer_chain(Family.TRUNCATED_SQUARE, Direction.ROWWISE, 3).steps,
-        [staggered_step(free(3), free(3), lean=-1)],   # wrapped aztec factor
-        [orthogonal_step(free(2), free(2))],           # plain truncated-square factor
+        # the wrapped aztec factor and the plain truncated-square factor
+        transfer_chain(Family.AZTEC, Direction.ROWWISE, 3).steps[:1],
+        transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 2).steps[1:2],
     ]
     for steps in square_pieces:
         composite = compose(steps).dense

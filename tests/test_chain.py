@@ -18,8 +18,7 @@ from latticegas.chain import (
     count_open,
     transfer_chain,
 )
-from latticegas.compat import compose, staggered_step
-from latticegas.statespace import StateKind, enumerate_states
+from latticegas.compat import compose
 
 
 def count(family, topology, m, n):
@@ -154,14 +153,12 @@ class TestContractions:
             count_cyclic(chain, 0)
 
     def test_cyclic_rejects_rectangular_chain(self):
-        short = enumerate_states(StateKind.FREE, 3)
-        long = enumerate_states(StateKind.FREE, 4)
         lopsided = TransferChain(
             Family.AZTEC,
             Direction.COLUMNWISE,
             3,
             Boundary.CYCLIC,
-            (staggered_step(short, long),),
+            (transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3).steps[0],),
         )
         with pytest.raises(ValueError):
             count_cyclic(lopsided, 2)

@@ -6,6 +6,8 @@ import pytest
 
 from latticegas.cli import main
 
+import golden_data as gold
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -53,7 +55,67 @@ class TestCount:
         assert "m >= 3" in err
 
 
+CROSSED_C, CROSSED_R = gold.CROSSED_COLUMN_W3_STATES, gold.CROSSED_ROW_W4_STATES
+T884_ROWS, T884_COLS = gold.T884_ROW_W3_STEP1_ROWSTATES, gold.T884_ROW_W3_STEP1_COLSTATES
+
+# family, direction, width, then (golden matrix, row order, col order) for
+# each step and for the composite; an order of None is the canonical one.
+GOLDEN_CHAINS = [
+    ("quadratic", "columnwise", 3, [(gold.QUAD_COLUMN_W3, None, None)] * 2),
+    ("quadratic", "rowwise", 4, [(gold.QUAD_ROW_W4, None, None)] * 2),
+    ("crossed", "columnwise", 3, [(gold.CROSSED_COLUMN_W3, CROSSED_C, CROSSED_C)] * 2),
+    ("crossed", "rowwise", 4, [(gold.CROSSED_ROW_W4, CROSSED_R, CROSSED_R)] * 2),
+    ("aztec", "columnwise", 3, [
+        (gold.AZTEC_COLUMN_W3_STEP1, None, None),
+        (gold.transpose(gold.AZTEC_COLUMN_W3_STEP1), None, None),
+        (gold.AZTEC_COLUMN_W3_COMPOSITE, None, None),
+    ]),
+    ("aztec", "rowwise", 3, [
+        (gold.AZTEC_ROW_W3_STEP1, None, None),
+        (gold.transpose(gold.AZTEC_ROW_W3_STEP1), None, None),
+        (gold.AZTEC_ROW_W3_COMPOSITE, None, None),
+    ]),
+    ("truncated-square", "columnwise", 2, [
+        (gold.T884_COLUMN_W2_STEP1, None, None),
+        (gold.T884_COLUMN_W2_STEP2, None, None),
+        (gold.transpose(gold.T884_COLUMN_W2_STEP1), None, None),
+        (gold.T884_COLUMN_W2_COMPOSITE, None, None),
+    ]),
+    ("truncated-square", "rowwise", 3, [
+        (gold.T884_ROW_W3_STEP1, T884_ROWS, T884_COLS),
+        (gold.T884_ROW_W3_STEP2, None, None),
+        (gold.transpose(gold.T884_ROW_W3_STEP1), T884_COLS, T884_ROWS),
+        (gold.T884_ROW_W3_COMPOSITE, None, None),
+    ]),
+]
+
+
+def in_order(entries, row_masks, col_masks, rows, cols):
+    """entries re-indexed to the given mask orders (canonical when None)."""
+    ri = [row_masks.index(m) for m in rows] if rows else range(len(row_masks))
+    ci = [col_masks.index(m) for m in cols] if cols else range(len(col_masks))
+    return [[entries[i][j] for j in ci] for i in ri]
+
+
 class TestMatrix:
+    @pytest.mark.parametrize(
+        "family, direction, width, expected", GOLDEN_CHAINS,
+        ids=[f"{c[0]}-{c[1]}" for c in GOLDEN_CHAINS],
+    )
+    def test_json_matches_golden_chain(self, capsys, family, direction, width, expected):
+        code, out, _ = run(
+            capsys, "matrix", "--family", family, "--direction", direction, "--width", str(width)
+        )
+        assert code == 0
+        payload = json.loads(out)
+        check_schema("matrix", payload)
+        steps = payload["steps"]
+        got = [(s["entries"], s["row_masks"], s["col_masks"]) for s in steps]
+        got.append((payload["composite"], steps[0]["row_masks"], steps[-1]["col_masks"]))
+        assert len(got) == len(expected)
+        for (entries, row_masks, col_masks), (want, rows, cols) in zip(got, expected):
+            assert in_order(entries, row_masks, col_masks, rows, cols) == want
+
     def test_json_carries_steps_and_composite(self, capsys):
         code, out, _ = run(
             capsys, "matrix", "--family", "truncated-square", "--direction", "columnwise",

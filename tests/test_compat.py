@@ -1,105 +1,90 @@
 import numpy as np
 import pytest
 
-from latticegas.compat import (
-    BLOCK_ENTRIES,
-    StepMatrix,
-    build_step,
-    compose,
-    crossed_step,
-    orthogonal_step,
-    paired_step,
-    staggered_step,
-)
+from latticegas.chain import _MIN_WIDTH, Direction, Family, transfer_chain
+from latticegas.compat import BLOCK_ENTRIES, StepMatrix, build_step, compose
 from latticegas.statespace import StateKind, enumerate_states
 
 import golden_data as gold
+
+COLUMNWISE, ROWWISE = Direction.COLUMNWISE, Direction.ROWWISE
+QUADRATIC, CROSSED, AZTEC, T884 = (
+    Family.QUADRATIC, Family.CROSSED, Family.AZTEC, Family.TRUNCATED_SQUARE
+)
+
+
+def steps(family, direction, width):
+    return transfer_chain(family, direction, width).steps
 
 
 def path(n):
     return enumerate_states(StateKind.PATH, n)
 
 
-def cycle(n):
-    return enumerate_states(StateKind.CYCLE, n)
-
-
 def free(n):
     return enumerate_states(StateKind.FREE, n)
 
 
-def paired(n):
-    return enumerate_states(StateKind.PAIRED, n)
-
-
 class TestReferenceMatrices:
     def test_orthogonal_on_path_states(self):
-        step = orthogonal_step(path(4), path(4))
+        step = steps(QUADRATIC, COLUMNWISE, 3)[0]
         assert gold.entries(step) == gold.QUAD_COLUMN_W3
 
     def test_orthogonal_on_cycle_states(self):
-        step = orthogonal_step(cycle(4), cycle(4))
+        step = steps(QUADRATIC, ROWWISE, 4)[0]
         assert gold.entries(step) == gold.QUAD_ROW_W4
 
     def test_crossed_open(self):
-        step = crossed_step(path(4), path(4))
+        step = steps(CROSSED, COLUMNWISE, 3)[0]
         got = gold.reordered(step, gold.CROSSED_COLUMN_W3_STATES, gold.CROSSED_COLUMN_W3_STATES)
         assert got == gold.CROSSED_COLUMN_W3
 
     def test_crossed_wrapped(self):
-        step = crossed_step(cycle(4), cycle(4), wrap=True)
+        step = steps(CROSSED, ROWWISE, 4)[0]
         got = gold.reordered(step, gold.CROSSED_ROW_W4_STATES, gold.CROSSED_ROW_W4_STATES)
         assert got == gold.CROSSED_ROW_W4
 
     def test_staggered_short_to_long(self):
-        step = staggered_step(free(3), free(4))
+        step = steps(AZTEC, COLUMNWISE, 3)[0]
         assert gold.entries(step) == gold.AZTEC_COLUMN_W3_STEP1
 
     def test_staggered_long_to_short_is_transpose(self):
-        up = staggered_step(free(3), free(4))
-        down = staggered_step(free(4), free(3))
+        up, down = steps(AZTEC, COLUMNWISE, 3)
         assert gold.entries(down) == gold.entries(up.transposed())
 
     def test_staggered_wrapped(self):
-        step = staggered_step(free(3), free(3), lean=-1)
+        step = steps(AZTEC, ROWWISE, 3)[0]
         assert gold.entries(step) == gold.AZTEC_ROW_W3_STEP1
 
     def test_paired_open(self):
-        step = paired_step(paired(2), free(2))
+        step = steps(T884, COLUMNWISE, 2)[0]
         assert gold.entries(step) == gold.T884_COLUMN_W2_STEP1
 
     def test_paired_wrapped(self):
-        step = paired_step(paired(4), free(2), wrap=True)
+        step = steps(T884, ROWWISE, 3)[0]
         got = gold.reordered(step, gold.T884_ROW_W3_STEP1_ROWSTATES, gold.T884_ROW_W3_STEP1_COLSTATES)
         assert got == gold.T884_ROW_W3_STEP1
 
     def test_plain_middle_factor(self):
-        step = orthogonal_step(free(2), free(2))
-        assert gold.entries(step) == gold.T884_COLUMN_W2_STEP2
-        assert gold.entries(step) == gold.T884_ROW_W3_STEP2
+        assert gold.entries(steps(T884, COLUMNWISE, 2)[1]) == gold.T884_COLUMN_W2_STEP2
+        assert gold.entries(steps(T884, ROWWISE, 3)[1]) == gold.T884_ROW_W3_STEP2
 
 
 class TestComposites:
     def test_staggered_open_product(self):
-        up = staggered_step(free(3), free(4))
-        prod = compose([up, up.transposed()])
+        prod = compose(steps(AZTEC, COLUMNWISE, 3))
         assert gold.entries(prod) == gold.AZTEC_COLUMN_W3_COMPOSITE
 
     def test_staggered_wrapped_product(self):
-        down = staggered_step(free(3), free(3), lean=-1)
-        prod = compose([down, down.transposed()])
+        prod = compose(steps(AZTEC, ROWWISE, 3))
         assert gold.entries(prod) == gold.AZTEC_ROW_W3_COMPOSITE
 
     def test_paired_open_product(self):
-        fan = paired_step(paired(2), free(2))
-        mid = orthogonal_step(free(2), free(2))
-        prod = compose([fan, mid, fan.transposed()])
+        prod = compose(steps(T884, COLUMNWISE, 2))
         assert gold.entries(prod) == gold.T884_COLUMN_W2_COMPOSITE
 
     def test_paired_wrapped_product(self):
-        fan = paired_step(paired(4), free(2), wrap=True)
-        mid = orthogonal_step(free(2), free(2))
-        prod = compose([fan, mid, fan.transposed()])
+        prod = compose(steps(T884, ROWWISE, 3))
         assert gold.entries(prod) == gold.T884_ROW_W3_COMPOSITE
 
     def test_composites_are_symmetric(self):
@@ -112,7 +97,7 @@ class TestComposites:
             assert mat == gold.transpose(mat)
 
     def test_compose_rejects_mismatched_shapes(self):
-        fan = paired_step(paired(4), free(3))
+        fan = steps(T884, COLUMNWISE, 3)[0]
         with pytest.raises(ValueError):
             compose([fan, fan])
 
@@ -123,15 +108,14 @@ class TestComposites:
 
 class TestStepMatrix:
     def test_shape_and_dense(self):
-        step = orthogonal_step(path(2), path(2))
+        step = steps(QUADRATIC, COLUMNWISE, 1)[0]
         assert step.shape == (3, 3)
         assert step.array.dtype == bool
         assert step.dense.dtype == np.float64
         assert step.dense.tolist() == [[1, 1, 1], [1, 0, 1], [1, 1, 0]]
 
     def test_matmul_matches_dense(self):
-        a = paired_step(paired(4), free(3))
-        b = orthogonal_step(free(3), free(3))
+        a, b, _ = steps(T884, COLUMNWISE, 3)
         exact = np.array((a @ b).entries, dtype=np.float64)
         assert np.array_equal(exact, a.dense @ b.dense)
 
@@ -140,16 +124,15 @@ class TestStepMatrix:
         # of them tall enough for several row blocks, one non-square) and
         # an aztec composite (entries up to 16).  Inputs below 2**30
         # keep every float64 sum an exact integer, so any slip shows.
-        up = staggered_step(free(3), free(4))
-        steps = [
-            orthogonal_step(path(12), path(12)),
-            paired_step(paired(4), free(3)),
-            compose([up, up.transposed()]),
+        pieces = [
+            steps(QUADRATIC, COLUMNWISE, 11)[0],
+            steps(T884, COLUMNWISE, 3)[0],
+            compose(steps(AZTEC, COLUMNWISE, 3)),
         ]
-        assert steps[0].shape[0] > BLOCK_ENTRIES // steps[0].shape[1]
-        assert max(step.array.max() for step in steps) > 1
+        assert pieces[0].shape[0] > BLOCK_ENTRIES // pieces[0].shape[1]
+        assert max(step.array.max() for step in pieces) > 1
         rng = np.random.default_rng(1)
-        for step in steps:
+        for step in pieces:
             entries = np.array(step.entries, dtype=np.int64)
             for lead in ((), (3,), (2, 4)):
                 block = rng.integers(0, 2**30, size=(len(step.cols),) + lead)
@@ -159,7 +142,7 @@ class TestStepMatrix:
                 assert out.astype(np.int64).tolist() == expect.tolist()
 
     def test_push_rejects_wrong_length(self):
-        step = orthogonal_step(path(3), path(3))
+        step = steps(QUADRATIC, COLUMNWISE, 2)[0]
         with pytest.raises(ValueError):
             step.push((1, 2, 3))
 
@@ -180,7 +163,7 @@ class TestStepMatrix:
             big @ big
 
     def test_transposed_swaps_spaces(self):
-        step = paired_step(paired(4), free(3))
+        step = steps(T884, COLUMNWISE, 3)[0]
         t = step.transposed()
         assert t.rows is step.cols and t.cols is step.rows
         assert t.array.dtype == bool and t.array.flags.c_contiguous
@@ -188,25 +171,26 @@ class TestStepMatrix:
 
 
 class TestSpreadValidation:
-    def test_staggered_open_needs_adjacent_lengths(self):
-        with pytest.raises(ValueError):
-            staggered_step(free(3), free(5))
-
-    def test_staggered_wrap_needs_explicit_lean(self):
-        with pytest.raises(ValueError):
-            staggered_step(free(3), free(3), lean=0)
-
-    def test_paired_rejects_odd_rows(self):
-        with pytest.raises(ValueError):
-            paired_step(free(3), free(2))
-
-    def test_paired_rejects_wrong_col_length(self):
-        with pytest.raises(ValueError):
-            paired_step(paired(4), free(4))
-        with pytest.raises(ValueError):
-            paired_step(paired(4), free(3), wrap=True)
-
     def test_build_step_defaults_to_identity_spreads(self):
         direct = build_step(path(3), path(3))
-        named = orthogonal_step(path(3), path(3))
-        assert direct.entries == named.entries
+        explicit = build_step(path(3), path(3), lambda u: u, lambda v: v)
+        assert direct.entries == explicit.entries
+
+
+# Wrapped and open chains of the two families whose period returns to
+# its first slice through a step back, at widths from the floor up.
+RETURN_CASES = [
+    (family, direction, _MIN_WIDTH[(family, direction)] + extra)
+    for family in (AZTEC, T884)
+    for direction in (COLUMNWISE, ROWWISE)
+    for extra in range(5)
+]
+
+
+@pytest.mark.parametrize("family, direction, width", RETURN_CASES)
+def test_return_step_is_the_first_steps_transpose(family, direction, width):
+    chain = steps(family, direction, width)
+    back, reference = chain[-1], chain[0].transposed()
+    assert back.rows is reference.rows and back.cols is reference.cols
+    assert np.array_equal(back.array, reference.array)
+    assert back.array.dtype == bool and back.array.flags.c_contiguous
