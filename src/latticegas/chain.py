@@ -23,7 +23,8 @@ period's first slice to the next; a return step (A^T, B^T) applies that
 same map to its columns, so it is built, not copied from a transpose.
 
 Counts are exact integers: float64 pushes mod primes below 2**23,
-joined by the Chinese remainder theorem.
+joined by the Chinese remainder theorem.  A trace runs over the
+period's smallest slice space: tr(ABC) = tr(BCA).
 """
 from __future__ import annotations
 
@@ -305,23 +306,30 @@ def _primes(count: int) -> tuple[int, ...]:
 def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     """1^T M^periods 1, or tr(M^periods) if trace, for the composite M.
 
+    A trace pushes the identity of the period's smallest slice space, in
+    blocks sized for the widest space the stack fans out to.
     A 0/1 chain counts at most 2**sites, below the product of sites//22 + 1
     primes in (2**22, 2**23).  A stack with one layer per prime is reduced
     after each push, whose sums of residues stay exact in float64.
     """
     if any(step.array.max(initial=0) > 1 for step in chain.steps):
         raise ValueError("exact counts need 0/1 steps")
-    size = len(chain.entry_space)
+    steps = chain.steps
+    if trace:  # tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
+        i = min(range(len(steps)), key=lambda i: len(steps[i].rows))
+        steps = steps[i:] + steps[:i]
+    size = len(steps[0].rows)
     sites = periods * chain.period_sites + (0 if trace else chain.entry_space.length)
     primes = _primes(sites // 22 + 1)
     mods = np.array(primes, dtype=np.float64)[:, None]
-    k = max(1, BLOCK_ENTRIES // (len(primes) * size)) if trace else size
+    widest = max(len(step.rows) for step in steps)
+    k = max(1, BLOCK_ENTRIES // (len(primes) * widest)) if trace else size
     residues = np.zeros(len(primes))
     for s in range(0, size, k):
         start = np.eye(size, min(k, size - s), -s) if trace else np.ones((size, 1))
         block = np.broadcast_to(start[:, None], (size, len(primes), start.shape[1]))
         for _ in range(periods):
-            for step in reversed(chain.steps):
+            for step in reversed(steps):
                 block = np.fmod(step.push(block), mods)
         residues = np.fmod(residues + (block * start[:, None]).sum(axis=(0, 2)), primes)
     count, modulus = 0, 1

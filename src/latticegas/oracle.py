@@ -2,10 +2,11 @@
 
 The graphs are rebuilt here from scratch out of local geometric rules
 (which vertex sits where, which neighbours it touches), with none of
-the transfer machinery involved.  Counting is plain backtracking over
-bit masks.  Agreement between the two paths is the strongest evidence
-this package offers that the chains, periods and trace logic are
-wired correctly, so keep this module free of imports from compat.
+the transfer machinery involved.  Counting is memoized backtracking
+over the set of still-available vertices, kept as a bit mask.
+Agreement between the two paths is the strongest evidence this package
+offers that the chains, periods and trace logic are wired correctly,
+so keep this module free of imports from compat.
 """
 from __future__ import annotations
 
@@ -207,28 +208,25 @@ def build_graph(instance: LatticeInstance) -> LatticeGraph:
     return _truncated_graph(instance)
 
 
-def brute_count(graph: LatticeGraph) -> int:
-    """Backtracking count of all independent sets, empty set included."""
-    nv = len(graph.vertices)
+def _check_cap(nv: int) -> None:
     if nv > MAX_BRUTE_VERTICES:
         raise ValueError(f"{nv} vertices is past the brute-force cap of {MAX_BRUTE_VERTICES}")
-    masks = graph.neighbor_masks()
-    # Visit high-degree vertices first; their branches die fastest.
-    order = sorted(range(nv), key=lambda v: -bin(masks[v]).count("1"))
-    remap = {old: new for new, old in enumerate(order)}
-    closed = [0] * nv
-    for old, new in remap.items():
-        nb = 0
-        for u in range(nv):
-            if masks[old] >> u & 1:
-                nb |= 1 << remap[u]
-        closed[new] = nb | (1 << new)
+
+
+def brute_count(graph: LatticeGraph) -> int:
+    """Count of all independent sets, empty set included, by memoized
+    backtracking over the set of still-available vertices."""
+    nv = len(graph.vertices)
+    _check_cap(nv)
+    # Lowest vertex first: the graphs' row/column order keeps the memo small.
+    closed = [nb | 1 << v for v, nb in enumerate(graph.neighbor_masks())]
+    memo: dict[int, int] = {0: 1}
 
     def rec(avail: int) -> int:
-        if avail == 0:
-            return 1
-        v = (avail & -avail).bit_length() - 1
-        return rec(avail & ~(1 << v)) + rec(avail & ~closed[v])
+        if avail not in memo:
+            v = (avail & -avail).bit_length() - 1
+            memo[avail] = rec(avail & ~(1 << v)) + rec(avail & ~closed[v])
+        return memo[avail]
 
     return rec((1 << nv) - 1)
 
@@ -245,6 +243,8 @@ class VerifyResult:
 
 
 def verify_instance(instance: LatticeInstance) -> VerifyResult:
+    # Refuse a past-cap instance before paying for its transfer count.
+    _check_cap(instance.vertices)
     graph = build_graph(instance)
     return VerifyResult(instance, count_lattice(instance), brute_count(graph))
 
@@ -257,7 +257,8 @@ def sweep(
     """Verify every valid instance with at most max_vertices vertices.
 
     Every family gains at least one vertex per unit of m or n, so m and
-    n never need to range past the cap itself.
+    n never need to range past the cap itself, and for fixed m the
+    first valid n past the cap ends the n range.
     """
     if max_vertices > MAX_BRUTE_VERTICES:
         raise ValueError(f"sweep cap is {MAX_BRUTE_VERTICES} vertices")
@@ -269,5 +270,6 @@ def sweep(
                         inst = LatticeInstance(family, topology, m, n)
                     except ValueError:
                         continue
-                    if inst.vertices <= max_vertices:
-                        yield verify_instance(inst)
+                    if inst.vertices > max_vertices:
+                        break
+                    yield verify_instance(inst)

@@ -18,7 +18,7 @@ from latticegas.chain import (
     count_open,
     transfer_chain,
 )
-from latticegas.compat import compose
+from latticegas.compat import BLOCK_ENTRIES, StepMatrix, compose
 
 
 def count(family, topology, m, n):
@@ -297,6 +297,49 @@ class TestExactness:
             count_open(fused, 2)
         with pytest.raises(ValueError, match="0/1"):
             count_cyclic(fused, 2)
+
+
+def record_pushes(monkeypatch):
+    """Patch StepMatrix.push to log (len(block), larger of the in and out
+    sizes) for every push."""
+    log = []
+    push = StepMatrix.push
+
+    def logged(self, block):
+        out = push(self, block)
+        log.append((len(block), max(np.size(block), out.size)))
+        return out
+
+    monkeypatch.setattr(StepMatrix, "push", logged)
+    return log
+
+
+@pytest.mark.parametrize("family", [Family.AZTEC, Family.TRUNCATED_SQUARE])
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("extra", range(4))
+def test_trace_starts_at_the_smallest_slice_space(family, direction, extra, monkeypatch):
+    # Every rotation of the period, so the entry space is the largest one
+    # in some of them; a trace must not depend on where the period starts.
+    width = _MIN_WIDTH[(family, direction)] + extra
+    chain = transfer_chain(family, direction, width, Boundary.CYCLIC)
+    smallest = min(len(step.rows) for step in chain.steps)
+    pushes = record_pushes(monkeypatch)
+    for r in range(len(chain.steps)):
+        rotated = dataclasses.replace(chain, steps=chain.steps[r:] + chain.steps[:r])
+        for periods in range(1, 5):
+            pushes.clear()
+            assert count_cyclic(rotated, periods) == reference_cyclic(rotated, periods)
+            assert pushes[0][0] == smallest
+
+
+def test_trace_stack_stays_within_a_block(monkeypatch):
+    # 729 paired states against 128 plain ones: the trace starts from the
+    # plain space, but its stack fans out to the paired one.
+    chain = transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 7, Boundary.CYCLIC)
+    assert sorted({len(step.rows) for step in chain.steps}) == [128, 729]
+    pushes = record_pushes(monkeypatch)
+    count_cyclic(chain, 4)
+    assert max(size for _, size in pushes) <= BLOCK_ENTRIES
 
 
 @settings(deadline=None, max_examples=40)

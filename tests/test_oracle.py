@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from latticegas import oracle
 from latticegas.chain import Family, LatticeInstance, Topology
 from latticegas.oracle import (
     MAX_BRUTE_VERTICES,
@@ -49,6 +52,40 @@ def lucas(n):
     return a
 
 
+def instances(max_vertices):
+    """Every valid instance with at most max_vertices vertices, in sweep
+    order, found by trying every m and n up to the cap."""
+    found = []
+    for family in Family:
+        for topology in Topology:
+            for m in range(1, max_vertices + 1):
+                for n in range(1, max_vertices + 1):
+                    try:
+                        inst = LatticeInstance(family, topology, m, n)
+                    except ValueError:
+                        continue
+                    if inst.vertices <= max_vertices:
+                        found.append(inst)
+    return found
+
+
+def exhaustive_count(graph):
+    """Independent sets found by testing all 2**nv vertex subsets."""
+    subsets = np.arange(1 << len(graph.vertices))
+    independent = np.ones(len(subsets), dtype=bool)
+    for v, nb in enumerate(graph.neighbor_masks()):
+        independent &= ((subsets >> v) & 1 == 0) | (subsets & nb == 0)
+    return int(independent.sum())
+
+
+@st.composite
+def random_graphs(draw):
+    nv = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(a, b) for a in range(nv) for b in range(a + 1, nv)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return LatticeGraph(make_instance(), tuple(range(nv)), tuple(edges))
+
+
 class TestBruteCount:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_path_gives_fibonacci(self, n):
@@ -71,6 +108,17 @@ class TestBruteCount:
         g = LatticeGraph(make_instance(), tuple(range(MAX_BRUTE_VERTICES + 1)), ())
         with pytest.raises(ValueError):
             brute_count(g)
+
+    @given(random_graphs())
+    def test_matches_exhaustive_enumeration(self, graph):
+        assert brute_count(graph) == exhaustive_count(graph)
+
+    @pytest.mark.parametrize(
+        "instance", instances(14), ids=lambda i: f"{i.family.value}-{i.topology.value}-{i.m}x{i.n}"
+    )
+    def test_lattices_match_exhaustive_enumeration(self, instance):
+        graph = build_graph(instance)
+        assert brute_count(graph) == exhaustive_count(graph)
 
 
 class TestGraphConstruction:
@@ -135,7 +183,8 @@ class TestVerification:
         assert res.transfer == res.brute
 
     def test_sweep_covers_every_family_and_topology(self):
-        results = list(sweep(16))
+        results = list(sweep(MAX_BRUTE_VERTICES))
+        assert len(results) == 349
         assert all(r.ok for r in results)
         seen = {(r.instance.family, r.instance.topology) for r in results}
         assert seen == {(f, t) for f in Family for t in Topology}
@@ -151,3 +200,16 @@ class TestVerification:
     def test_sweep_cap(self):
         with pytest.raises(ValueError):
             next(sweep(MAX_BRUTE_VERTICES + 1))
+
+    @pytest.mark.parametrize("cap", [12, 24, MAX_BRUTE_VERTICES])
+    def test_sweep_visits_every_instance_in_order(self, cap, monkeypatch):
+        monkeypatch.setattr(oracle, "verify_instance", lambda inst: inst)
+        assert list(sweep(cap)) == instances(cap)
+
+    def test_verify_refuses_before_counting(self, monkeypatch):
+        def count_lattice(instance):
+            pytest.fail(f"counted {instance} before refusing it")
+
+        monkeypatch.setattr(oracle, "count_lattice", count_lattice)
+        with pytest.raises(ValueError, match="past the brute-force cap"):
+            verify_instance(LatticeInstance(Family.QUADRATIC, Topology.TORUS, 12, 13))
