@@ -24,7 +24,8 @@ same map to its columns, so it is built, not copied from a transpose.
 
 Counts are exact integers: float64 pushes mod primes below 2**23,
 joined by the Chinese remainder theorem.  A trace runs over the
-period's smallest slice space: tr(ABC) = tr(BCA).
+period's smallest slice space: tr(ABC) = tr(BCA).  Each instance is
+counted once, by whichever of its two sweeps makes the fewest pushes.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .compat import BLOCK_ENTRIES, Spread, StepMatrix, build_step
-from .statespace import StateKind, StateSpace, enumerate_states, state_count
+from .statespace import MAX_ENUM_LENGTH, StateKind, StateSpace, enumerate_states, state_count
 
 __all__ = [
     "Family",
@@ -355,45 +356,43 @@ def count_cyclic(chain: TransferChain, periods: int) -> int:
     return _contract(chain, periods, trace=True)
 
 
-def count_lattice(instance: LatticeInstance) -> int:
-    """Exact number of independent sets of a lattice instance.
+def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
+    """(direction, width, periods, trace) of the sweep that counts an instance.
 
-    Planes sweep columnwise with open ends.  Cylinders are counted
-    twice, once as a traced columnwise sweep around the wrap and once
-    as an open rowwise sweep along the axis, and the two totals are
-    checked against each other before being returned.  Tori trace a
-    rowwise sweep.
+    A plane sweeps open across m or across n, a cylinder traces around
+    its wrap or sweeps open along its axis, and a torus traces rowwise
+    at width n or m.  Of those whose slices fit in MAX_ENUM_LENGTH sites,
+    the first with the fewest pushes wins: periods times the sum of
+    rows*cols over the steps, times the smallest slice space for a trace.
     """
     fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
-
+    col, row = Direction.COLUMNWISE, Direction.ROWWISE
     if topo is Topology.PLANE:
-        # Both orientations give the same lattice; sweep across the
-        # narrow side so the slice spaces stay small.
-        if m > n:
-            m, n = n, m
-        chain = transfer_chain(fam, Direction.COLUMNWISE, m, Boundary.OPEN)
-        return count_open(chain, _periods(fam, Direction.COLUMNWISE, m, n))
+        sweeps = [(col, m, _periods(fam, col, m, n), False), (col, n, _periods(fam, col, n, m), False)]
+    elif topo is Topology.CYLINDER:
+        sweeps = [(col, m, _periods(fam, col, m, n), True), (row, n, _periods(fam, row, m, n), False)]
+    else:
+        sweeps = [(row, n, _periods(fam, row, m, n), True), (row, m, _periods(fam, row, n, m), True)]
+    fits = []
+    for direction, width, periods, trace in sweeps:
+        if width < _MIN_WIDTH[(fam, direction)]:
+            continue
+        if max(length for _, length in _period_slices(fam, direction, width)) > MAX_ENUM_LENGTH:
+            continue
+        dims = chain_dimensions(fam, direction, width)
+        pushes = periods * sum(r * c for r, c in dims) * (min(r for r, _ in dims) if trace else 1)
+        fits.append((pushes, (direction, width, periods, trace)))
+    if not fits:
+        raise ValueError(
+            f"{fam.value} {topo.value} {m}x{n} has no sweep whose slices fit "
+            f"the {MAX_ENUM_LENGTH}-site cap"
+        )
+    return min(fits, key=lambda fit: fit[0])[1]
 
-    if topo is Topology.CYLINDER:
-        around = transfer_chain(fam, Direction.COLUMNWISE, m, Boundary.CYCLIC)
-        along = transfer_chain(fam, Direction.ROWWISE, n, Boundary.OPEN)
-        total = count_cyclic(around, _periods(fam, Direction.COLUMNWISE, m, n))
-        check = count_open(along, _periods(fam, Direction.ROWWISE, m, n))
-        if total != check:
-            raise AssertionError(
-                f"cylinder counts disagree for {instance}: {total} vs {check}"
-            )
-        return total
 
-    # Torus.  The lattice is the same with the roles of m and n swapped,
-    # so keep the wrapped slice (width n) as the narrow side when the
-    # swapped instance is itself valid.
-    if n > m:
-        try:
-            swapped = LatticeInstance(fam, topo, n, m)
-        except ValueError:
-            swapped = None
-        if swapped is not None:
-            m, n = n, m
-    chain = transfer_chain(fam, Direction.ROWWISE, n, Boundary.CYCLIC)
-    return count_cyclic(chain, _periods(fam, Direction.ROWWISE, m, n))
+def count_lattice(instance: LatticeInstance) -> int:
+    """Exact number of independent sets of a lattice instance, from the
+    one contraction ``_sweep`` picks: open ends, or a trace around a wrap."""
+    direction, width, periods, trace = _sweep(instance)
+    chain = transfer_chain(instance.family, direction, width, Boundary.CYCLIC if trace else Boundary.OPEN)
+    return (count_cyclic if trace else count_open)(chain, periods)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latticegas import chain as chain_module
 from latticegas.chain import (
     Boundary,
     Direction,
@@ -12,6 +13,10 @@ from latticegas.chain import (
     Topology,
     TransferChain,
     _MIN_WIDTH,
+    _VALIDITY,
+    _period_slices,
+    _periods,
+    _sweep,
     chain_dimensions,
     count_cyclic,
     count_lattice,
@@ -19,6 +24,7 @@ from latticegas.chain import (
     transfer_chain,
 )
 from latticegas.compat import BLOCK_ENTRIES, StepMatrix, compose
+from latticegas.statespace import MAX_ENUM_LENGTH
 
 
 def count(family, topology, m, n):
@@ -221,12 +227,25 @@ class TestInstances:
         assert inst.vertices >= 4
 
 
+# Both cylinder routes are compared here and in the oracle sweeps, since
+# count_lattice runs only one; each range holds cylinders of both picks.
 _CYLINDER_RANGES = {
-    Family.QUADRATIC: (1, 4, 3, 7),
-    Family.CROSSED: (1, 4, 3, 7),
-    Family.AZTEC: (1, 3, 2, 6),
-    Family.TRUNCATED_SQUARE: (2, 3, 3, 5),
+    Family.QUADRATIC: (1, 8, 3, 12),
+    Family.CROSSED: (1, 8, 3, 12),
+    Family.AZTEC: (1, 6, 2, 9),
+    Family.TRUNCATED_SQUARE: (2, 4, 3, 7),
 }
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_cylinder_ranges_hold_both_picks(family):
+    lo_m, hi_m, lo_n, hi_n = _CYLINDER_RANGES[family]
+    picks = {
+        _sweep(LatticeInstance(family, Topology.CYLINDER, m, n))[3]
+        for m in range(lo_m, hi_m + 1)
+        for n in range(lo_n, hi_n + 1)
+    }
+    assert picks == {False, True}
 
 
 @settings(deadline=None, max_examples=40)
@@ -297,6 +316,118 @@ class TestExactness:
             count_open(fused, 2)
         with pytest.raises(ValueError, match="0/1"):
             count_cyclic(fused, 2)
+
+
+class TestLongCylinders:
+    """Cylinders too long for one of their two sweeps."""
+
+    def test_ring_ladder_pell_lucas(self):
+        # 1 x n is two n-cycles joined rung by rung: Q_n + (-1)^n, with
+        # the Pell-Lucas numbers Q_0 = Q_1 = 2, Q_n = 2 Q_(n-1) + Q_(n-2)
+        q = [2, 2]
+        while len(q) <= 40:
+            q.append(2 * q[-1] + q[-2])
+        for n in range(3, 41):
+            assert count(Family.QUADRATIC, Topology.CYLINDER, 1, n) == q[n] + (-1) ** n
+
+    def test_triangle_prism(self):
+        # m x 3 stacks m+1 triangles; a triangle's states are empty or one
+        # site, and two stacked states clash on a shared nonempty site
+        t = [[0 if i == j != 0 else 1 for j in range(4)] for i in range(4)]
+        vec = [1] * 4
+        for m in range(1, 41):
+            vec = [sum(a * x for a, x in zip(row, vec)) for row in t]
+            assert count(Family.QUADRATIC, Topology.CYLINDER, m, 3) == sum(vec)
+
+    @pytest.mark.parametrize(
+        "family, m, n", [(Family.QUADRATIC, 2, 30), (Family.AZTEC, 1, 25)]
+    )
+    def test_traced_around_the_wrap(self, family, m, n):
+        around = transfer_chain(family, Direction.COLUMNWISE, m, Boundary.CYCLIC)
+        assert count(family, Topology.CYLINDER, m, n) == reference_cyclic(around, n)
+
+
+class TestOneSweep:
+    """count_lattice counts an instance once, by the cheapest sweep."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_one_contraction_per_count(self, family, topology, monkeypatch):
+        calls = []
+
+        def logged(name):
+            real = getattr(chain_module, name)
+
+            def contraction(chain, periods):
+                calls.append(name)
+                return real(chain, periods)
+
+            return contraction
+
+        for name in ("count_open", "count_cyclic"):
+            monkeypatch.setattr(chain_module, name, logged(name))
+        lo_m, lo_n = _VALIDITY[(family, topology)]
+        for m in range(lo_m, lo_m + 3):
+            for n in range(lo_n, lo_n + 3):
+                calls.clear()
+                count(family, topology, m, n)
+                trace = _sweep(LatticeInstance(family, topology, m, n))[3]
+                assert calls == ["count_cyclic" if trace else "count_open"]
+
+    @pytest.mark.parametrize(
+        "m, n, direction",
+        [
+            (3, 3, Direction.ROWWISE),  # 48 open pushes against 1536 traced
+            (13, 3, Direction.ROWWISE),  # 208 against about 2.9e9
+            (5, 10, Direction.ROWWISE),  # 75645 against 92610
+            (5, 11, Direction.COLUMNWISE),  # 101871 traced against 198005 open
+            (2, 30, Direction.COLUMNWISE),  # a 30-site ring does not fit
+        ],
+    )
+    def test_cylinder_takes_fewer_pushes(self, m, n, direction):
+        inst = LatticeInstance(Family.QUADRATIC, Topology.CYLINDER, m, n)
+        assert _sweep(inst)[0] is direction
+
+    @pytest.mark.parametrize("topology", [Topology.CYLINDER, Topology.TORUS])
+    def test_oversized_refused_before_enumeration(self, topology, monkeypatch):
+        def enumerate_states(*args):
+            raise AssertionError("enumerated a slice space")
+
+        monkeypatch.setattr(chain_module, "enumerate_states", enumerate_states)
+        with pytest.raises(ValueError, match=f"quadratic {topology.value} 1000x1000 .*22-site cap"):
+            count(Family.QUADRATIC, topology, 1000, 1000)
+
+    @staticmethod
+    def earlier_rule(inst):
+        """The sweep count_lattice took before the push count picked it:
+        planes across the narrow side, tori traced at width n, swapped
+        to the narrow side when the swapped instance is valid."""
+        fam, m, n = inst.family, inst.m, inst.n
+        if inst.topology is Topology.PLANE:
+            m, n = min(m, n), max(m, n)
+            return Direction.COLUMNWISE, m, _periods(fam, Direction.COLUMNWISE, m, n), False
+        if n > m:
+            try:
+                LatticeInstance(fam, Topology.TORUS, n, m)
+                m, n = n, m
+            except ValueError:
+                pass
+        return Direction.ROWWISE, n, _periods(fam, Direction.ROWWISE, m, n), True
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("topology", [Topology.PLANE, Topology.TORUS])
+    def test_planes_and_tori_sweep_as_before(self, family, topology):
+        lo_m, lo_n = _VALIDITY[(family, topology)]
+        for m in range(lo_m, 41):
+            for n in range(lo_n, 41):
+                inst = LatticeInstance(family, topology, m, n)
+                direction, width, periods, trace = self.earlier_rule(inst)
+                slices = _period_slices(family, direction, width)
+                if max(length for _, length in slices) <= MAX_ENUM_LENGTH:
+                    assert _sweep(inst) == (direction, width, periods, trace)
+                else:
+                    with pytest.raises(ValueError, match="22-site cap"):
+                        _sweep(inst)
 
 
 def record_pushes(monkeypatch):

@@ -54,6 +54,27 @@ class TestCount:
         assert err.startswith("error:")
         assert "m >= 3" in err
 
+    def test_long_cylinder(self, capsys):
+        # 2 x 30: thirty 3-site columns around the wrap, traced
+        states = [u for u in range(8) if not u & (u >> 1)]
+        step = [[int(not u & v) for v in states] for u in states]
+        power = step
+        for _ in range(29):
+            power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*step)] for row in power]
+        code, out, err = run(
+            capsys, "count", "--family", "quadratic", "--topology", "cylinder", "-m", "2", "-n", "30"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"count": str(sum(power[i][i] for i in range(len(states))))}
+
+    def test_oversized_instance_refused(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--family", "quadratic", "--topology", "cylinder",
+            "-m", "1000", "-n", "1000",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: quadratic cylinder 1000x1000 has no sweep whose slices fit the 22-site cap\n"
+
 
 CROSSED_C, CROSSED_R = gold.CROSSED_COLUMN_W3_STATES, gold.CROSSED_ROW_W4_STATES
 T884_ROWS, T884_COLS = gold.T884_ROW_W3_STEP1_ROWSTATES, gold.T884_ROW_W3_STEP1_COLSTATES
