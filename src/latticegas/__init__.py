@@ -7,7 +7,7 @@ bound and a wrapped upper bound.
 """
 
 from .statespace import StateKind, StateSpace, enumerate_states
-from .compat import StepMatrix, compose
+from .compat import StepMatrix
 from .chain import (
     Boundary,
     Direction,
@@ -29,7 +29,6 @@ __all__ = [
     "StateSpace",
     "enumerate_states",
     "StepMatrix",
-    "compose",
     "Family",
     "Direction",
     "Boundary",

@@ -39,6 +39,11 @@ __all__ = [
     "bound_table",
 ]
 
+# Results kept by each of strip_root and ring_root.  Every result holds
+# its Perron vector, so an unbounded cache grows with each (family,
+# width, tol) a process asks for.
+ROOT_CACHE_SIZE = 64
+
 PER_VERTEX_EXPONENT = {
     Family.QUADRATIC: Fraction(1),
     Family.CROSSED: Fraction(1),
@@ -66,18 +71,18 @@ def _ring_chain(family: Family, width: int) -> TransferChain:
     return transfer_chain(family, Direction.ROWWISE, width, Boundary.CYCLIC)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROOT_CACHE_SIZE)
 def strip_root(family: Family, width: int, tol: float = 1e-12) -> EigenResult:
     """lambda_w: dominant eigenvalue of the open chain at width w.
 
-    Results are cached per (family, width, tol); sweeping p, q and k
-    re-uses roots instead of re-iterating.  Treat the cached result's
-    vector as read-only.
+    The ROOT_CACHE_SIZE latest results are cached per (family, width,
+    tol); sweeping p, q and k re-uses roots instead of re-iterating.
+    Treat the cached result's vector as read-only.
     """
     return dominant_eigenvalue(_strip_chain(family, width), tol=tol)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ROOT_CACHE_SIZE)
 def ring_root(family: Family, width: int, tol: float = 1e-12) -> EigenResult:
     """xi_w: dominant eigenvalue of the wrapped chain at width w.
 

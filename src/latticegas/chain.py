@@ -309,12 +309,11 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
 
     A trace pushes the identity of the period's smallest slice space, in
     blocks sized for the widest space the stack fans out to.
-    A 0/1 chain counts at most 2**sites, below the product of sites//22 + 1
-    primes in (2**22, 2**23).  A stack with one layer per prime is reduced
-    after each push, whose sums of residues stay exact in float64.
+    Steps are 0/1 by type, so a chain counts at most 2**sites, below the
+    product of sites//22 + 1 primes in (2**22, 2**23).  A stack with one
+    layer per prime is reduced after each push, whose sums of residues
+    stay exact in float64.
     """
-    if any(step.array.max(initial=0) > 1 for step in chain.steps):
-        raise ValueError("exact counts need 0/1 steps")
     steps = chain.steps
     if trace:  # tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
         i = min(range(len(steps)), key=lambda i: len(steps[i].rows))

@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .bounds import bound_table, entropy_interval
 from .chain import (
     Boundary,
@@ -22,7 +24,6 @@ from .chain import (
     count_lattice,
     transfer_chain,
 )
-from .compat import compose
 from .oracle import MAX_BRUTE_VERTICES, sweep, verify_instance
 from .spectral import ConvergenceError, dominant_eigenvalue
 
@@ -103,7 +104,13 @@ def _cmd_matrix(args) -> int:
         return 1
     boundary = Boundary.CYCLIC if direction is Direction.ROWWISE else Boundary.OPEN
     chain = transfer_chain(family, direction, args.width, boundary)
-    composite = compose(chain.steps)
+    # The identity pushed through the steps, last first, is their product.
+    # An entry counts paths through the inner slices, at most the product
+    # of their state counts (2**44), so float64 holds it exactly.
+    composite = np.eye(len(chain.exit_space))
+    for step in reversed(chain.steps):
+        composite = step.push(composite)
+    composite = composite.astype(np.int64).tolist()
     payload = {
         "family": family.value,
         "direction": direction.value,
@@ -119,20 +126,20 @@ def _cmd_matrix(args) -> int:
             }
             for s in chain.steps
         ],
-        "composite": [list(r) for r in composite.entries],
+        "composite": composite,
     }
     if args.format == "json":
         print(json.dumps(payload))
     elif args.format == "csv":
-        for row in composite.entries:
+        for row in composite:
             print(_csv_line(row))
     else:
         for i, s in enumerate(chain.steps, start=1):
             print(f"step {i}: {len(s.rows)}x{len(s.cols)}")
             print("\n".join(_grid_lines(s.entries)))
             print()
-        print(f"composite: {len(composite.rows)}x{len(composite.cols)}")
-        print("\n".join(_grid_lines(composite.entries)))
+        print(f"composite: {len(chain.entry_space)}x{len(chain.exit_space)}")
+        print("\n".join(_grid_lines(composite)))
     return 0
 
 
@@ -334,8 +341,8 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ConvergenceError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -3,10 +3,11 @@
 A step matrix has one row per state of the outgoing slice and one
 column per state of the incoming slice; the entry is 1 when the two
 configurations can sit next to each other and 0 when some occupied
-pair of sites would touch.  A step is stored once, as that 0/1 numpy
-array.  ``StepMatrix.push``, the one product of a step with vectors,
-works in float64 a block of rows at a time; exact counts push residues
-mod primes below 2**23, where every sum is an exact float64 integer.
+pair of sites would touch.  A step is stored once, as that numpy bool
+array, so it is 0/1 by type.  ``StepMatrix.push`` is the only product:
+it works in float64 a block of rows at a time, and exact counts push
+residues mod primes below 2**23, where every sum is an exact float64
+integer.
 
 Every step is one relation
 
@@ -29,7 +30,6 @@ from .statespace import StateSpace
 __all__ = [
     "StepMatrix",
     "build_step",
-    "compose",
 ]
 
 Spread = Callable[[np.ndarray], np.ndarray]
@@ -46,11 +46,11 @@ BLOCK_ENTRIES = 1 << 15
 # compare (and hash) by identity.
 @dataclass(frozen=True, eq=False)
 class StepMatrix:
-    """One transfer step: a nonnegative integer matrix, rows x cols.
+    """One transfer step: a 0/1 matrix, rows x cols.
 
-    ``array`` is the only stored form, a read-only 2-D numpy array of
-    bools (the 0/1 steps build_step fills) or integers (products of
-    steps); every other form is derived from it on demand.
+    ``array`` is the only stored form, a read-only 2-D numpy bool array,
+    so a step is 0/1 by type; every other form is derived from it on
+    demand, and ``push`` is the only product.
     """
 
     rows: StateSpace
@@ -59,12 +59,10 @@ class StepMatrix:
 
     def __post_init__(self) -> None:
         a = np.asarray(self.array)
-        if a.dtype.kind not in "bi":
-            raise ValueError(f"entries must be bools or int64-sized ints, got {a.dtype}")
+        if a.dtype != bool:
+            raise ValueError(f"entries must be bools, got {a.dtype}")
         if a.shape != self.shape:
             raise ValueError(f"entries of shape {a.shape} do not match {self.shape}")
-        if a.min(initial=0) < 0:
-            raise ValueError("entries must be nonnegative")
         a = a.view()
         a.flags.writeable = False
         object.__setattr__(self, "array", a)
@@ -91,14 +89,6 @@ class StepMatrix:
         """The transpose, as a C-contiguous copy so its row blocks are whole."""
         return StepMatrix(self.cols, self.rows, np.ascontiguousarray(self.array.T))
 
-    def __matmul__(self, other: "StepMatrix") -> "StepMatrix":
-        if self.cols is not other.rows and self.cols.masks != other.rows.masks:
-            raise ValueError("inner state spaces do not match")
-        a, b = self.array, other.array
-        if int(a.max(initial=0)) * int(b.max(initial=0)) * len(self.cols) >= 2**63:
-            raise ValueError("product entries could pass 2**63")
-        return StepMatrix(self.rows, other.cols, a.astype(np.int64) @ b.astype(np.int64))
-
     def push(self, block: np.ndarray) -> np.ndarray:
         """array @ block in float64, for a vector or a stack of vectors
         indexed by cols along axis 0, converting a block of rows at a time."""
@@ -111,16 +101,6 @@ class StepMatrix:
         for i in range(0, len(self.rows), step):
             np.matmul(self.array[i:i + step].astype(np.float64), flat, out=out[i:i + step])
         return out.reshape((len(self.rows),) + block.shape[1:])
-
-
-def compose(steps: "list[StepMatrix] | tuple[StepMatrix, ...]") -> StepMatrix:
-    """Exact product of a sequence of steps, left to right."""
-    if not steps:
-        raise ValueError("nothing to compose")
-    acc = steps[0]
-    for s in steps[1:]:
-        acc = acc @ s
-    return acc
 
 
 def build_step(

@@ -7,6 +7,8 @@ matrix of the truncated-square family are recorded in the orders
 they were originally tabulated in, with the orders given alongside.
 """
 
+import numpy as np
+
 # quadratic, columnwise width 3: one step on 4-site path states
 QUAD_COLUMN_W3 = [
     [1, 1, 1, 1, 1, 1, 1, 1],
@@ -152,6 +154,15 @@ T884_ROW_W3_COMPOSITE = [
     [6, 3, 4, 4, 2, 4, 3, 3, 2],
     [4, 2, 2, 2, 1, 2, 2, 2, 1],
 ]
+
+
+def product(steps):
+    """Exact int64 product of the steps' 0/1 arrays, left to right: a
+    route to a composite that shares nothing with StepMatrix.push."""
+    acc = steps[0].array.astype(np.int64)
+    for step in steps[1:]:
+        acc = acc @ step.array.astype(np.int64)
+    return acc
 
 
 def entries(step):

@@ -19,7 +19,6 @@ from latticegas.chain import (
     count_lattice,
     transfer_chain,
 )
-from latticegas.compat import compose
 from latticegas.oracle import sweep
 from latticegas.spectral import dominant_eigenvalue
 from latticegas.statespace import StateKind, enumerate_states, state_count
@@ -45,14 +44,14 @@ def test_criterion_01_golden_matrices():
                           gold.CROSSED_ROW_W4_STATES) == gold.CROSSED_ROW_W4
 
     chain = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3)
-    assert gold.entries(compose(chain.steps)) == gold.AZTEC_COLUMN_W3_COMPOSITE
+    assert gold.product(chain.steps).tolist() == gold.AZTEC_COLUMN_W3_COMPOSITE
     chain = transfer_chain(Family.AZTEC, Direction.ROWWISE, 3)
-    assert gold.entries(compose(chain.steps)) == gold.AZTEC_ROW_W3_COMPOSITE
+    assert gold.product(chain.steps).tolist() == gold.AZTEC_ROW_W3_COMPOSITE
 
     chain = transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 2)
-    assert gold.entries(compose(chain.steps)) == gold.T884_COLUMN_W2_COMPOSITE
+    assert gold.product(chain.steps).tolist() == gold.T884_COLUMN_W2_COMPOSITE
     chain = transfer_chain(Family.TRUNCATED_SQUARE, Direction.ROWWISE, 3)
-    assert gold.entries(compose(chain.steps)) == gold.T884_ROW_W3_COMPOSITE
+    assert gold.product(chain.steps).tolist() == gold.T884_ROW_W3_COMPOSITE
     done("1 golden-matrices")
 
 
@@ -140,7 +139,7 @@ def test_criterion_07_spectral_oracle():
         transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 2).steps[1:2],
     ]
     for steps in square_pieces:
-        composite = compose(steps).dense
+        composite = gold.product(steps)
         assert max(composite.shape) <= 9
         reference = float(np.abs(np.linalg.eigvals(composite)).max())
         res = dominant_eigenvalue(steps)

@@ -5,6 +5,7 @@ import pytest
 
 from latticegas.bounds import (
     PER_VERTEX_EXPONENT,
+    ROOT_CACHE_SIZE,
     bound_table,
     entropy_interval,
     ring_root,
@@ -26,6 +27,15 @@ class TestRoots:
     def test_ring_root_floor(self):
         with pytest.raises(ValueError):
             ring_root(Family.QUADRATIC, 2)
+
+    def test_root_caches_are_bounded(self):
+        for root in (strip_root, ring_root):
+            root.cache_clear()
+            for i in range(ROOT_CACHE_SIZE + 8):
+                root(Family.AZTEC, 2, 1e-6 * (1 + i / 64))
+                assert root.cache_info().currsize <= ROOT_CACHE_SIZE
+            assert root.cache_info().currsize == ROOT_CACHE_SIZE
+            root.cache_clear()
 
 
 class TestIntervals:

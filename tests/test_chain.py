@@ -23,7 +23,7 @@ from latticegas.chain import (
     count_open,
     transfer_chain,
 )
-from latticegas.compat import BLOCK_ENTRIES, StepMatrix, compose
+from latticegas.compat import BLOCK_ENTRIES, StepMatrix
 from latticegas.statespace import MAX_ENUM_LENGTH
 
 
@@ -307,15 +307,6 @@ class TestExactness:
         got = count_cyclic(chain, periods)
         assert type(got) is int and got.bit_length() > 23
         assert got == reference_cyclic(chain, periods)
-
-    def test_non_binary_step_refused(self):
-        chain = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3)
-        fused = dataclasses.replace(chain, steps=(compose(chain.steps),))
-        assert fused.steps[0].array.max() > 1
-        with pytest.raises(ValueError, match="0/1"):
-            count_open(fused, 2)
-        with pytest.raises(ValueError, match="0/1"):
-            count_cyclic(fused, 2)
 
 
 class TestLongCylinders:

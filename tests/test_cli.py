@@ -4,6 +4,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from latticegas import cli
+from latticegas.chain import _MIN_WIDTH, Direction, Family
 from latticegas.cli import main
 
 import golden_data as gold
@@ -111,6 +113,24 @@ GOLDEN_CHAINS = [
 ]
 
 
+# Every family and direction at the four widths from its floor up.
+COMPOSITE_CASES = [
+    (family.value, direction.value, _MIN_WIDTH[(family, direction)] + extra)
+    for family in Family
+    for direction in Direction
+    for extra in range(4)
+]
+
+
+def int_product(mats):
+    """Python-int product of lists of rows, left to right."""
+    acc = mats[0]
+    for mat in mats[1:]:
+        cols = list(zip(*mat))
+        acc = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in acc]
+    return acc
+
+
 def in_order(entries, row_masks, col_masks, rows, cols):
     """entries re-indexed to the given mask orders (canonical when None)."""
     ri = [row_masks.index(m) for m in rows] if rows else range(len(row_masks))
@@ -136,6 +156,16 @@ class TestMatrix:
         assert len(got) == len(expected)
         for (entries, row_masks, col_masks), (want, rows, cols) in zip(got, expected):
             assert in_order(entries, row_masks, col_masks, rows, cols) == want
+
+    @pytest.mark.parametrize("family, direction, width", COMPOSITE_CASES)
+    def test_composite_is_the_product_of_the_steps(self, capsys, family, direction, width):
+        code, out, _ = run(
+            capsys, "matrix", "--family", family, "--direction", direction,
+            "--width", str(width), "--force",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["composite"] == int_product([s["entries"] for s in payload["steps"]])
 
     def test_json_carries_steps_and_composite(self, capsys):
         code, out, _ = run(
@@ -198,6 +228,17 @@ class TestEig:
             capsys, "eig", "--family", "quadratic", "--direction", "rowwise", "--width", "4"
         )
         assert json.loads(out)["boundary"] == "cyclic"
+
+    def test_memory_error_reported(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "transfer_chain", exhausted)
+        code, out, err = run(
+            capsys, "eig", "--family", "quadratic", "--direction", "columnwise", "--width", "1"
+        )
+        assert code == 1 and out == ""
+        assert err == "error: MemoryError\n"
 
 
 class TestBounds:
@@ -288,14 +329,21 @@ class TestTable:
 
 class TestModuleEntry:
     def test_python_dash_m_runs(self):
+        import os
         import subprocess
         import sys
 
+        import latticegas
+
+        # the child finds the package where this process imported it from
+        where = os.path.dirname(os.path.dirname(latticegas.__file__))
+        path = os.pathsep.join(filter(None, [where, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "latticegas", "count", "--family", "quadratic",
              "--topology", "plane", "-m", "1", "-n", "1"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"count": "7"}

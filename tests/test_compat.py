@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latticegas.chain import _MIN_WIDTH, Direction, Family, transfer_chain
-from latticegas.compat import BLOCK_ENTRIES, StepMatrix, build_step, compose
+from latticegas.compat import BLOCK_ENTRIES, StepMatrix, build_step
 from latticegas.statespace import StateKind, enumerate_states
 
 import golden_data as gold
@@ -19,10 +19,6 @@ def steps(family, direction, width):
 
 def path(n):
     return enumerate_states(StateKind.PATH, n)
-
-
-def free(n):
-    return enumerate_states(StateKind.FREE, n)
 
 
 class TestReferenceMatrices:
@@ -72,20 +68,20 @@ class TestReferenceMatrices:
 
 class TestComposites:
     def test_staggered_open_product(self):
-        prod = compose(steps(AZTEC, COLUMNWISE, 3))
-        assert gold.entries(prod) == gold.AZTEC_COLUMN_W3_COMPOSITE
+        prod = gold.product(steps(AZTEC, COLUMNWISE, 3))
+        assert prod.tolist() == gold.AZTEC_COLUMN_W3_COMPOSITE
 
     def test_staggered_wrapped_product(self):
-        prod = compose(steps(AZTEC, ROWWISE, 3))
-        assert gold.entries(prod) == gold.AZTEC_ROW_W3_COMPOSITE
+        prod = gold.product(steps(AZTEC, ROWWISE, 3))
+        assert prod.tolist() == gold.AZTEC_ROW_W3_COMPOSITE
 
     def test_paired_open_product(self):
-        prod = compose(steps(T884, COLUMNWISE, 2))
-        assert gold.entries(prod) == gold.T884_COLUMN_W2_COMPOSITE
+        prod = gold.product(steps(T884, COLUMNWISE, 2))
+        assert prod.tolist() == gold.T884_COLUMN_W2_COMPOSITE
 
     def test_paired_wrapped_product(self):
-        prod = compose(steps(T884, ROWWISE, 3))
-        assert gold.entries(prod) == gold.T884_ROW_W3_COMPOSITE
+        prod = gold.product(steps(T884, ROWWISE, 3))
+        assert prod.tolist() == gold.T884_ROW_W3_COMPOSITE
 
     def test_composites_are_symmetric(self):
         for mat in (
@@ -96,15 +92,6 @@ class TestComposites:
         ):
             assert mat == gold.transpose(mat)
 
-    def test_compose_rejects_mismatched_shapes(self):
-        fan = steps(T884, COLUMNWISE, 3)[0]
-        with pytest.raises(ValueError):
-            compose([fan, fan])
-
-    def test_compose_rejects_empty(self):
-        with pytest.raises(ValueError):
-            compose([])
-
 
 class TestStepMatrix:
     def test_shape_and_dense(self):
@@ -114,23 +101,16 @@ class TestStepMatrix:
         assert step.dense.dtype == np.float64
         assert step.dense.tolist() == [[1, 1, 1], [1, 0, 1], [1, 1, 0]]
 
-    def test_matmul_matches_dense(self):
-        a, b, _ = steps(T884, COLUMNWISE, 3)
-        exact = np.array((a @ b).entries, dtype=np.float64)
-        assert np.array_equal(exact, a.dense @ b.dense)
-
     def test_push_is_exact_vector_product(self):
         # A vector, a stack and a stack of stacks, through 0/1 steps (one
-        # of them tall enough for several row blocks, one non-square) and
-        # an aztec composite (entries up to 16).  Inputs below 2**30
-        # keep every float64 sum an exact integer, so any slip shows.
+        # of them tall enough for several row blocks, one non-square).
+        # Inputs below 2**30 keep every float64 sum an exact integer, so
+        # any slip shows.
         pieces = [
             steps(QUADRATIC, COLUMNWISE, 11)[0],
             steps(T884, COLUMNWISE, 3)[0],
-            compose(steps(AZTEC, COLUMNWISE, 3)),
         ]
         assert pieces[0].shape[0] > BLOCK_ENTRIES // pieces[0].shape[1]
-        assert max(step.array.max() for step in pieces) > 1
         rng = np.random.default_rng(1)
         for step in pieces:
             entries = np.array(step.entries, dtype=np.int64)
@@ -148,19 +128,17 @@ class TestStepMatrix:
 
     def test_entries_shape_validated(self):
         rows, cols = path(2), path(2)
-        with pytest.raises(ValueError):
-            StepMatrix(rows, cols, ((1, 1), (1, 0), (1, 1)))
+        with pytest.raises(ValueError, match="shape"):
+            StepMatrix(rows, cols, np.ones((3, 2), dtype=bool))
 
-    def test_negative_entry_rejected(self):
-        two = free(1)
-        with pytest.raises(ValueError, match="nonnegative"):
-            StepMatrix(two, two, ((1, -1), (1, 1)))
-
-    def test_matmul_refuses_possible_int64_overflow(self):
-        two = free(1)
-        big = StepMatrix(two, two, ((2**62, 1), (1, 1)))
-        with pytest.raises(ValueError, match=r"2\*\*63"):
-            big @ big
+    def test_only_bool_arrays_accepted(self):
+        # 0/1 by type: a 0/1 array of ints or floats is refused too
+        step = steps(QUADRATIC, COLUMNWISE, 1)[0]
+        for dtype in (np.int8, np.uint8, np.int64, np.float64):
+            with pytest.raises(ValueError, match="bools"):
+                StepMatrix(step.rows, step.cols, step.array.astype(dtype))
+        with pytest.raises(ValueError, match="bools"):
+            StepMatrix(step.rows, step.cols, step.entries)
 
     def test_transposed_swaps_spaces(self):
         step = steps(T884, COLUMNWISE, 3)[0]

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from latticegas.chain import Boundary, Direction, Family, transfer_chain
-from latticegas.compat import StepMatrix, compose
+from latticegas.compat import StepMatrix
 from latticegas.spectral import ConvergenceError, dominant_eigenvalue
 from latticegas.statespace import StateKind, enumerate_states
 
+import golden_data as gold
 
-def free(n):
-    return enumerate_states(StateKind.FREE, n)
+
+def path(n):
+    return enumerate_states(StateKind.PATH, n)
 
 
 class TestKnownRoots:
@@ -39,8 +41,8 @@ class TestKnownRoots:
     def test_agrees_with_dense_symmetric_solver(self, family, direction, width):
         boundary = Boundary.CYCLIC if direction is Direction.ROWWISE else Boundary.OPEN
         chain = transfer_chain(family, direction, width, boundary)
-        composite = compose(chain.steps).dense
-        assert np.allclose(composite, composite.T)
+        composite = gold.product(chain.steps)
+        assert np.array_equal(composite, composite.T)
         reference = float(np.linalg.eigvalsh(composite).max())
         res = dominant_eigenvalue(chain)
         assert res.value == pytest.approx(reference, abs=1e-10)
@@ -48,8 +50,8 @@ class TestKnownRoots:
     def test_factored_matches_composed(self):
         chain = transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 3)
         a = dominant_eigenvalue(chain.steps)
-        b = dominant_eigenvalue([compose(chain.steps)])
-        assert a.value == pytest.approx(b.value, rel=1e-12)
+        b = float(np.linalg.eigvalsh(gold.product(chain.steps)).max())
+        assert a.value == pytest.approx(b, rel=1e-12)
 
 
 class TestResultContract:
@@ -75,11 +77,12 @@ class TestResultContract:
 
 class TestFailureModes:
     def test_periodic_matrix_never_converges(self):
-        # eigenvalues +/- sqrt(2) tie in modulus, so the iterate orbits
-        two = free(1)
-        flip = StepMatrix(two, two, ((0, 2), (1, 0)))
+        # the 3-vertex path's adjacency: eigenvalues +/- sqrt(2) tie in
+        # modulus, so the iterate orbits
+        three = path(2)
+        bipartite = StepMatrix(three, three, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool))
         with pytest.raises(ConvergenceError):
-            dominant_eigenvalue([flip], max_iterations=500)
+            dominant_eigenvalue([bipartite], max_iterations=500)
 
     def test_iteration_budget_enforced(self):
         chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 2)
@@ -101,7 +104,7 @@ class TestFailureModes:
             dominant_eigenvalue(chain, tol=0.0)
 
     def test_nilpotent_matrix_reported_degenerate(self):
-        two = free(1)
-        shift = StepMatrix(two, two, ((0, 1), (0, 0)))
+        two = path(1)
+        shift = StepMatrix(two, two, np.array([[0, 1], [0, 0]], dtype=bool))
         with pytest.raises(ValueError, match="degenerate"):
             dominant_eigenvalue([shift])
