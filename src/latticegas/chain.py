@@ -24,7 +24,10 @@ same map to its columns, so it is built, not copied from a transpose.
 
 Counts are exact integers: float64 pushes mod primes below 2**23,
 joined by the Chinese remainder theorem.  A trace runs over the
-period's smallest slice space: tr(ABC) = tr(BCA).  Each instance is
+period's smallest slice space: tr(ABC) = tr(BCA).  Rowwise steps
+commute with rotating the ring (one site, or one pair on a paired
+slice), so a rowwise trace pushes one basis vector per rotation orbit
+and weights its diagonal entry by the orbit's size.  Each instance is
 counted once, by whichever of its two sweeps makes the fewest pushes.
 """
 from __future__ import annotations
@@ -148,6 +151,22 @@ def _rotl(x: np.ndarray, length: int) -> np.ndarray:
 
 def _rotr(x: np.ndarray, length: int) -> np.ndarray:
     return ((x >> 1) | (x << (length - 1))) & ((1 << length) - 1)
+
+
+def _orbits(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
+    """(representative indices, orbit sizes) of a wrapped slice space
+    under rotation by one site, or by one pair on a PAIRED space.
+
+    A representative is the smallest mask of its orbit; its orbit size is
+    the number of rotations over the number that fix it.
+    """
+    L = space.length
+    shift = 2 if space.kind is StateKind.PAIRED else 1
+    masks = np.array(space.masks, dtype=np.int64)
+    s = np.arange(0, L, shift, dtype=np.int64)[:, None]
+    rots = ((masks << s) | (masks >> (L - s))) & ((1 << L) - 1)
+    reps = np.flatnonzero(masks == rots.min(axis=0))
+    return reps, len(s) // (rots[:, reps] == masks[reps]).sum(axis=0)
 
 
 def _spread(family: Family, wrap: bool, length: int) -> Spread | None:
@@ -307,12 +326,16 @@ def _primes(count: int) -> tuple[int, ...]:
 def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     """1^T M^periods 1, or tr(M^periods) if trace, for the composite M.
 
-    A trace pushes the identity of the period's smallest slice space, in
-    blocks sized for the widest space the stack fans out to.
+    A trace runs over the period's smallest slice space and pushes one
+    basis vector per orbit of that space, in blocks sized for the widest
+    space the stack fans out to.  A rowwise (wrapped) step commutes with
+    rotating the ring, so every state of an orbit has the same diagonal
+    entry, and tr = sum over orbit representatives r of |orbit r| * M_rr.
+    A columnwise trace takes every state as its own orbit of size 1.
     Steps are 0/1 by type, so a chain counts at most 2**sites, below the
     product of sites//22 + 1 primes in (2**22, 2**23).  A stack with one
     layer per prime is reduced after each push, whose sums of residues
-    stay exact in float64.
+    stay exact in float64; so do orbit sizes (at most 22) times them.
     """
     steps = chain.steps
     if trace:  # tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
@@ -322,16 +345,22 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     sites = periods * chain.period_sites + (0 if trace else chain.entry_space.length)
     primes = _primes(sites // 22 + 1)
     mods = np.array(primes, dtype=np.float64)[:, None]
+    if not trace:
+        reps, weights = None, np.ones(1)
+    elif chain.direction is Direction.ROWWISE:
+        reps, weights = _orbits(steps[0].rows)
+    else:
+        reps, weights = np.arange(size), np.ones(size)
     widest = max(len(step.rows) for step in steps)
-    k = max(1, BLOCK_ENTRIES // (len(primes) * widest)) if trace else size
+    k = max(1, BLOCK_ENTRIES // (len(primes) * widest))
     residues = np.zeros(len(primes))
-    for s in range(0, size, k):
-        start = np.eye(size, min(k, size - s), -s) if trace else np.ones((size, 1))
+    for s in range(0, len(weights), k):
+        start = np.ones((size, 1)) if reps is None else np.equal.outer(np.arange(size), reps[s:s + k])
         block = np.broadcast_to(start[:, None], (size, len(primes), start.shape[1]))
         for _ in range(periods):
             for step in reversed(steps):
                 block = np.fmod(step.push(block), mods)
-        residues = np.fmod(residues + (block * start[:, None]).sum(axis=(0, 2)), primes)
+        residues = np.fmod(residues + (block * start[:, None]).sum(axis=0) @ weights[s:s + k], primes)
     count, modulus = 0, 1
     for r, p in zip(residues, primes):
         count += modulus * ((int(r) - count) * pow(modulus, -1, p) % p)
@@ -363,6 +392,9 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     at width n or m.  Of those whose slices fit in MAX_ENUM_LENGTH sites,
     the first with the fewest pushes wins: periods times the sum of
     rows*cols over the steps, times the smallest slice space for a trace.
+    A rowwise trace pushes only one vector per rotation orbit of that
+    space, so the factor over-counts it; both torus sweeps are rowwise
+    traces, and the over-count nearly cancels between them.
     """
     fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
     col, row = Direction.COLUMNWISE, Direction.ROWWISE

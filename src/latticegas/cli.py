@@ -38,14 +38,16 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
 
 
+def _csv_cell(s: str) -> str:
+    if any(ch in s for ch in ",\"\n"):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def _csv_line(values) -> str:
-    out = []
-    for v in values:
-        s = str(v)
-        if any(ch in s for ch in ",\"\n"):
-            s = '"' + s.replace('"', '""') + '"'
-        out.append(s)
-    return ",".join(out)
+    # Only strings can hold a comma, quote or newline: numbers and bools
+    # print without one, so they skip the scan.
+    return ",".join([_csv_cell(v) if isinstance(v, str) else str(v) for v in values])
 
 
 def _emit_rows(fmt: str, header: list[str], rows: list[list]) -> None:

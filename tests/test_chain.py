@@ -14,6 +14,7 @@ from latticegas.chain import (
     TransferChain,
     _MIN_WIDTH,
     _VALIDITY,
+    _orbits,
     _period_slices,
     _periods,
     _sweep,
@@ -24,7 +25,7 @@ from latticegas.chain import (
     transfer_chain,
 )
 from latticegas.compat import BLOCK_ENTRIES, StepMatrix
-from latticegas.statespace import MAX_ENUM_LENGTH
+from latticegas.statespace import MAX_ENUM_LENGTH, StateKind, enumerate_states
 
 
 def count(family, topology, m, n):
@@ -300,13 +301,31 @@ class TestExactness:
 
     @pytest.mark.parametrize(
         "family, width, periods",
-        [(Family.QUADRATIC, 11, 12), (Family.TRUNCATED_SQUARE, 6, 6)],
+        [
+            (Family.QUADRATIC, 11, 12),
+            (Family.CROSSED, 11, 12),
+            (Family.AZTEC, 7, 8),
+            (Family.TRUNCATED_SQUARE, 6, 6),
+        ],
     )
     def test_torus(self, family, width, periods):
+        # the reference pushes every basis vector, the count one per orbit
         chain = transfer_chain(family, Direction.ROWWISE, width, Boundary.CYCLIC)
         got = count_cyclic(chain, periods)
         assert type(got) is int and got.bit_length() > 23
         assert got == reference_cyclic(chain, periods)
+
+    @pytest.mark.parametrize(
+        "family, m, n, expect",
+        [
+            (Family.QUADRATIC, 14, 14, 48609694845429192825410114233405807),
+            (Family.CROSSED, 14, 14, 12038380931111061789962901),
+            (Family.AZTEC, 9, 10, 71644525635966696318741446884546),
+        ],
+    )
+    def test_torus_golden(self, family, m, n, expect):
+        # from the full-basis trace, one basis vector per state
+        assert count(family, Topology.TORUS, m, n) == expect
 
 
 class TestLongCylinders:
@@ -423,13 +442,13 @@ class TestOneSweep:
 
 def record_pushes(monkeypatch):
     """Patch StepMatrix.push to log (len(block), larger of the in and out
-    sizes) for every push."""
+    sizes, block width: the length of its last axis) for every push."""
     log = []
     push = StepMatrix.push
 
     def logged(self, block):
         out = push(self, block)
-        log.append((len(block), max(np.size(block), out.size)))
+        log.append((len(block), max(np.size(block), out.size), np.shape(block)[-1]))
         return out
 
     monkeypatch.setattr(StepMatrix, "push", logged)
@@ -461,7 +480,74 @@ def test_trace_stack_stays_within_a_block(monkeypatch):
     assert sorted({len(step.rows) for step in chain.steps}) == [128, 729]
     pushes = record_pushes(monkeypatch)
     count_cyclic(chain, 4)
-    assert max(size for _, size in pushes) <= BLOCK_ENTRIES
+    assert max(size for _, size, _ in pushes) <= BLOCK_ENTRIES
+
+
+# ---------------------------------------------------------------------------
+# Rotation orbits: a torus trace pushes one basis vector per orbit
+
+
+def rotate(mask, space):
+    """A wrapped slice's mask turned by one site, or by one pair on a
+    PAIRED space."""
+    L, s = space.length, 2 if space.kind is StateKind.PAIRED else 1
+    return ((mask << s) | (mask >> (L - s))) & ((1 << L) - 1)
+
+
+def rotation_permutation(space):
+    index = {mask: i for i, mask in enumerate(space.masks)}
+    return [index[rotate(mask, space)] for mask in space.masks]
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("extra", range(5))
+def test_rowwise_steps_commute_with_rotation(family, extra):
+    width = _MIN_WIDTH[(family, Direction.ROWWISE)] + extra
+    for step in transfer_chain(family, Direction.ROWWISE, width).steps:
+        rows, cols = rotation_permutation(step.rows), rotation_permutation(step.cols)
+        assert np.array_equal(step.array[np.ix_(rows, cols)], step.array)
+
+
+@pytest.mark.parametrize(
+    "kind, length",
+    [(StateKind.CYCLE, L) for L in range(3, 15)]
+    + [(StateKind.FREE, L) for L in range(1, 13)]
+    + [(StateKind.PAIRED, L) for L in range(2, 13, 2)],
+)
+def test_orbits_partition_the_space(kind, length):
+    space = enumerate_states(kind, length)
+    reps, sizes = _orbits(space)
+    assert sum(sizes) == len(space)
+    for r, size in zip(reps, sizes):
+        orbit = [space.masks[r]]
+        while (turned := rotate(orbit[-1], space)) != orbit[0]:
+            orbit.append(turned)
+        assert space.masks[r] == min(orbit)
+        assert size == len(orbit)
+
+
+def basis_vectors(pushes, chain, periods):
+    """Basis vectors a trace pushed: every one goes through each step of
+    every period, so the block widths sum to that many times the count."""
+    total = sum(width for _, _, width in pushes)
+    assert total % (periods * len(chain.steps)) == 0
+    return total // (periods * len(chain.steps))
+
+
+def test_torus_trace_pushes_one_vector_per_orbit(monkeypatch):
+    chain = transfer_chain(Family.QUADRATIC, Direction.ROWWISE, 12, Boundary.CYCLIC)
+    pushes = record_pushes(monkeypatch)
+    count_cyclic(chain, 12)
+    assert len(chain.entry_space) == 322
+    assert basis_vectors(pushes, chain, 12) == 31
+
+
+@pytest.mark.parametrize("family, width", [(Family.QUADRATIC, 6), (Family.TRUNCATED_SQUARE, 3)])
+def test_cylinder_trace_pushes_every_state(family, width, monkeypatch):
+    chain = transfer_chain(family, Direction.COLUMNWISE, width, Boundary.CYCLIC)
+    pushes = record_pushes(monkeypatch)
+    count_cyclic(chain, 5)
+    assert basis_vectors(pushes, chain, 5) == min(len(step.rows) for step in chain.steps)
 
 
 @settings(deadline=None, max_examples=40)
