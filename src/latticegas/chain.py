@@ -22,8 +22,10 @@ iff f(u) & g(v) == 0.  ``_spread`` gives each family's one map from the
 period's first slice to the next; a return step (A^T, B^T) applies that
 same map to its columns, so it is built, not copied from a transpose.
 
-Counts are exact integers: float64 pushes mod primes below 2**23,
-joined by the Chinese remainder theorem.  A trace runs over the
+Counts are exact integers: float64 pushes mod primes, joined by the
+Chinese remainder theorem.  Each contraction takes primes as wide as
+its widest slice space leaves exact in float64, and as few as its
+count's bound needs (``_moduli``).  A trace runs over the
 period's smallest slice space: tr(ABC) = tr(BCA).  Rowwise steps
 commute with rotating the ring (one site, or one pair on a paired
 slice), so a rowwise trace pushes one basis vector per rotation orbit
@@ -32,6 +34,7 @@ counted once, by whichever of its two sweeps makes the fewest pushes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -193,14 +196,27 @@ def _spread(family: Family, wrap: bool, length: int) -> Spread | None:
     p = L // 2
 
     def paired(u: np.ndarray) -> np.ndarray:
-        lo = np.zeros_like(u)
-        hi = np.zeros_like(u)
-        for k in range(p):
-            lo |= ((u >> (2 * k)) & 1) << k
-            hi |= ((u >> (2 * k + 1)) & 1) << k
+        # pack the first members (even bits) and the second members (odd
+        # bits) into p bits each, halving the gaps between them each round
+        x = np.stack((u, u >> 1)) & 0x5555555555555555
+        for shift, keep in _PACK_ROUNDS:
+            if shift < p:
+                x = (x | x >> shift) & keep
+        lo, hi = x
         return lo | (_rotl(hi, p) if wrap else hi << 1)
 
     return paired
+
+
+# (shift, mask) of each round of a paired spread's packing: after the
+# round with shift s, each 4s-bit group holds its packed run in its low 2s bits.
+_PACK_ROUNDS = (
+    (1, 0x3333333333333333),
+    (2, 0x0F0F0F0F0F0F0F0F),
+    (4, 0x00FF00FF00FF00FF),
+    (8, 0x0000FFFF0000FFFF),
+    (16, 0x00000000FFFFFFFF),
+)
 
 
 def transfer_chain(
@@ -311,16 +327,61 @@ def _periods(family: Family, direction: Direction, m: int, n: int) -> int:
     return raw
 
 
+# Miller-Rabin with these witnesses is exact for every n below 3.3e24.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact below 3.3e24."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
-def _primes(count: int) -> tuple[int, ...]:
-    """The count largest primes below 2**23, largest first."""
+def _primes(count: int, bits: int) -> tuple[int, ...]:
+    """The count largest primes below 2**bits, largest first; each lies
+    above 2**(bits-1)."""
     found: list[int] = []
-    n = 2**23 - 1
+    n = 2**bits - 1
     while len(found) < count:
-        if all(n % d for d in range(3, int(n**0.5) + 1, 2)):
+        if n <= 2 ** (bits - 1):
+            raise ValueError(f"fewer than {count} primes of {bits} bits")
+        if _is_prime(n):
             found.append(n)
         n -= 2
     return tuple(found)
+
+
+def _moduli(widest: int, bound: int) -> tuple[int, ...]:
+    """The fewest primes whose product exceeds bound, each so narrow that
+    widest * 32 residues mod it sum exactly in float64 (below 2**53).
+
+    A push sums at most widest residues, and a trace's diagonal sum takes
+    at most widest of them times an orbit size below 32.
+    """
+    bits = 48 - widest.bit_length()
+    primes = _primes(bound.bit_length() // (bits - 1) + 1, bits)  # enough
+    product, n = 1, 0
+    while product <= bound:
+        product *= primes[n]
+        n += 1
+    return primes[:n]
 
 
 def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
@@ -332,18 +393,19 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     rotating the ring, so every state of an orbit has the same diagonal
     entry, and tr = sum over orbit representatives r of |orbit r| * M_rr.
     A columnwise trace takes every state as its own orbit of size 1.
-    Steps are 0/1 by type, so a chain counts at most 2**sites, below the
-    product of sites//22 + 1 primes in (2**22, 2**23).  A stack with one
-    layer per prime is reduced after each push, whose sums of residues
-    stay exact in float64; so do orbit sizes (at most 22) times them.
+    A 0/1 step S has |Sx|_max <= len(S.cols) * |x|_max, so either count
+    is at most size * (product of len(step.cols) over a period)**periods,
+    summed over the size start states or diagonal entries.  A stack with
+    one layer per prime of ``_moduli`` for that bound is reduced after
+    each push, and the CRT joins its residues.
     """
     steps = chain.steps
     if trace:  # tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
         i = min(range(len(steps)), key=lambda i: len(steps[i].rows))
         steps = steps[i:] + steps[:i]
     size = len(steps[0].rows)
-    sites = periods * chain.period_sites + (0 if trace else chain.entry_space.length)
-    primes = _primes(sites // 22 + 1)
+    widest = max(len(step.rows) for step in steps)
+    primes = _moduli(widest, size * math.prod(len(step.cols) for step in steps) ** periods)
     mods = np.array(primes, dtype=np.float64)[:, None]
     if not trace:
         reps, weights = None, np.ones(1)
@@ -351,7 +413,6 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
         reps, weights = _orbits(steps[0].rows)
     else:
         reps, weights = np.arange(size), np.ones(size)
-    widest = max(len(step.rows) for step in steps)
     k = max(1, BLOCK_ENTRIES // (len(primes) * widest))
     residues = np.zeros(len(primes))
     for s in range(0, len(weights), k):

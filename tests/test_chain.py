@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,9 +15,13 @@ from latticegas.chain import (
     TransferChain,
     _MIN_WIDTH,
     _VALIDITY,
+    _is_prime,
+    _moduli,
     _orbits,
     _period_slices,
     _periods,
+    _primes,
+    _spread,
     _sweep,
     chain_dimensions,
     count_cyclic,
@@ -442,13 +447,16 @@ class TestOneSweep:
 
 def record_pushes(monkeypatch):
     """Patch StepMatrix.push to log (len(block), larger of the in and out
-    sizes, block width: the length of its last axis) for every push."""
+    sizes, block width: the length of its last axis, prime layers: the
+    length of the middle axis of a 3-D stack, else 1) for every push."""
     log = []
     push = StepMatrix.push
 
     def logged(self, block):
         out = push(self, block)
-        log.append((len(block), max(np.size(block), out.size), np.shape(block)[-1]))
+        shape = np.shape(block)
+        layers = shape[1] if len(shape) == 3 else 1
+        log.append((len(block), max(np.size(block), out.size), shape[-1], layers))
         return out
 
     monkeypatch.setattr(StepMatrix, "push", logged)
@@ -480,7 +488,7 @@ def test_trace_stack_stays_within_a_block(monkeypatch):
     assert sorted({len(step.rows) for step in chain.steps}) == [128, 729]
     pushes = record_pushes(monkeypatch)
     count_cyclic(chain, 4)
-    assert max(size for _, size, _ in pushes) <= BLOCK_ENTRIES
+    assert max(size for _, size, _, _ in pushes) <= BLOCK_ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +537,7 @@ def test_orbits_partition_the_space(kind, length):
 def basis_vectors(pushes, chain, periods):
     """Basis vectors a trace pushed: every one goes through each step of
     every period, so the block widths sum to that many times the count."""
-    total = sum(width for _, _, width in pushes)
+    total = sum(width for _, _, width, _ in pushes)
     assert total % (periods * len(chain.steps)) == 0
     return total // (periods * len(chain.steps))
 
@@ -548,6 +556,109 @@ def test_cylinder_trace_pushes_every_state(family, width, monkeypatch):
     pushes = record_pushes(monkeypatch)
     count_cyclic(chain, 5)
     assert basis_vectors(pushes, chain, 5) == min(len(step.rows) for step in chain.steps)
+
+
+def test_paired_spread_matches_pair_by_pair():
+    # pair k's first member (bit 2k) touches site k, its second (bit 2k+1)
+    # site k+1, turned mod p when wrapped
+    for p in range(1, 10):
+        masks = enumerate_states(StateKind.PAIRED, 2 * p).masks
+        for wrap in (False, True):
+            got = _spread(Family.TRUNCATED_SQUARE, wrap, 2 * p)(np.array(masks, dtype=np.int64))
+            expect = []
+            for u in masks:
+                out = 0
+                for k in range(p):
+                    out |= ((u >> 2 * k) & 1) << k
+                    out |= ((u >> 2 * k + 1) & 1) << ((k + 1) % p if wrap else k + 1)
+                expect.append(out)
+            assert got.tolist() == expect
+
+
+# ---------------------------------------------------------------------------
+# Primes: as wide as float64 allows, as few as the count's bound needs
+
+
+def all_true_chain(length):
+    """One all-ones step over every mask of `length` free sites: its open
+    count is size**(periods + 1), which is exactly _contract's bound."""
+    space = enumerate_states(StateKind.FREE, length)
+    step = StepMatrix(space, space, np.ones((len(space), len(space)), dtype=bool))
+    return TransferChain(Family.QUADRATIC, Direction.COLUMNWISE, Boundary.OPEN, length, (step,))
+
+
+# (free sites L, periods): the primes have 47 - L bits and the bound
+# 2**(L * (periods + 1)).  The first rows put the bound's exponent on or
+# just past a multiple of 46 - L; the last rows on the prime products:
+# just below n * (47 - L), or exactly (n - 1) * (47 - L), which the n - 1
+# largest primes miss by a hair.
+@pytest.mark.parametrize(
+    "length, periods",
+    [(2, 43), (4, 20), (6, 19), (8, 18), (8, 37), (3, 28), (5, 32), (7, 27)]
+    + [(1, 44), (5, 24), (7, 16), (8, 33), (1, 45), (2, 44), (3, 43), (5, 41), (8, 38)],
+)
+def test_prime_count_has_no_slack(length, periods):
+    chain = all_true_chain(length)
+    size = len(chain.entry_space)
+    primes = _moduli(size, size ** (periods + 1))
+    assert math.prod(primes[:-1]) <= size ** (periods + 1) < math.prod(primes)
+    assert count_open(chain, periods) == size ** (periods + 1)
+
+
+def test_primality_agrees_with_trial_division():
+    sieve = np.ones(1 << 16, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 1 << 8):
+        sieve[d * d::d] = False
+    assert [_is_prime(n) for n in range(1 << 16)] == sieve.tolist()
+
+
+@pytest.mark.parametrize(
+    "n",
+    [561, 41041, 3215031751, 3825123056546413051],  # Carmichael, strong pseudoprimes
+)
+def test_primality_rejects_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16, 25, 38, 47])
+def test_primes_are_distinct_descending_and_of_their_width(bits):
+    count = min(40, (1 << bits - 1) // (bits * 2))
+    primes = _primes(count, bits)
+    assert len(primes) == count
+    assert all(a > b for a, b in zip(primes, primes[1:]))
+    assert 2 ** (bits - 1) < primes[-1] and primes[0] < 2**bits
+    assert all(map(_is_prime, primes))
+    if bits <= 16:  # none skipped: every prime between them is listed
+        assert sum(map(_is_prime, range(primes[-1], 2**bits))) == count
+
+
+def test_primes_refuse_more_than_their_width_holds():
+    assert _primes(2, 4) == (13, 11)
+    with pytest.raises(ValueError, match="fewer than 3 primes of 4 bits"):
+        _primes(3, 4)
+
+
+def test_prime_sums_stay_exact_in_float64():
+    # a push sums at most `widest` residues, a trace's diagonal sum at
+    # most `widest` of them times an orbit size of at most 22
+    for widest in sorted({w for j in range(23) for w in (2**j - 1, 2**j)} - {0}):
+        assert widest * 32 * max(_moduli(widest, 2**200)) <= 2**53
+
+
+def test_moduli_are_the_fewest_whose_product_exceeds_the_bound():
+    for widest in (1, 610, 2**22):
+        for bound in (1, 2**37, 2**38, 610**101, 3**500):
+            primes = _moduli(widest, bound)
+            assert math.prod(primes[:-1]) <= bound < math.prod(primes)
+
+
+def test_quadratic_plane_12x100_pushes_at_most_26_layers(monkeypatch):
+    chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 12)
+    pushes = record_pushes(monkeypatch)
+    count_open(chain, 100)
+    assert len(pushes) == 100
+    assert max(layers for _, _, _, layers in pushes) <= 26
 
 
 @settings(deadline=None, max_examples=40)
