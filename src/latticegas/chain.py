@@ -376,7 +376,8 @@ def _moduli(widest: int, bound: int) -> tuple[int, ...]:
     at most widest of them times an orbit size below 32.
     """
     bits = 48 - widest.bit_length()
-    primes = _primes(bound.bit_length() // (bits - 1) + 1, bits)  # enough
+    # each prime exceeds 2**(bits-1), so these many multiply past bound
+    primes = _primes(bound.bit_length() // (bits - 1) + 1, bits)
     product, n = 1, 0
     while product <= bound:
         product *= primes[n]

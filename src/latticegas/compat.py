@@ -6,8 +6,8 @@ configurations can sit next to each other and 0 when some occupied
 pair of sites would touch.  A step is stored once, as that numpy bool
 array, so it is 0/1 by type.  ``StepMatrix.push`` is the only product:
 it works in float64 a block of rows at a time, and exact counts push
-residues mod primes below 2**23, where every sum is an exact float64
-integer.
+residues mod primes below 2**53 / (32 * widest slice space) (see
+``chain._moduli``), where every sum is an exact float64 integer.
 
 Every step is one relation
 
