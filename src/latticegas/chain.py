@@ -21,15 +21,22 @@ Every step is one ``build_step(rows, cols, f, g)``: entry (u, v) is 1
 iff f(u) & g(v) == 0.  ``_spread`` gives each family's one map from the
 period's first slice to the next; a return step (A^T, B^T) applies that
 same map to its columns, so it is built, not copied from a transpose.
+A chain holds each step as that ``Relation`` and builds it on demand.
+
+Every step commutes with the symmetry of its slices (``_orbits``):
+turning a wrapped slice by one site, or one pair on a paired slice, and
+mirroring an open slice over its own length.  Power iteration and open
+counts push only vectors fixed by it, so they keep one entry per orbit
+and push steps built at the orbit representatives only
+(``orbit_steps``).  Traces push basis vectors through the whole steps.
 
 Counts are exact integers: float64 pushes mod primes, joined by the
 Chinese remainder theorem.  Each contraction takes primes as wide as
 its widest slice space leaves exact in float64, and as few as its
 count's bound needs (``_moduli``).  A trace runs over the
-period's smallest slice space: tr(ABC) = tr(BCA).  Rowwise steps
-commute with rotating the ring (one site, or one pair on a paired
-slice), so a rowwise trace pushes one basis vector per rotation orbit
-and weights its diagonal entry by the orbit's size.  Each instance is
+period's smallest slice space: tr(ABC) = tr(BCA).  It pushes one basis
+vector per orbit of that space and weights its diagonal entry by the
+orbit's size.  Each instance is
 counted once, by whichever of its two sweeps makes the fewest pushes.
 """
 from __future__ import annotations
@@ -96,29 +103,60 @@ _MIN_WIDTH = {
 }
 
 
+@dataclass(frozen=True, eq=False)
+class Relation:
+    """A step not yet built: entry (u, v) of rows x cols is 1 iff
+    f(u) & g(v) == 0, with a missing spread meaning the identity.
+
+    ``transfer_chain`` makes these only with spreads that commute with
+    the slice symmetry: turning a wrapped slice (wrap), mirroring an open
+    one.  A vector constant on the orbits of the columns is pushed to one
+    constant on the orbits of the rows, so one row per orbit suffices.
+    """
+
+    rows: StateSpace
+    cols: StateSpace
+    f: Spread | None
+    g: Spread | None
+    wrap: bool
+
+
 @dataclass(frozen=True)
 class TransferChain:
+    """One period of a sweep.  ``links`` are relations from
+    ``transfer_chain``, or hand-built steps, each state its own orbit."""
+
     family: Family
     direction: Direction
     boundary: Boundary
     width: int
-    steps: tuple[StepMatrix, ...]
+    links: tuple[Relation | StepMatrix, ...]
+
+    @cached_property
+    def steps(self) -> tuple[StepMatrix, ...]:
+        """The whole step of every link, built on first use; only traces
+        and ``matrix`` need them, power iteration and open counts push
+        ``orbit_steps`` instead."""
+        return tuple(
+            link if isinstance(link, StepMatrix) else build_step(link.rows, link.cols, link.f, link.g)
+            for link in self.links
+        )
 
     @property
     def entry_space(self) -> StateSpace:
-        return self.steps[0].rows
+        return self.links[0].rows
 
     @property
     def exit_space(self) -> StateSpace:
-        return self.steps[-1].cols
+        return self.links[-1].cols
 
     @cached_property
     def period_sites(self) -> int:
         """Lattice sites laid down by one period of the chain."""
-        return sum(s.rows.length for s in self.steps)
+        return sum(link.rows.length for link in self.links)
 
     def describe(self) -> str:
-        dims = " ".join("%dx%d" % s.shape for s in self.steps)
+        dims = " ".join("%dx%d" % (len(link.rows), len(link.cols)) for link in self.links)
         return (
             f"{self.family.value} {self.direction.value} width={self.width} "
             f"{self.boundary.value} [{dims}]"
@@ -156,20 +194,43 @@ def _rotr(x: np.ndarray, length: int) -> np.ndarray:
     return ((x >> 1) | (x << (length - 1))) & ((1 << length) - 1)
 
 
-def _orbits(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(representative indices, orbit sizes) of a wrapped slice space
-    under rotation by one site, or by one pair on a PAIRED space.
+# every byte with its 8 bits in reverse order
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.int64)
 
-    A representative is the smallest mask of its orbit; its orbit size is
-    the number of rotations over the number that fix it.
+
+def _mirror(x: np.ndarray, length: int) -> np.ndarray:
+    """Masks with their ``length`` bits in reverse order."""
+    out = np.zeros_like(x)
+    for shift in range(0, length, 8):
+        out = (out << 8) | _REVERSED_BYTES[(x >> shift) & 255]
+    return out >> (-length % 8)
+
+
+@lru_cache(maxsize=64)
+def _orbits(space: StateSpace, wrap: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(orbit index of every state, representative index of every orbit,
+    orbit sizes) of a slice space under its symmetry: turning a wrapped
+    slice by one site, or by one pair on a PAIRED space; mirroring an
+    open one over its own length.
+
+    A representative is the smallest mask of its orbit, and orbits are
+    numbered in the order of their representatives.  The arrays are
+    cached read-only: a sweep over many small instances meets the same
+    few spaces in every count.
     """
     L = space.length
-    shift = 2 if space.kind is StateKind.PAIRED else 1
     masks = np.array(space.masks, dtype=np.int64)
-    s = np.arange(0, L, shift, dtype=np.int64)[:, None]
-    rots = ((masks << s) | (masks >> (L - s))) & ((1 << L) - 1)
-    reps = np.flatnonzero(masks == rots.min(axis=0))
-    return reps, len(s) // (rots[:, reps] == masks[reps]).sum(axis=0)
+    if wrap:
+        s = np.arange(0, L, 2 if space.kind is StateKind.PAIRED else 1, dtype=np.int64)[:, None]
+        least = (((masks << s) | (masks >> (L - s))) & ((1 << L) - 1)).min(axis=0)
+    else:
+        least = np.minimum(masks, _mirror(masks, L))
+    reps = np.flatnonzero(masks == least)
+    of = np.searchsorted(masks[reps], least)
+    found = of, reps, np.bincount(of)
+    for a in found:
+        a.flags.writeable = False
+    return found
 
 
 def _spread(family: Family, wrap: bool, length: int) -> Spread | None:
@@ -236,13 +297,14 @@ def transfer_chain(
     slices = _period_slices(family, direction, width)
     spaces = {s: enumerate_states(*s) for s in slices}
     first, last = spaces[slices[0]], spaces[slices[-1]]
-    f = _spread(family, direction is Direction.ROWWISE, first.length)
+    wrap = direction is Direction.ROWWISE
+    f = _spread(family, wrap, first.length)
     if len(slices) == 1:
-        steps = (build_step(first, first, f),)
+        links = (Relation(first, first, f, None, wrap),)
     else:
-        middle = (build_step(last, last),) if len(slices) == 3 else ()
-        steps = (build_step(first, last, f), *middle, build_step(last, first, None, f))
-    return TransferChain(family, direction, boundary, width, steps)
+        middle = (Relation(last, last, None, None, wrap),) if len(slices) == 3 else ()
+        links = (Relation(first, last, f, None, wrap), *middle, Relation(last, first, None, f, wrap))
+    return TransferChain(family, direction, boundary, width, links)
 
 
 def chain_dimensions(family: Family, direction: Direction, width: int) -> tuple[tuple[int, int], ...]:
@@ -385,44 +447,82 @@ def _moduli(widest: int, bound: int) -> tuple[int, ...]:
     return primes[:n]
 
 
+def _link_orbits(link: Relation | StepMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_orbits`` of a link's rows; a hand-built step's states are each
+    their own orbit."""
+    if isinstance(link, StepMatrix):
+        n = len(link.rows)
+        return np.arange(n), np.arange(n), np.ones(n, dtype=np.int64)
+    return _orbits(link.rows, link.wrap)
+
+
+def orbit_steps(
+    links: tuple[Relation | StepMatrix, ...],
+) -> tuple[list[tuple[StepMatrix, np.ndarray]], np.ndarray, np.ndarray]:
+    """How to push vectors that are constant on orbits through a period.
+
+    Returns (step, gather) for every link, and the orbit index and orbit
+    size of every state of the first link's rows.  A vector lives on the
+    orbits of a space: ``step.push(x[gather])`` unfolds it to every
+    column and gives it on the orbits of the rows, since the step holds
+    only the rows at orbit representatives.  A period is a cycle, so a
+    link's columns are the next link's rows.  A hand-built step is
+    pushed whole, behind an identity gather.
+    """
+    orbits = [_link_orbits(link) for link in links]
+    plan = []
+    for link, (_, reps, _), (gather, _, _) in zip(links, orbits, orbits[1:] + orbits[:1]):
+        step = link
+        if isinstance(link, Relation):
+            rows = StateSpace(link.rows.kind, link.rows.length, tuple(np.array(link.rows.masks)[reps].tolist()))
+            step = build_step(rows, link.cols, link.f, link.g)
+        plan.append((step, gather))
+    of, _, sizes = orbits[0]
+    return plan, of, sizes
+
+
 def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     """1^T M^periods 1, or tr(M^periods) if trace, for the composite M.
 
-    A trace runs over the period's smallest slice space and pushes one
-    basis vector per orbit of that space, in blocks sized for the widest
-    space the stack fans out to.  A rowwise (wrapped) step commutes with
-    rotating the ring, so every state of an orbit has the same diagonal
-    entry, and tr = sum over orbit representatives r of |orbit r| * M_rr.
-    A columnwise trace takes every state as its own orbit of size 1.
-    A 0/1 step S has |Sx|_max <= len(S.cols) * |x|_max, so either count
-    is at most size * (product of len(step.cols) over a period)**periods,
-    summed over the size start states or diagonal entries.  A stack with
-    one layer per prime of ``_moduli`` for that bound is reduced after
-    each push, and the CRT joins its residues.
+    Every step commutes with the symmetry of its slices (a hand-built
+    step's is the identity), so both are sums over orbits.  An open count
+    pushes the all-ones vector, which is constant on orbits, through
+    ``orbit_steps`` and weights each orbit by its size.  A trace runs
+    over the period's smallest slice space: every state of an orbit has
+    the same diagonal entry, so tr = sum over orbit representatives r of
+    |orbit r| * M_rr, and it pushes one basis vector per orbit through
+    the whole steps, in blocks sized for the widest space the stack fans
+    out to.  A 0/1 step S has |Sx|_max <= len(S.cols) * |x|_max, so
+    either count is at most size * (product of len(step.cols) over a
+    period)**periods, summed over the size start states or diagonal
+    entries.  A stack with one layer per prime of ``_moduli`` for that
+    bound is reduced after each push, and the CRT joins its residues.
     """
-    steps = chain.steps
+    links = chain.links
     if trace:  # tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
-        i = min(range(len(steps)), key=lambda i: len(steps[i].rows))
-        steps = steps[i:] + steps[:i]
-    size = len(steps[0].rows)
-    widest = max(len(step.rows) for step in steps)
-    primes = _moduli(widest, size * math.prod(len(step.cols) for step in steps) ** periods)
+        i = min(range(len(links)), key=lambda i: len(links[i].rows))
+        links = links[i:] + links[:i]
+    size = len(links[0].rows)
+    widest = max(len(link.rows) for link in links)
+    primes = _moduli(widest, size * math.prod(len(link.cols) for link in links) ** periods)
     mods = np.array(primes, dtype=np.float64)[:, None]
-    if not trace:
-        reps, weights = None, np.ones(1)
-    elif chain.direction is Direction.ROWWISE:
-        reps, weights = _orbits(steps[0].rows)
+    # pick[u, j] weights entry u of pushed column j at the end, and its
+    # nonzero entries are where the column starts
+    if trace:  # a basis vector is not symmetric: push it through whole steps
+        plan = [(step, slice(None)) for step in chain.steps[i:] + chain.steps[:i]]
+        _, reps, sizes = _link_orbits(links[0])
+        k = max(1, BLOCK_ENTRIES // (len(primes) * widest))
+        picks = (np.equal.outer(np.arange(size), reps[s:s + k]) * sizes[s:s + k] for s in range(0, len(reps), k))
     else:
-        reps, weights = np.arange(size), np.ones(size)
-    k = max(1, BLOCK_ENTRIES // (len(primes) * widest))
+        plan, _, sizes = orbit_steps(links)
+        picks = (sizes[:, None],)
     residues = np.zeros(len(primes))
-    for s in range(0, len(weights), k):
-        start = np.ones((size, 1)) if reps is None else np.equal.outer(np.arange(size), reps[s:s + k])
-        block = np.broadcast_to(start[:, None], (size, len(primes), start.shape[1]))
+    for pick in picks:
+        block = np.broadcast_to((pick > 0)[:, None], (len(pick), len(primes), pick.shape[1]))
         for _ in range(periods):
-            for step in reversed(steps):
-                block = np.fmod(step.push(block), mods)
-        residues = np.fmod(residues + (block * start[:, None]).sum(axis=0) @ weights[s:s + k], primes)
+            for step, gather in reversed(plan):
+                block = np.fmod(step.push(block[gather]), mods)
+        residues = np.fmod(residues + (block * pick[:, None]).sum(axis=(0, 2)), primes)
     count, modulus = 0, 1
     for r, p in zip(residues, primes):
         count += modulus * ((int(r) - count) * pow(modulus, -1, p) % p)
@@ -454,9 +554,12 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     at width n or m.  Of those whose slices fit in MAX_ENUM_LENGTH sites,
     the first with the fewest pushes wins: periods times the sum of
     rows*cols over the steps, times the smallest slice space for a trace.
-    A rowwise trace pushes only one vector per rotation orbit of that
-    space, so the factor over-counts it; both torus sweeps are rowwise
-    traces, and the over-count nearly cancels between them.
+    A trace pushes only one vector per orbit of that space, and an open
+    sweep only one row per orbit, so the estimate over-counts every
+    sweep: by about 2 on open slices (the mirror), by about the ring
+    length on wrapped ones.  It nearly cancels between a plane's two open
+    sweeps and a torus's two traces; a cylinder's open rowwise sweep is
+    cheaper than its estimate says.
     """
     fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
     col, row = Direction.COLUMNWISE, Direction.ROWWISE

@@ -7,6 +7,14 @@ composite is never materialized; each iteration pushes the vector
 through the factors, last to first, with the ``StepMatrix.push`` that
 exact counts use too.
 
+The iterates start from the all-ones vector, and every step of a chain
+from ``transfer_chain`` commutes with the symmetry of its slices, so
+they stay constant on its orbits.  They are held one entry per orbit and
+pushed through ``chain.orbit_steps``, whose steps have rows only at the
+orbit representatives; inner products and norms weight each orbit by its
+size, so the iterates, and the iteration counts, are those over every
+state.  Hand-built chains and bare step lists are pushed whole.
+
 All composites in this package are symmetric (the factor lists read
 the same forwards as transposed backwards, since each return step is
 built from the first step's spread), which makes the Rayleigh quotient
@@ -20,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .compat import StepMatrix
-from .chain import TransferChain
+from .chain import TransferChain, orbit_steps
 
 __all__ = ["ConvergenceError", "EigenResult", "dominant_eigenvalue"]
 
@@ -47,35 +55,38 @@ def dominant_eigenvalue(
     Starts from the all-ones vector, which has positive overlap with
     the Perron vector.  Converged means the Rayleigh quotient moved by
     at most tol relatively AND the residual ||Av - lambda v|| is below
-    tol relative to lambda * ||v||, both in the max norm.
+    tol relative to lambda * ||v||, both in the max norm.  The result's
+    vector has an entry for every state, unfolded from the orbits.
     """
-    steps = chain.steps if isinstance(chain, TransferChain) else tuple(chain)
-    if not steps:
+    links = chain.links if isinstance(chain, TransferChain) else tuple(chain)
+    if not links:
         raise ValueError("empty chain")
-    n_in = steps[-1].shape[1]
-    n_out = steps[0].shape[0]
+    n_in = len(links[-1].cols)
+    n_out = len(links[0].rows)
     if n_in != n_out:
         raise ValueError("chain composite is not square")
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    v = np.ones(n_in) / np.sqrt(n_in)
+    plan, of, sizes = orbit_steps(links)
+    weights = sizes.astype(np.float64)
+    v = np.ones(len(sizes)) / np.sqrt(n_in)
     lam = 0.0
     for it in range(1, max_iterations + 1):
         # The composite is steps[0] @ steps[1] @ ... acting on column
         # vectors, so the last factor hits the vector first.
         w = v
-        for s in reversed(steps):
-            w = s.push(w)
-        lam_new = float(v @ w)
-        norm = float(np.linalg.norm(w))
+        for step, gather in reversed(plan):
+            w = step.push(w[gather])
+        lam_new = float((weights * v) @ w)
+        norm = float(np.sqrt(w @ (weights * w)))
         if norm == 0.0:
             raise ValueError("chain annihilated the iterate; matrix is degenerate")
         residual = float(np.max(np.abs(w - lam_new * v)))
         rel_residual = residual / (abs(lam_new) * float(np.max(np.abs(v))))
         v = w / norm
         if it > 1 and abs(lam_new - lam) <= tol * abs(lam_new) and rel_residual <= tol:
-            return EigenResult(lam_new, v, it, rel_residual)
+            return EigenResult(lam_new, v[of], it, rel_residual)
         lam = lam_new
     raise ConvergenceError(
         f"no convergence to tol={tol} within {max_iterations} iterations"

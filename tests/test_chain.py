@@ -30,6 +30,7 @@ from latticegas.chain import (
     transfer_chain,
 )
 from latticegas.compat import BLOCK_ENTRIES, StepMatrix
+from latticegas.spectral import dominant_eigenvalue
 from latticegas.statespace import MAX_ENUM_LENGTH, StateKind, enumerate_states
 
 
@@ -448,7 +449,8 @@ class TestOneSweep:
 def record_pushes(monkeypatch):
     """Patch StepMatrix.push to log (len(block), larger of the in and out
     sizes, block width: the length of its last axis, prime layers: the
-    length of the middle axis of a 3-D stack, else 1) for every push."""
+    length of the middle axis of a 3-D stack, else 1, rows of the output)
+    for every push."""
     log = []
     push = StepMatrix.push
 
@@ -456,7 +458,7 @@ def record_pushes(monkeypatch):
         out = push(self, block)
         shape = np.shape(block)
         layers = shape[1] if len(shape) == 3 else 1
-        log.append((len(block), max(np.size(block), out.size), shape[-1], layers))
+        log.append((len(block), max(np.size(block), out.size), shape[-1], layers, len(out)))
         return out
 
     monkeypatch.setattr(StepMatrix, "push", logged)
@@ -474,7 +476,7 @@ def test_trace_starts_at_the_smallest_slice_space(family, direction, extra, monk
     smallest = min(len(step.rows) for step in chain.steps)
     pushes = record_pushes(monkeypatch)
     for r in range(len(chain.steps)):
-        rotated = dataclasses.replace(chain, steps=chain.steps[r:] + chain.steps[:r])
+        rotated = dataclasses.replace(chain, links=chain.links[r:] + chain.links[:r])
         for periods in range(1, 5):
             pushes.clear()
             assert count_cyclic(rotated, periods) == reference_cyclic(rotated, periods)
@@ -488,11 +490,11 @@ def test_trace_stack_stays_within_a_block(monkeypatch):
     assert sorted({len(step.rows) for step in chain.steps}) == [128, 729]
     pushes = record_pushes(monkeypatch)
     count_cyclic(chain, 4)
-    assert max(size for _, size, _, _ in pushes) <= BLOCK_ENTRIES
+    assert max(size for _, size, _, _, _ in pushes) <= BLOCK_ENTRIES
 
 
 # ---------------------------------------------------------------------------
-# Rotation orbits: a torus trace pushes one basis vector per orbit
+# Orbits: a ring turns, an open slice mirrors, and every step commutes
 
 
 def rotate(mask, space):
@@ -502,9 +504,14 @@ def rotate(mask, space):
     return ((mask << s) | (mask >> (L - s))) & ((1 << L) - 1)
 
 
-def rotation_permutation(space):
+def mirror(mask, space):
+    """An open slice's mask with its sites in reverse order."""
+    return int(format(mask, f"0{space.length}b")[::-1], 2)
+
+
+def permutation(space, turn):
     index = {mask: i for i, mask in enumerate(space.masks)}
-    return [index[rotate(mask, space)] for mask in space.masks]
+    return [index[turn(mask, space)] for mask in space.masks]
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -512,32 +519,47 @@ def rotation_permutation(space):
 def test_rowwise_steps_commute_with_rotation(family, extra):
     width = _MIN_WIDTH[(family, Direction.ROWWISE)] + extra
     for step in transfer_chain(family, Direction.ROWWISE, width).steps:
-        rows, cols = rotation_permutation(step.rows), rotation_permutation(step.cols)
+        rows, cols = permutation(step.rows, rotate), permutation(step.cols, rotate)
+        assert np.array_equal(step.array[np.ix_(rows, cols)], step.array)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("extra", range(6))
+def test_columnwise_steps_commute_with_mirror(family, extra):
+    width = _MIN_WIDTH[(family, Direction.COLUMNWISE)] + extra
+    for step in transfer_chain(family, Direction.COLUMNWISE, width).steps:
+        rows, cols = permutation(step.rows, mirror), permutation(step.cols, mirror)
         assert np.array_equal(step.array[np.ix_(rows, cols)], step.array)
 
 
 @pytest.mark.parametrize(
-    "kind, length",
-    [(StateKind.CYCLE, L) for L in range(3, 15)]
-    + [(StateKind.FREE, L) for L in range(1, 13)]
-    + [(StateKind.PAIRED, L) for L in range(2, 13, 2)],
+    "kind, length, wrap",
+    [(StateKind.CYCLE, L, True) for L in range(3, 15)]
+    + [(StateKind.FREE, L, True) for L in range(1, 13)]
+    + [(StateKind.PAIRED, L, True) for L in range(2, 13, 2)]
+    + [(StateKind.PATH, L, False) for L in range(1, 15)]
+    + [(StateKind.FREE, L, False) for L in range(1, 13)]
+    + [(StateKind.PAIRED, L, False) for L in range(2, 13, 2)],
 )
-def test_orbits_partition_the_space(kind, length):
+def test_orbits_partition_the_space(kind, length, wrap):
     space = enumerate_states(kind, length)
-    reps, sizes = _orbits(space)
-    assert sum(sizes) == len(space)
-    for r, size in zip(reps, sizes):
+    of, reps, sizes = _orbits(space, wrap)
+    turn = rotate if wrap else mirror
+    assert sum(sizes) == len(space) and len(reps) == len(sizes)
+    for j, (r, size) in enumerate(zip(reps, sizes)):
         orbit = [space.masks[r]]
-        while (turned := rotate(orbit[-1], space)) != orbit[0]:
+        while (turned := turn(orbit[-1], space)) != orbit[0]:
             orbit.append(turned)
         assert space.masks[r] == min(orbit)
         assert size == len(orbit)
+        assert wrap or size in (1, 2)
+        assert {of[space.masks.index(mask)] for mask in orbit} == {j}
 
 
 def basis_vectors(pushes, chain, periods):
     """Basis vectors a trace pushed: every one goes through each step of
     every period, so the block widths sum to that many times the count."""
-    total = sum(width for _, _, width, _ in pushes)
+    total = sum(width for _, _, width, _, _ in pushes)
     assert total % (periods * len(chain.steps)) == 0
     return total // (periods * len(chain.steps))
 
@@ -550,12 +572,49 @@ def test_torus_trace_pushes_one_vector_per_orbit(monkeypatch):
     assert basis_vectors(pushes, chain, 12) == 31
 
 
-@pytest.mark.parametrize("family, width", [(Family.QUADRATIC, 6), (Family.TRUNCATED_SQUARE, 3)])
-def test_cylinder_trace_pushes_every_state(family, width, monkeypatch):
+@pytest.mark.parametrize(
+    "family, width, orbits",
+    # PATH(7): 34 states, 8 of them palindromes; FREE(3): 8 states, 4
+    [(Family.QUADRATIC, 6, 21), (Family.TRUNCATED_SQUARE, 3, 6)],
+)
+def test_cylinder_trace_pushes_one_vector_per_mirror_orbit(family, width, orbits, monkeypatch):
     chain = transfer_chain(family, Direction.COLUMNWISE, width, Boundary.CYCLIC)
+    start = min((step.rows for step in chain.steps), key=len)
+    assert len({min(mask, mirror(mask, start)) for mask in start.masks}) == orbits
     pushes = record_pushes(monkeypatch)
     count_cyclic(chain, 5)
-    assert basis_vectors(pushes, chain, 5) == min(len(step.rows) for step in chain.steps)
+    assert basis_vectors(pushes, chain, 5) == orbits
+
+
+def test_ring_eig_pushes_one_row_per_rotation_orbit(monkeypatch):
+    chain = transfer_chain(Family.QUADRATIC, Direction.ROWWISE, 12, Boundary.CYCLIC)
+    pushes = record_pushes(monkeypatch)
+    result = dominant_eigenvalue(chain)
+    assert len(pushes) == result.iterations
+    assert {(cols, rows) for cols, _, _, _, rows in pushes} == {(322, 31)}
+    assert len(result.vector) == 322
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("direction", list(Direction))
+def test_eig_and_open_counts_build_no_whole_step(family, direction, monkeypatch):
+    # only traces (and matrix) need a step at every row
+    built = []
+    build_step = chain_module.build_step
+
+    def logged(rows, cols, *spreads):
+        built.append(len(rows))
+        return build_step(rows, cols, *spreads)
+
+    monkeypatch.setattr(chain_module, "build_step", logged)
+    chain = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + 4)
+    dominant_eigenvalue(chain)
+    count_open(chain, 3)
+    full = [len(link.rows) for link in chain.links]
+    assert len(built) == 2 * len(full)
+    assert all(b < f for b, f in zip(built, full + full))
+    count_cyclic(chain, 3)
+    assert built[-len(full):] == full
 
 
 def test_paired_spread_matches_pair_by_pair():
@@ -654,11 +713,13 @@ def test_moduli_are_the_fewest_whose_product_exceeds_the_bound():
 
 
 def test_quadratic_plane_12x100_pushes_at_most_26_layers(monkeypatch):
+    # 610 columns in, one row per mirror orbit (322 of 610) out
     chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 12)
     pushes = record_pushes(monkeypatch)
     count_open(chain, 100)
     assert len(pushes) == 100
-    assert max(layers for _, _, _, layers in pushes) <= 26
+    assert max(layers for _, _, _, layers, _ in pushes) <= 26
+    assert {(cols, rows) for cols, _, _, _, rows in pushes} == {(610, 322)}
 
 
 @settings(deadline=None, max_examples=40)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from latticegas.chain import Boundary, Direction, Family, transfer_chain
+from latticegas.chain import _MIN_WIDTH, Boundary, Direction, Family, transfer_chain
 from latticegas.compat import StepMatrix
 from latticegas.spectral import ConvergenceError, dominant_eigenvalue
 from latticegas.statespace import StateKind, enumerate_states
@@ -52,6 +52,51 @@ class TestKnownRoots:
         a = dominant_eigenvalue(chain.steps)
         b = float(np.linalg.eigvalsh(gold.product(chain.steps)).max())
         assert a.value == pytest.approx(b, rel=1e-12)
+
+
+def full_space_root(steps, tol=1e-12, max_iterations=50000):
+    """Power iteration with dominant_eigenvalue's start and stopping rule,
+    pushing every state through each step's whole array."""
+    v = np.ones(len(steps[-1].cols)) / np.sqrt(len(steps[-1].cols))
+    lam = 0.0
+    for it in range(1, max_iterations + 1):
+        w = v
+        for step in reversed(steps):
+            w = step.array @ w
+        lam_new, norm = float(v @ w), float(np.linalg.norm(w))
+        residual = float(np.max(np.abs(w - lam_new * v))) / (lam_new * float(np.max(np.abs(v))))
+        v = w / norm
+        if it > 1 and abs(lam_new - lam) <= tol * lam_new and residual <= tol:
+            return lam_new, v, it
+        lam = lam_new
+    raise AssertionError("reference did not converge")
+
+
+class TestOrbitIteration:
+    """A chain from transfer_chain is iterated on the orbits of its slice
+    symmetry; the iterates are still those over every state."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("extra", range(4))
+    def test_matches_the_full_space_iteration(self, family, direction, extra):
+        chain = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + extra)
+        value, vector, iterations = full_space_root(chain.steps)
+        res = dominant_eigenvalue(chain)
+        assert res.iterations == iterations
+        assert abs(res.value - value) <= 1e-14 * value
+        assert res.vector.shape == vector.shape
+        assert np.max(np.abs(res.vector - vector)) <= 1e-14
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_step_lists_are_iterated_whole(self, family, direction):
+        steps = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + 2).steps
+        value, vector, iterations = full_space_root(steps)
+        res = dominant_eigenvalue(steps)
+        assert res.iterations == iterations
+        assert abs(res.value - value) <= 1e-14 * value
+        assert np.max(np.abs(res.vector - vector)) <= 1e-14
 
 
 class TestResultContract:
