@@ -69,7 +69,6 @@ def dominant_eigenvalue(
         raise ValueError("tol must be positive")
 
     plan, of, sizes = orbit_steps(links)
-    weights = sizes.astype(np.float64)
     v = np.ones(len(sizes)) / np.sqrt(n_in)
     lam = 0.0
     for it in range(1, max_iterations + 1):
@@ -78,8 +77,8 @@ def dominant_eigenvalue(
         w = v
         for step, gather in reversed(plan):
             w = step.push(w[gather])
-        lam_new = float((weights * v) @ w)
-        norm = float(np.sqrt(w @ (weights * w)))
+        lam_new = float((sizes * v) @ w)
+        norm = float(np.sqrt(w @ (sizes * w)))
         if norm == 0.0:
             raise ValueError("chain annihilated the iterate; matrix is degenerate")
         residual = float(np.max(np.abs(w - lam_new * v)))
