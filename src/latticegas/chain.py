@@ -33,11 +33,11 @@ and push steps built at the orbit representatives only
 Counts are exact integers: float64 pushes mod primes, joined by the
 Chinese remainder theorem.  Each contraction takes primes as wide as
 its widest slice space leaves exact in float64, and as few as its
-count's bound needs (``_moduli``).  A trace runs over the
-period's smallest slice space: tr(ABC) = tr(BCA).  It pushes one basis
-vector per orbit of that space and weights its diagonal entry by the
-orbit's size.  Each instance is
-counted once, by whichever of its two sweeps makes the fewest pushes.
+count's bound needs (``_moduli``).  A trace runs over the period's
+smallest slice space: tr(ABC) = tr(BCA).  It pushes one basis vector per
+orbit of that space and weights its diagonal entry by the orbit's size.
+Each instance is counted once, by whichever of its two sweeps makes the
+fewest pushes.
 """
 from __future__ import annotations
 
