@@ -215,11 +215,11 @@ def _orbits(space: StateSpace, wrap: bool) -> tuple[np.ndarray, np.ndarray, np.n
 
     A representative is the smallest mask of its orbit, and orbits are
     numbered in the order of their representatives.  The arrays are
-    cached read-only: a sweep over many small instances meets the same
-    few spaces in every count.
+    cached read-only, keyed on the space, which ``enumerate_states``
+    shares per (kind, length): a sweep over many small instances meets
+    the same few spaces in every count.
     """
-    L = space.length
-    masks = np.array(space.masks, dtype=np.int64)
+    L, masks = space.length, space.masks
     if wrap:
         s = np.arange(0, L, 2 if space.kind is StateKind.PAIRED else 1, dtype=np.int64)[:, None]
         least = (((masks << s) | (masks >> (L - s))) & ((1 << L) - 1)).min(axis=0)
@@ -295,8 +295,7 @@ def transfer_chain(
     sites).
     """
     slices = _period_slices(family, direction, width)
-    spaces = {s: enumerate_states(*s) for s in slices}
-    first, last = spaces[slices[0]], spaces[slices[-1]]
+    first, last = enumerate_states(*slices[0]), enumerate_states(*slices[-1])
     wrap = direction is Direction.ROWWISE
     f = _spread(family, wrap, first.length)
     if len(slices) == 1:
@@ -474,7 +473,7 @@ def orbit_steps(
     for link, (_, reps, _), (gather, _, _) in zip(links, orbits, orbits[1:] + orbits[:1]):
         step = link
         if isinstance(link, Relation):
-            rows = StateSpace(link.rows.kind, link.rows.length, tuple(np.array(link.rows.masks)[reps].tolist()))
+            rows = StateSpace(link.rows.kind, link.rows.length, link.rows.masks[reps])
             step = build_step(rows, link.cols, link.f, link.g)
         plan.append((step, gather))
     of, _, sizes = orbits[0]

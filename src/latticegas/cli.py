@@ -122,9 +122,9 @@ def _cmd_matrix(args) -> int:
             {
                 "rows": len(s.rows),
                 "cols": len(s.cols),
-                "row_masks": list(s.rows.masks),
-                "col_masks": list(s.cols.masks),
-                "entries": [list(r) for r in s.entries],
+                "row_masks": s.rows.masks.tolist(),
+                "col_masks": s.cols.masks.tolist(),
+                "entries": s.array.view(np.uint8).tolist(),
             }
             for s in chain.steps
         ],
@@ -136,9 +136,9 @@ def _cmd_matrix(args) -> int:
         for row in composite:
             print(_csv_line(row))
     else:
-        for i, s in enumerate(chain.steps, start=1):
-            print(f"step {i}: {len(s.rows)}x{len(s.cols)}")
-            print("\n".join(_grid_lines(s.entries)))
+        for i, s in enumerate(payload["steps"], start=1):
+            print(f"step {i}: {s['rows']}x{s['cols']}")
+            print("\n".join(_grid_lines(s["entries"])))
             print()
         print(f"composite: {len(chain.entry_space)}x{len(chain.exit_space)}")
         print("\n".join(_grid_lines(composite)))

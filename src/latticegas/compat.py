@@ -115,10 +115,8 @@ def build_step(
     missing spread meaning the identity.  A spread maps an int64 array
     of masks to the masks of the sites they touch.
     """
-    rm = np.array(rows.masks, dtype=np.int64)
-    cm = np.array(cols.masks, dtype=np.int64)
-    fr = row_spread(rm) if row_spread else rm
-    fc = col_spread(cm) if col_spread else cm
+    fr = row_spread(rows.masks) if row_spread else rows.masks
+    fc = col_spread(cols.masks) if col_spread else cols.masks
     ok = np.empty((len(fr), len(fc)), dtype=bool)
     block = max(1, BLOCK_ENTRIES // len(fc))
     for i in range(0, len(fr), block):

@@ -12,13 +12,20 @@ lattice families in this package:
 
 Path spaces have Fibonacci many states (F[L+2] with F0=0, F1=1), cycle
 spaces Lucas many (F[L-1] + F[L+1]), paired spaces 3**(L/2) and free
-spaces 2**L.  Enumeration is always in increasing mask order, and every
-transfer matrix in this package is indexed that way.
+spaces 2**L.
+
+A space stores its masks once, as a strictly increasing, read-only int64
+numpy array, and every transfer matrix in this package is indexed in
+that order.  A space from ``enumerate_states`` holds every admissible
+mask of its kind and length, and one such space is shared per
+(kind, length).  Spaces compare by identity, so a cache keyed on a
+shared space is in effect keyed on its (kind, length).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,16 +76,31 @@ def is_admissible(kind: StateKind, mask: int, length: int) -> bool:
     raise ValueError(f"unknown state kind {kind!r}")
 
 
-@dataclass(frozen=True)
+# eq=False: an array field has no single truth value under ==, so spaces
+# compare (and hash) by identity.
+@dataclass(frozen=True, eq=False)
 class StateSpace:
-    """All admissible slice configurations of one kind and length.
+    """Slice configurations of one kind and length, indexing one side of
+    a step.
 
-    ``masks`` is strictly increasing.
+    ``masks`` is the only stored form, a strictly increasing, read-only
+    1-D int64 numpy array.  A space from ``enumerate_states`` holds every
+    admissible mask and is shared per (kind, length);
+    ``chain.orbit_steps`` builds spaces that hold only the orbit
+    representatives of such a space.
     """
 
     kind: StateKind
     length: int
-    masks: tuple[int, ...]
+    masks: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = np.asarray(self.masks)
+        if m.dtype != np.int64 or m.ndim != 1:
+            raise ValueError(f"masks must be a 1-D int64 array, got {m.dtype} of {m.ndim} dims")
+        m = m.view()
+        m.flags.writeable = False
+        object.__setattr__(self, "masks", m)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -116,8 +138,15 @@ def enumerate_states(kind: StateKind, length: int) -> StateSpace:
     CYCLE needs length >= 3 (shorter cycles are not simple graphs) and
     PAIRED needs an even length.  Lengths past MAX_ENUM_LENGTH are
     refused; nothing in this package needs spaces that cannot be held
-    in memory as explicit mask lists.
+    in memory as explicit mask arrays.  Each (kind, length) is
+    enumerated once and its space shared by every call, however the
+    arguments are passed; the 64 most recently used are kept.
     """
+    return _enumerate(kind, length)
+
+
+@lru_cache(maxsize=64)
+def _enumerate(kind: StateKind, length: int) -> StateSpace:
     if not 1 <= length <= MAX_ENUM_LENGTH:
         raise ValueError(f"length {length} outside 1..{MAX_ENUM_LENGTH}")
     if kind is StateKind.CYCLE and length < 3:
@@ -126,19 +155,18 @@ def enumerate_states(kind: StateKind, length: int) -> StateSpace:
         raise ValueError("paired spaces need an even length")
 
     masks = np.arange(2**length, dtype=np.int64)
-    if kind is StateKind.FREE:
-        keep = np.ones(len(masks), dtype=bool)
-    elif kind is StateKind.PATH:
-        keep = (masks & (masks >> 1)) == 0
+    if kind is StateKind.PATH:
+        masks = masks[(masks & (masks >> 1)) == 0]
     elif kind is StateKind.CYCLE:
         keep = (masks & (masks >> 1)) == 0
         keep &= ~(((masks & 1) == 1) & ((masks >> (length - 1)) == 1))
+        masks = masks[keep]
     elif kind is StateKind.PAIRED:
-        keep = (masks & (masks >> 1) & _pair_conflict_mask(length)) == 0
-    else:
+        masks = masks[(masks & (masks >> 1) & _pair_conflict_mask(length)) == 0]
+    elif kind is not StateKind.FREE:
         raise ValueError(f"unknown state kind {kind!r}")
 
-    space = StateSpace(kind, length, tuple(int(m) for m in masks[keep]))
+    space = StateSpace(kind, length, masks)
     # Cheap structural self-check; the closed forms are well known.
     assert len(space) == state_count(kind, length)
     return space

@@ -170,8 +170,8 @@ def entries(step):
 
 
 def reordered(step, row_masks, col_masks):
-    ri = [step.rows.masks.index(m) for m in row_masks]
-    ci = [step.cols.masks.index(m) for m in col_masks]
+    ri = [step.rows.masks.tolist().index(m) for m in row_masks]
+    ci = [step.cols.masks.tolist().index(m) for m in col_masks]
     return [[step.entries[i][j] for j in ci] for i in ri]
 
 

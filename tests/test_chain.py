@@ -27,6 +27,7 @@ from latticegas.chain import (
     count_cyclic,
     count_lattice,
     count_open,
+    orbit_steps,
     transfer_chain,
 )
 from latticegas.compat import BLOCK_ENTRIES, StepMatrix
@@ -117,7 +118,7 @@ class TestChainShape:
     def test_composite_is_square(self):
         for family in Family:
             chain = transfer_chain(family, Direction.COLUMNWISE, 3)
-            assert chain.entry_space.masks == chain.exit_space.masks
+            assert chain.entry_space.masks.tolist() == chain.exit_space.masks.tolist()
 
     def test_period_sites(self):
         assert transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 3).period_sites == 4
@@ -543,17 +544,43 @@ def test_columnwise_steps_commute_with_mirror(family, extra):
 )
 def test_orbits_partition_the_space(kind, length, wrap):
     space = enumerate_states(kind, length)
+    masks = space.masks.tolist()
     of, reps, sizes = _orbits(space, wrap)
     turn = rotate if wrap else mirror
     assert sum(sizes) == len(space) and len(reps) == len(sizes)
     for j, (r, size) in enumerate(zip(reps, sizes)):
-        orbit = [space.masks[r]]
+        orbit = [masks[r]]
         while (turned := turn(orbit[-1], space)) != orbit[0]:
             orbit.append(turned)
-        assert space.masks[r] == min(orbit)
+        assert masks[r] == min(orbit)
         assert size == len(orbit)
         assert wrap or size in (1, 2)
-        assert {of[space.masks.index(mask)] for mask in orbit} == {j}
+        assert {of[masks.index(mask)] for mask in orbit} == {j}
+
+
+def test_separate_chains_share_their_orbits():
+    # enumeration is shared per (kind, length), so the orbits that the
+    # first count caches serve the second chain's count too
+    first = transfer_chain(Family.QUADRATIC, Direction.ROWWISE, 7)
+    count_open(first, 3)
+    hits = _orbits.cache_info().hits
+    second = transfer_chain(Family.QUADRATIC, Direction.ROWWISE, 7)
+    assert second.entry_space is first.entry_space
+    assert count_open(second, 3) == count_open(first, 3)
+    assert _orbits.cache_info().hits > hits
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("direction", list(Direction))
+def test_orbit_steps_rows_are_the_representatives(family, direction):
+    chain = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + 3)
+    plan, _, _ = orbit_steps(chain.links)
+    for (step, _), link in zip(plan, chain.links):
+        _, reps, _ = _orbits(link.rows, link.wrap)
+        masks = step.rows.masks
+        assert masks.dtype == np.int64 and not masks.flags.writeable
+        assert masks.tolist() == link.rows.masks[reps].tolist()
+        assert step.cols is link.cols
 
 
 def basis_vectors(pushes, chain, periods):

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from latticegas.statespace import (
     MAX_ENUM_LENGTH,
     StateKind,
+    StateSpace,
     enumerate_states,
     is_admissible,
     state_count,
@@ -67,15 +69,15 @@ class TestEnumeration:
             assert all(a < b for a, b in zip(masks, masks[1:]))
 
     def test_path_small(self):
-        assert enumerate_states(StateKind.PATH, 3).masks == (0, 1, 2, 4, 5)
+        assert enumerate_states(StateKind.PATH, 3).masks.tolist() == [0, 1, 2, 4, 5]
 
     def test_cycle_drops_wraparound_pair(self):
         masks = enumerate_states(StateKind.CYCLE, 3).masks
-        assert masks == (0, 1, 2, 4)
+        assert masks.tolist() == [0, 1, 2, 4]
 
     def test_paired_small(self):
         # sites 1,2 paired: both occupied is the only exclusion
-        assert enumerate_states(StateKind.PAIRED, 2).masks == (0, 1, 2)
+        assert enumerate_states(StateKind.PAIRED, 2).masks.tolist() == [0, 1, 2]
 
     def test_cycle_needs_three_sites(self):
         with pytest.raises(ValueError):
@@ -93,6 +95,38 @@ class TestEnumeration:
         space = enumerate_states(StateKind.PATH, 6)
         assert 5 in space.masks
         assert 3 not in space.masks  # 0b11 has adjacent occupation
+
+
+class TestSharedSpaces:
+    @pytest.mark.parametrize(
+        "kind, length",
+        [(StateKind.PATH, 7), (StateKind.CYCLE, 7), (StateKind.FREE, 7), (StateKind.PAIRED, 6)],
+    )
+    def test_one_space_per_kind_and_length(self, kind, length):
+        space = enumerate_states(kind, length)
+        assert enumerate_states(kind, length) is space
+        assert enumerate_states(kind=kind, length=length) is space
+        assert enumerate_states(kind, length + 2) is not space
+
+    def test_masks_are_a_read_only_int64_array(self):
+        masks = enumerate_states(StateKind.PATH, 6).masks
+        assert isinstance(masks, np.ndarray)
+        assert masks.dtype == np.int64 and masks.ndim == 1
+        with pytest.raises(ValueError):
+            masks[0] = 1
+        assert masks[0] == 0
+
+    def test_spaces_compare_by_identity(self):
+        space = enumerate_states(StateKind.PATH, 4)
+        copy = StateSpace(space.kind, space.length, space.masks.copy())
+        assert copy != space
+
+    @pytest.mark.parametrize(
+        "masks", [(0.0, 1.0, 2.0), np.array([0, 1, 2], dtype=np.int32), np.zeros((1, 3), dtype=np.int64)]
+    )
+    def test_refuses_masks_of_another_form(self, masks):
+        with pytest.raises(ValueError):
+            StateSpace(StateKind.PATH, 2, masks)
 
 
 class TestAdmissibility:
