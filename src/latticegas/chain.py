@@ -22,13 +22,19 @@ iff f(u) & g(v) == 0.  ``_spread`` gives each family's one map from the
 period's first slice to the next; a return step (A^T, B^T) applies that
 same map to its columns, so it is built, not copied from a transpose.
 A chain holds each step as that ``Relation`` and builds it on demand.
+A relation also pushes without being built (``Relation.push``): a
+subset-sum (zeta) transform over the sites the spreads touch, in
+O(L * 2**L) per vector for L sites where the built step costs rows *
+cols ("Fourier meets Moebius: fast subset convolution", Bjoerklund,
+Husfeldt, Kaski, Koivisto, STOC 2007).
 
 Every step commutes with the symmetry of its slices (``_orbits``):
 turning a wrapped slice by one site, or one pair on a paired slice, and
 mirroring an open slice over its own length.  Power iteration and open
 counts push only vectors fixed by it, so they keep one entry per orbit
-and push steps built at the orbit representatives only
-(``orbit_steps``).  Traces push basis vectors through the whole steps.
+and push each step at its orbit representatives' rows only
+(``orbit_steps``), built or as a relation, whichever ``_push_costs``
+prices lower.  Traces push basis vectors through the whole built steps.
 
 Counts are exact integers: float64 pushes mod primes, joined by the
 Chinese remainder theorem.  Each contraction takes primes as wide as
@@ -36,8 +42,8 @@ its widest slice space leaves exact in float64, and as few as its
 count's bound needs (``_moduli``).  A trace runs over the period's
 smallest slice space: tr(ABC) = tr(BCA).  It pushes one basis vector per
 orbit of that space and weights its diagonal entry by the orbit's size.
-Each instance is counted once, by whichever of its two sweeps makes the
-fewest pushes.
+Each instance is counted once, by whichever of its two sweeps
+``_push_costs`` prices lowest.
 """
 from __future__ import annotations
 
@@ -45,10 +51,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .compat import BLOCK_ENTRIES, Spread, StepMatrix, build_step
+from .compat import Spread, StepMatrix, build_step
 from .statespace import MAX_ENUM_LENGTH, StateKind, StateSpace, enumerate_states, state_count
 
 __all__ = [
@@ -112,6 +119,8 @@ class Relation:
     the slice symmetry: turning a wrapped slice (wrap), mirroring an open
     one.  A vector constant on the orbits of the columns is pushed to one
     constant on the orbits of the rows, so one row per orbit suffices.
+    At most one side is spread, so both sides' masks lie in the ``bits``
+    sites of the side left as is.
     """
 
     rows: StateSpace
@@ -119,6 +128,85 @@ class Relation:
     f: Spread | None
     g: Spread | None
     wrap: bool
+
+    def __post_init__(self) -> None:
+        if self.f is not None and self.g is not None:
+            raise ValueError("a relation spreads at most one side")
+
+    @property
+    def bits(self) -> int:
+        return self.cols.length if self.g is None else self.rows.length
+
+    @cached_property
+    def _scatter(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """(sites, order, starts): column v lands on site set g(v).  The
+        identity needs only the sites; a spread sorts the columns by site
+        (order) and sums the runs that begin at starts, one per site."""
+        if self.g is None:
+            return self.cols.masks, None, None
+        sites = self.g(self.cols.masks)
+        order = np.argsort(sites, kind="stable")
+        sites = sites[order]
+        starts = np.flatnonzero(np.r_[True, sites[1:] != sites[:-1]])
+        return sites[starts], order, starts
+
+    @cached_property
+    def _gather(self) -> np.ndarray:
+        """The sites row u leaves free, ~f(u), as an index into 2**bits."""
+        return ~(self.f(self.rows.masks) if self.f else self.rows.masks) & ((1 << self.bits) - 1)
+
+    def push(self, block: np.ndarray) -> np.ndarray:
+        """The step times block, for a vector or a stack of vectors
+        indexed by cols along axis 0, without building the step.
+
+        Row u sums x[v] over the v with g(v) inside ~f(u): scatter x onto
+        y[g(v)], take the subset sums of y over the bits sites, one site
+        at a time, and read them at ~f(u).  That is O(bits * 2**bits)
+        per vector where the step has rows * cols entries.  Each sum
+        adds at most len(cols) entries of x, as the step's product does,
+        so residues below ``_moduli``'s primes stay exact.
+        """
+        block = np.asarray(block, dtype=np.float64)
+        if len(block) != len(self.cols):
+            raise ValueError("vector length does not match column space")
+        sites, order, starts = self._scatter
+        y = np.zeros((1 << self.bits,) + block.shape[1:])
+        y[sites] = block if order is None else np.add.reduceat(block[order], starts, axis=0)
+        flat = y.reshape(len(y), -1)
+        # A lone vector's lowest sites have strides too short for numpy to
+        # add quickly; one product with their subset matrix takes them all.
+        low = min(_LOW_SITES, self.bits) if flat.shape[1] == 1 else 0
+        for j in range(low, self.bits):
+            half = flat.reshape(-1, 2, flat.shape[1] << j)  # axis 1 is site j
+            half[:, 1] += half[:, 0]
+        if low:
+            flat = flat.reshape(-1, 1 << low) @ _SUBSETS[: 1 << low, : 1 << low]
+        return flat.reshape(y.shape)[self._gather]
+
+
+# Entry (t, s) is 1 iff t is a subset of s, over the _LOW_SITES lowest sites.
+_LOW_SITES = 4
+_SUBSETS = np.array([[float(t & s == t) for s in range(1 << _LOW_SITES)] for t in range(1 << _LOW_SITES)])
+
+
+def _push_costs(rows: int, cols: int, bits: int, stack: int) -> tuple[float, float]:
+    """Estimated nanoseconds of one push of a stack ``stack`` vectors
+    wide through a rows x cols relation on ``bits`` sites: (built step,
+    ``Relation.push``).
+
+    A built step converts each entry to float64 and multiplies it into
+    every vector.  The relation adds one half of a 2**bits table into
+    the other once per site, with a fixed numpy overhead per site, and
+    scatters and gathers every vector.  The constants are fitted to
+    single-threaded timings of both pushes through 323 links of all four
+    families and stacks 1 to 25 wide (2-vCPU x86-64 VM); summed over
+    those links, the pushes they pick take about 1% longer than the
+    faster ones.
+    """
+    dense = rows * cols * (0.6 + 0.05 * stack)
+    half = bits * 2 ** (bits - 1)
+    zeta = half * (0.1 + stack) + 3 * (rows + cols + 2**bits) * stack + 3000 * bits + 5000
+    return dense, zeta
 
 
 @dataclass(frozen=True)
@@ -312,7 +400,11 @@ def chain_dimensions(family: Family, direction: Direction, width: int) -> tuple[
     Lets a caller size up a request before paying for enumeration or
     matrix construction.
     """
-    counts = [state_count(*s) for s in _period_slices(family, direction, width)]
+    return _shapes(_period_slices(family, direction, width))
+
+
+def _shapes(slices: list[tuple[StateKind, int]]) -> tuple[tuple[int, int], ...]:
+    counts = [state_count(*s) for s in slices]
     return tuple(zip(counts, counts[1:] + counts[:1]))
 
 
@@ -456,15 +548,18 @@ def _link_orbits(link: Relation | StepMatrix) -> tuple[np.ndarray, np.ndarray, n
 
 
 def orbit_steps(
-    links: tuple[Relation | StepMatrix, ...],
-) -> tuple[list[tuple[StepMatrix, np.ndarray]], np.ndarray, np.ndarray]:
-    """How to push vectors that are constant on orbits through a period.
+    links: tuple[Relation | StepMatrix, ...], stack: int = 1
+) -> tuple[list[tuple[Relation | StepMatrix, np.ndarray]], np.ndarray, np.ndarray]:
+    """How to push stacks of ``stack`` vectors that are constant on
+    orbits through a period.
 
     Returns (step, gather) for every link, and the orbit index and orbit
     size of every state of the first link's rows.  A vector lives on the
     orbits of a space: ``step.push(x[gather])`` unfolds it to every
-    column and gives it on the orbits of the rows, since the step holds
-    only the rows at orbit representatives.  A period is a cycle, so a
+    column and gives it on the orbits of the rows, since the step has
+    only the rows at orbit representatives.  That step is the relation
+    on those rows, or the step built from it where ``_push_costs``
+    prices the built step's push lower.  A period is a cycle, so a
     link's columns are the next link's rows.  A hand-built step is
     pushed whole, behind an identity gather.
     """
@@ -474,10 +569,32 @@ def orbit_steps(
         step = link
         if isinstance(link, Relation):
             rows = StateSpace(link.rows.kind, link.rows.length, link.rows.masks[reps])
-            step = build_step(rows, link.cols, link.f, link.g)
+            dense, zeta = _push_costs(len(rows), len(link.cols), link.bits, stack)
+            if dense <= zeta:
+                step = build_step(rows, link.cols, link.f, link.g)
+            else:
+                step = Relation(rows, link.cols, link.f, link.g, link.wrap)
         plan.append((step, gather))
     of, _, sizes = orbits[0]
     return plan, of, sizes
+
+
+def _count_moduli(dims: Sequence[tuple[int, int]], periods: int, trace: bool) -> tuple[int, ...]:
+    """``_moduli`` of a contraction over steps of these (rows, cols) in
+    period order, started at the first (open) or the smallest (trace).
+
+    A 0/1 step S has |Sx|_max <= len(S.cols) * |x|_max, so either count
+    is at most size * (product of the cols over a period)**periods,
+    summed over the size start states or diagonal entries.
+    """
+    size = min(r for r, _ in dims) if trace else dims[0][0]
+    widest = max(r for r, _ in dims)
+    return _moduli(widest, size * math.prod(c for _, c in dims) ** periods)
+
+
+# float64 entries of a trace's stack of basis vectors at its widest
+# slice space, times its primes: 2**19 entries is 4 MiB.
+STACK_ENTRIES = 1 << 19
 
 
 def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
@@ -490,30 +607,28 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     over the period's smallest slice space: every state of an orbit has
     the same diagonal entry, so tr = sum over orbit representatives r of
     |orbit r| * M_rr, and it pushes one basis vector per orbit through
-    the whole steps, in blocks sized for the widest space the stack fans
-    out to.  A 0/1 step S has |Sx|_max <= len(S.cols) * |x|_max, so
-    either count is at most size * (product of len(step.cols) over a
-    period)**periods, summed over the size start states or diagonal
-    entries.  A stack with one layer per prime of ``_moduli`` for that
-    bound is reduced after each push, and the CRT joins its residues.
+    the whole steps, in blocks of STACK_ENTRIES at the widest space the
+    stack fans out to.  A stack with one layer per prime of
+    ``_count_moduli`` is reduced after each push, and the CRT joins its
+    residues.
     """
     links = chain.links
     if trace:  # tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
         i = min(range(len(links)), key=lambda i: len(links[i].rows))
         links = links[i:] + links[:i]
-    size = len(links[0].rows)
-    widest = max(len(link.rows) for link in links)
-    primes = _moduli(widest, size * math.prod(len(link.cols) for link in links) ** periods)
+    dims = [(len(link.rows), len(link.cols)) for link in links]
+    size = dims[0][0]
+    primes = _count_moduli(dims, periods, trace)
     mods = np.array(primes, dtype=np.float64)[:, None]
     # pick[u, j] weights entry u of pushed column j at the end, and its
     # nonzero entries are where the column starts
     if trace:  # a basis vector is not symmetric: push it through whole steps
         plan = [(step, slice(None)) for step in chain.steps[i:] + chain.steps[:i]]
         _, reps, sizes = _link_orbits(links[0])
-        k = max(1, BLOCK_ENTRIES // (len(primes) * widest))
+        k = max(1, STACK_ENTRIES // (len(primes) * max(r for r, _ in dims)))
         picks = (np.equal.outer(np.arange(size), reps[s:s + k]) * sizes[s:s + k] for s in range(0, len(reps), k))
     else:
-        plan, _, sizes = orbit_steps(links)
+        plan, _, sizes = orbit_steps(links, len(primes))
         picks = (sizes[:, None],)
     residues = np.zeros(len(primes))
     for pick in picks:
@@ -551,14 +666,14 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     A plane sweeps open across m or across n, a cylinder traces around
     its wrap or sweeps open along its axis, and a torus traces rowwise
     at width n or m.  Of those whose slices fit in MAX_ENUM_LENGTH sites,
-    the first with the fewest pushes wins: periods times the sum of
-    rows*cols over the steps, times the smallest slice space for a trace.
-    A trace pushes only one vector per orbit of that space, and an open
-    sweep only one row per orbit, so the estimate over-counts every
-    sweep: by about 2 on open slices (the mirror), by about the ring
-    length on wrapped ones.  It nearly cancels between a plane's two open
-    sweeps and a torus's two traces; a cylinder's open rowwise sweep is
-    cheaper than its estimate says.
+    the first with the lowest ``_push_costs`` wins, for a stack one
+    layer per prime of ``_count_moduli`` wide: periods times the cost of
+    a period.  An open period costs the cheaper push of each step, built
+    or by its relation; a trace pushes built steps, once per state of
+    its smallest slice space.  Each step is priced at all its rows,
+    where an open sweep pushes one row per orbit and a trace one vector
+    per orbit, so the estimate over-counts both: by about 2 on open
+    slices (the mirror), by about the ring length on wrapped ones.
     """
     fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
     col, row = Direction.COLUMNWISE, Direction.ROWWISE
@@ -572,11 +687,17 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     for direction, width, periods, trace in sweeps:
         if width < _MIN_WIDTH[(fam, direction)]:
             continue
-        if max(length for _, length in _period_slices(fam, direction, width)) > MAX_ENUM_LENGTH:
+        slices = _period_slices(fam, direction, width)
+        if max(length for _, length in slices) > MAX_ENUM_LENGTH:
             continue
-        dims = chain_dimensions(fam, direction, width)
-        pushes = periods * sum(r * c for r, c in dims) * (min(r for r, _ in dims) if trace else 1)
-        fits.append((pushes, (direction, width, periods, trace)))
+        dims = _shapes(slices)
+        stack = len(_count_moduli(dims, periods, trace))
+        bits = slices[-1][1]  # every relation's sites are the last slice's
+        if trace:
+            cost = min(r for r, _ in dims) * sum(_push_costs(r, c, bits, stack)[0] for r, c in dims)
+        else:
+            cost = sum(min(_push_costs(r, c, bits, stack)) for r, c in dims)
+        fits.append((periods * cost, (direction, width, periods, trace)))
     if not fits:
         raise ValueError(
             f"{fam.value} {topo.value} {m}x{n} has no sweep whose slices fit "

@@ -4,10 +4,13 @@ A step matrix has one row per state of the outgoing slice and one
 column per state of the incoming slice; the entry is 1 when the two
 configurations can sit next to each other and 0 when some occupied
 pair of sites would touch.  A step is stored once, as that numpy bool
-array, so it is 0/1 by type.  ``StepMatrix.push`` is the only product:
-it works in float64 a block of rows at a time, and exact counts push
-residues mod primes below 2**53 / (32 * widest slice space) (see
-``chain._moduli``), where every sum is an exact float64 integer.
+array, so it is 0/1 by type.  ``StepMatrix.push`` is a built step's
+product: it works in float64 a block of rows at a time, and exact
+counts push residues mod primes below 2**53 / (32 * widest slice space)
+(see ``chain._moduli``), where every sum is an exact float64 integer.
+A step need not be built to be pushed: ``chain.Relation.push`` takes
+the same product from the two spreads alone, and ``chain.orbit_steps``
+picks whichever of the two is cheaper for each link.
 
 Every step is one relation
 
@@ -35,10 +38,10 @@ __all__ = [
 Spread = Callable[[np.ndarray], np.ndarray]
 
 # Entries per block whenever a whole-step array is worked on a block at
-# a time (build_step's int64 intermediate, push's float64 rows, a trace's
-# stack of basis vectors): 2**15 entries is 256 KiB, which stays in cache,
-# and is small enough that freeing it strands no large block in the
-# allocator's heap, so peak memory does not depend on job order.
+# a time (build_step's int64 intermediate, push's float64 rows): 2**15
+# entries is 256 KiB, which stays in cache, and is small enough that
+# freeing it strands no large block in the allocator's heap, so peak
+# memory does not depend on job order.
 BLOCK_ENTRIES = 1 << 15
 
 
@@ -50,7 +53,7 @@ class StepMatrix:
 
     ``array`` is the only stored form, a read-only 2-D numpy bool array,
     so a step is 0/1 by type; every other form is derived from it on
-    demand, and ``push`` is the only product.
+    demand, and ``push`` is its only product.
     """
 
     rows: StateSpace

@@ -4,8 +4,8 @@ The chains here are products of nonnegative 0/1 matrices whose empty
 slice is compatible with everything, so the composite has a strictly
 positive first row and column and the Perron root is simple.  The
 composite is never materialized; each iteration pushes the vector
-through the factors, last to first, with the ``StepMatrix.push`` that
-exact counts use too.
+through the factors, last to first, with the pushes that open counts
+use too.
 
 The iterates start from the all-ones vector, and every step of a chain
 from ``transfer_chain`` commutes with the symmetry of its slices, so
@@ -13,7 +13,11 @@ they stay constant on its orbits.  They are held one entry per orbit and
 pushed through ``chain.orbit_steps``, whose steps have rows only at the
 orbit representatives; inner products and norms weight each orbit by its
 size, so the iterates, and the iteration counts, are those over every
-state.  Hand-built chains and bare step lists are pushed whole.
+state.  Each such step is built or pushed as a relation (the zeta push,
+``chain.Relation.push``), whichever ``chain._push_costs`` prices lower
+for one vector: the wide aztec and truncated-square strips build no
+step at all.  The two pushes round differently, within 1e-14 of each
+other.  Hand-built chains and bare step lists are pushed whole.
 
 All composites in this package are symmetric (the factor lists read
 the same forwards as transposed backwards, since each return step is

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticegas import chain as chain_module
+from latticegas import spectral as spectral_module
 from latticegas.chain import (
     Boundary,
     Direction,
     Family,
     LatticeInstance,
+    Relation,
+    STACK_ENTRIES,
     Topology,
     TransferChain,
     _MIN_WIDTH,
@@ -30,9 +33,9 @@ from latticegas.chain import (
     orbit_steps,
     transfer_chain,
 )
-from latticegas.compat import BLOCK_ENTRIES, StepMatrix
+from latticegas.compat import StepMatrix, build_step
 from latticegas.spectral import dominant_eigenvalue
-from latticegas.statespace import MAX_ENUM_LENGTH, StateKind, enumerate_states
+from latticegas.statespace import MAX_ENUM_LENGTH, StateKind, StateSpace, enumerate_states
 
 
 def count(family, topology, m, n):
@@ -486,12 +489,19 @@ def test_trace_starts_at_the_smallest_slice_space(family, direction, extra, monk
 
 def test_trace_stack_stays_within_a_block(monkeypatch):
     # 729 paired states against 128 plain ones: the trace starts from the
-    # plain space, but its stack fans out to the paired one.
+    # plain space, but its stack of 72 basis vectors in 3 primes fans out
+    # to the paired one.  A budget of 5 such vectors splits it in blocks.
     chain = transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 7, Boundary.CYCLIC)
     assert sorted({len(step.rows) for step in chain.steps}) == [128, 729]
     pushes = record_pushes(monkeypatch)
-    count_cyclic(chain, 4)
-    assert max(size for _, size, _, _, _ in pushes) <= BLOCK_ENTRIES
+    whole = count_cyclic(chain, 4)
+    for budget, width in ((STACK_ENTRIES, 72), (3 * 729 * 5, 5)):
+        monkeypatch.setattr(chain_module, "STACK_ENTRIES", budget)
+        pushes.clear()
+        assert count_cyclic(chain, 4) == whole
+        assert max(size for _, size, _, _, _ in pushes) <= budget
+        assert {layers for _, _, _, layers, _ in pushes} == {3}
+        assert max(w for _, _, w, _, _ in pushes) == width
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +652,108 @@ def test_eig_and_open_counts_build_no_whole_step(family, direction, monkeypatch)
     assert all(b < f for b, f in zip(built, full + full))
     count_cyclic(chain, 3)
     assert built[-len(full):] == full
+
+
+# ---------------------------------------------------------------------------
+# The zeta push: a relation pushed without building it
+
+
+def relations(family, direction, width):
+    """Every link of the chain, once with its whole rows and once with
+    only its orbit representatives' rows."""
+    for link in transfer_chain(family, direction, width).links:
+        _, reps, _ = _orbits(link.rows, link.wrap)
+        yield link
+        yield dataclasses.replace(link, rows=StateSpace(link.rows.kind, link.rows.length, link.rows.masks[reps]))
+
+
+@pytest.mark.parametrize(
+    "family, direction, width",
+    [(f, d, w) for f in Family for d in Direction for w in range(_MIN_WIDTH[(f, d)], 9)],
+)
+def test_relation_push_matches_the_built_step(family, direction, width):
+    # Every sum stays below 2**53, so both pushes are exact and any slip shows.
+    rng = np.random.default_rng(width)
+    for rel in relations(family, direction, width):
+        step = build_step(rel.rows, rel.cols, rel.f, rel.g)
+        vector = rng.integers(0, 2**30, size=len(rel.cols)).astype(np.float64)
+        out = rel.push(vector)
+        assert out.shape == (len(rel.rows),) and np.array_equal(out, step.push(vector))
+        primes = np.array(_moduli(max(len(rel.rows), len(rel.cols)), 2**200))[:, None]
+        for layers, width in ((len(primes), 3), (1, 1)):  # one layer takes the lone-vector route
+            stack = rng.integers(0, primes[:layers], size=(len(rel.cols), layers, width)).astype(np.float64)
+            out = rel.push(stack)
+            assert out.shape == (len(rel.rows), layers, width) and np.array_equal(out, step.push(stack))
+
+
+def test_relation_push_rejects_wrong_length():
+    link = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3).links[0]
+    with pytest.raises(ValueError, match="column space"):
+        link.push(np.ones(len(link.cols) + 1))
+
+
+def test_relation_spreads_one_side_at_most():
+    space = enumerate_states(StateKind.FREE, 3)
+    spread = _spread(Family.AZTEC, True, 3)
+    with pytest.raises(ValueError, match="one side"):
+        Relation(space, space, spread, spread, True)
+
+
+class TestPushPicks:
+    """orbit_steps pushes each link through its built rows or through the
+    relation itself, whichever _push_costs prices lower."""
+
+    @staticmethod
+    def record_picks(monkeypatch):
+        picks = []
+
+        def logged(links, stack=1):
+            found = orbit_steps(links, stack)
+            picks.append([type(step) for step, _ in found[0]])
+            return found
+
+        monkeypatch.setattr(chain_module, "orbit_steps", logged)
+        monkeypatch.setattr(spectral_module, "orbit_steps", logged)
+        return picks
+
+    @pytest.mark.parametrize(
+        "family, direction, width, kind",
+        [
+            (Family.QUADRATIC, Direction.ROWWISE, 12, StepMatrix),  # 31 x 322 on 12 sites
+            (Family.AZTEC, Direction.COLUMNWISE, 10, Relation),  # 528 x 2048 on 11 sites
+            (Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 9, Relation),  # 3321 x 512 on 9
+        ],
+    )
+    def test_eig(self, family, direction, width, kind, monkeypatch):
+        picks = self.record_picks(monkeypatch)
+        chain = transfer_chain(family, direction, width)
+        dominant_eigenvalue(chain)
+        assert picks == [[kind] * len(chain.links)]
+
+    def test_quadratic_plane_12x100(self, monkeypatch):
+        # 322 x 610 on 13 sites, but a stack of 25 primes
+        picks = self.record_picks(monkeypatch)
+        count(Family.QUADRATIC, Topology.PLANE, 12, 100)
+        assert picks == [[StepMatrix]]
+
+
+@pytest.mark.parametrize(
+    "family, width",
+    # Orbit rows of their dense steps: 8256 x 32768 and 29646 x 2048
+    [(Family.AZTEC, 14), (Family.TRUNCATED_SQUARE, 11)],
+)
+def test_wide_strip_eig_builds_no_large_step(family, width, monkeypatch):
+    build_step = chain_module.build_step
+
+    def guarded(rows, cols, *spreads):
+        if len(rows) * len(cols) > 2**20:
+            raise AssertionError(f"built a {len(rows)} x {len(cols)} step")
+        return build_step(rows, cols, *spreads)
+
+    monkeypatch.setattr(chain_module, "build_step", guarded)
+    chain = transfer_chain(family, Direction.COLUMNWISE, width)
+    result = dominant_eigenvalue(chain)
+    assert len(result.vector) == len(chain.entry_space) and result.vector.min() > 0
 
 
 def test_paired_spread_matches_pair_by_pair():

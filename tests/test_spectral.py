@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from latticegas.chain import _MIN_WIDTH, Boundary, Direction, Family, transfer_chain
+from latticegas import chain as chain_module
+from latticegas.chain import _MIN_WIDTH, Boundary, Direction, Family, chain_dimensions, transfer_chain
 from latticegas.compat import StepMatrix
 from latticegas.spectral import ConvergenceError, dominant_eigenvalue
 from latticegas.statespace import StateKind, enumerate_states
@@ -97,6 +98,32 @@ class TestOrbitIteration:
         assert res.iterations == iterations
         assert abs(res.value - value) <= 1e-14 * value
         assert np.max(np.abs(res.vector - vector)) <= 1e-14
+
+
+class TestZetaIteration:
+    """Power iteration through relations (the zeta push) gives the
+    iterates of power iteration through built steps."""
+
+    @pytest.mark.parametrize(
+        "family, direction, width",
+        [
+            (f, d, w)
+            for f in Family
+            for d in Direction
+            for w in range(_MIN_WIDTH[(f, d)], 13)
+            # the built steps stay small enough to iterate quickly
+            if sum(r * c for r, c in chain_dimensions(f, d, w)) <= 2**24
+        ],
+    )
+    def test_matches_the_built_steps(self, family, direction, width, monkeypatch):
+        chain = transfer_chain(family, direction, width)
+        monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (0.0, 1.0))
+        built = dominant_eigenvalue(chain)
+        monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))
+        zeta = dominant_eigenvalue(chain)
+        assert zeta.iterations == built.iterations
+        assert abs(zeta.value - built.value) <= 1e-14 * built.value
+        assert np.max(np.abs(zeta.vector - built.vector)) <= 1e-14 * np.max(built.vector)
 
 
 class TestResultContract:
