@@ -21,20 +21,19 @@ Every step is one ``build_step(rows, cols, f, g)``: entry (u, v) is 1
 iff f(u) & g(v) == 0.  ``_spread`` gives each family's one map from the
 period's first slice to the next; a return step (A^T, B^T) applies that
 same map to its columns, so it is built, not copied from a transpose.
-A chain holds each step as that ``Relation`` and builds it on demand.
-A relation also pushes without being built (``Relation.push``): a
-subset-sum (zeta) transform over the sites the spreads touch, in
-O(L * 2**L) per vector for L sites where the built step costs rows *
-cols ("Fourier meets Moebius: fast subset convolution", Bjoerklund,
-Husfeldt, Kaski, Koivisto, STOC 2007).
+A chain holds each step as that ``Relation``, the one link type every
+contraction pushes, and ``Relation.push`` takes whichever kernel
+``_push_costs`` prices lower for its stack: the step built on first use
+(``Relation.built``), or a subset-sum (zeta) transform over the L sites
+the spreads touch, O(L * 2**L) per vector against rows * cols ("Fourier
+meets Moebius: fast subset convolution", Bjoerklund et al., STOC 2007).
 
 Every step commutes with the symmetry of its slices (``_orbits``):
 turning a wrapped slice by one site, or one pair on a paired slice, and
 mirroring an open slice over its own length.  Power iteration and open
 counts push only vectors fixed by it, so they keep one entry per orbit
-and push each step at its orbit representatives' rows only
-(``orbit_steps``), built or as a relation, whichever ``_push_costs``
-prices lower.  Traces push basis vectors through the whole built steps.
+and push each relation at its orbit representatives' rows only
+(``orbit_steps``); traces push basis vectors through whole relations.
 
 Counts are exact integers: float64 pushes mod primes, joined by the
 Chinese remainder theorem.  Each contraction takes primes as wide as
@@ -110,10 +109,16 @@ _MIN_WIDTH = {
 }
 
 
+# float64 entries of a trace's stack of basis vectors at its widest
+# slice space, times its primes, and of a zeta push's table: 2**19
+# entries is 4 MiB.
+STACK_ENTRIES = 1 << 19
+
+
 @dataclass(frozen=True, eq=False)
 class Relation:
-    """A step not yet built: entry (u, v) of rows x cols is 1 iff
-    f(u) & g(v) == 0, with a missing spread meaning the identity.
+    """A step as its relation, built on demand: entry (u, v) of rows x
+    cols is 1 iff f(u) & g(v) == 0, a missing spread being the identity.
 
     ``transfer_chain`` makes these only with spreads that commute with
     the slice symmetry: turning a wrapped slice (wrap), mirroring an open
@@ -155,20 +160,36 @@ class Relation:
         """The sites row u leaves free, ~f(u), as an index into 2**bits."""
         return ~(self.f(self.rows.masks) if self.f else self.rows.masks) & ((1 << self.bits) - 1)
 
-    def push(self, block: np.ndarray) -> np.ndarray:
-        """The step times block, for a vector or a stack of vectors
-        indexed by cols along axis 0, without building the step.
+    @cached_property
+    def built(self) -> StepMatrix:
+        """The whole step, built on first use."""
+        return build_step(self.rows, self.cols, self.f, self.g)
 
-        Row u sums x[v] over the v with g(v) inside ~f(u): scatter x onto
-        y[g(v)], take the subset sums of y over the bits sites, one site
-        at a time, and read them at ~f(u).  That is O(bits * 2**bits)
-        per vector where the step has rows * cols entries.  Each sum
-        adds at most len(cols) entries of x, as the step's product does,
-        so residues below ``_moduli``'s primes stay exact.
-        """
+    def push(self, block: np.ndarray) -> np.ndarray:
+        """The step times block, a vector or a stack of vectors indexed by cols
+        along axis 0: by ``built`` where ``_push_costs`` prices it lower, else
+        by ``_zeta`` on chunks whose table holds STACK_ENTRIES or one vector."""
         block = np.asarray(block, dtype=np.float64)
         if len(block) != len(self.cols):
             raise ValueError("vector length does not match column space")
+        stack = block.size // len(block)
+        dense, zeta = _push_costs(len(self.rows), len(self.cols), self.bits, stack)
+        if dense <= zeta:
+            return self.built.push(block)
+        k = max(1, STACK_ENTRIES >> self.bits)
+        if stack <= k:  # one chunk; a lone vector stays 1-D, which numpy indexes fastest
+            return self._zeta(block)
+        flat = block.reshape(len(block), -1)
+        out = np.hstack([self._zeta(flat[:, s:s + k]) for s in range(0, stack, k)])
+        return out.reshape((len(self.rows),) + block.shape[1:])
+
+    def _zeta(self, block: np.ndarray) -> np.ndarray:
+        """The step times block, unbuilt: row u sums x[v] over the v with
+        g(v) inside ~f(u).  Scatter x onto y[g(v)], take the subset sums of
+        y over the bits sites, one site at a time, and read them at ~f(u):
+        O(bits * 2**bits) per vector where the step has rows * cols entries.
+        Each sum adds at most len(cols) entries of x, as the step's product
+        does, so residues below ``_moduli``'s primes stay exact."""
         sites, order, starts = self._scatter
         y = np.zeros((1 << self.bits,) + block.shape[1:])
         y[sites] = block if order is None else np.add.reduceat(block[order], starts, axis=0)
@@ -192,10 +213,10 @@ _SUBSETS = np.array([[float(t & s == t) for s in range(1 << _LOW_SITES)] for t i
 def _push_costs(rows: int, cols: int, bits: int, stack: int) -> tuple[float, float]:
     """Estimated nanoseconds of one push of a stack ``stack`` vectors
     wide through a rows x cols relation on ``bits`` sites: (built step,
-    ``Relation.push``).
+    zeta push), the two kernels ``Relation.push`` picks from.
 
     A built step converts each entry to float64 and multiplies it into
-    every vector.  The relation adds one half of a 2**bits table into
+    every vector.  The zeta push adds one half of a 2**bits table into
     the other once per site, with a fixed numpy overhead per site, and
     scatters and gathers every vector.  The constants are fitted to
     single-threaded timings of both pushes through 323 links of all four
@@ -220,15 +241,10 @@ class TransferChain:
     width: int
     links: tuple[Relation | StepMatrix, ...]
 
-    @cached_property
+    @property
     def steps(self) -> tuple[StepMatrix, ...]:
-        """The whole step of every link, built on first use; only traces
-        and ``matrix`` need them, power iteration and open counts push
-        ``orbit_steps`` instead."""
-        return tuple(
-            link if isinstance(link, StepMatrix) else build_step(link.rows, link.cols, link.f, link.g)
-            for link in self.links
-        )
+        """The whole step of every link: each relation's ``built``."""
+        return tuple(link if isinstance(link, StepMatrix) else link.built for link in self.links)
 
     @property
     def entry_space(self) -> StateSpace:
@@ -548,33 +564,25 @@ def _link_orbits(link: Relation | StepMatrix) -> tuple[np.ndarray, np.ndarray, n
 
 
 def orbit_steps(
-    links: tuple[Relation | StepMatrix, ...], stack: int = 1
+    links: tuple[Relation | StepMatrix, ...]
 ) -> tuple[list[tuple[Relation | StepMatrix, np.ndarray]], np.ndarray, np.ndarray]:
-    """How to push stacks of ``stack`` vectors that are constant on
-    orbits through a period.
+    """How to push vectors that are constant on orbits through a period.
 
     Returns (step, gather) for every link, and the orbit index and orbit
     size of every state of the first link's rows.  A vector lives on the
     orbits of a space: ``step.push(x[gather])`` unfolds it to every
-    column and gives it on the orbits of the rows, since the step has
-    only the rows at orbit representatives.  That step is the relation
-    on those rows, or the step built from it where ``_push_costs``
-    prices the built step's push lower.  A period is a cycle, so a
-    link's columns are the next link's rows.  A hand-built step is
-    pushed whole, behind an identity gather.
+    column and gives it on the orbits of the rows, since the step is the
+    link's relation narrowed to the rows at orbit representatives.  A
+    period is a cycle, so a link's columns are the next link's rows.  A
+    hand-built step is pushed whole, behind an identity gather.
     """
     orbits = [_link_orbits(link) for link in links]
     plan = []
     for link, (_, reps, _), (gather, _, _) in zip(links, orbits, orbits[1:] + orbits[:1]):
-        step = link
         if isinstance(link, Relation):
             rows = StateSpace(link.rows.kind, link.rows.length, link.rows.masks[reps])
-            dense, zeta = _push_costs(len(rows), len(link.cols), link.bits, stack)
-            if dense <= zeta:
-                step = build_step(rows, link.cols, link.f, link.g)
-            else:
-                step = Relation(rows, link.cols, link.f, link.g, link.wrap)
-        plan.append((step, gather))
+            link = Relation(rows, link.cols, link.f, link.g, link.wrap)
+        plan.append((link, gather))
     of, _, sizes = orbits[0]
     return plan, of, sizes
 
@@ -592,11 +600,6 @@ def _count_moduli(dims: Sequence[tuple[int, int]], periods: int, trace: bool) ->
     return _moduli(widest, size * math.prod(c for _, c in dims) ** periods)
 
 
-# float64 entries of a trace's stack of basis vectors at its widest
-# slice space, times its primes: 2**19 entries is 4 MiB.
-STACK_ENTRIES = 1 << 19
-
-
 def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     """1^T M^periods 1, or tr(M^periods) if trace, for the composite M.
 
@@ -607,10 +610,10 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     over the period's smallest slice space: every state of an orbit has
     the same diagonal entry, so tr = sum over orbit representatives r of
     |orbit r| * M_rr, and it pushes one basis vector per orbit through
-    the whole steps, in blocks of STACK_ENTRIES at the widest space the
-    stack fans out to.  A stack with one layer per prime of
-    ``_count_moduli`` is reduced after each push, and the CRT joins its
-    residues.
+    the whole links, in blocks of STACK_ENTRIES at the widest space the
+    stack fans out to; each link's ``push`` picks its kernel for them.
+    A stack with one layer per prime of ``_count_moduli`` is reduced
+    after each push, and the CRT joins its residues.
     """
     links = chain.links
     if trace:  # tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
@@ -622,13 +625,13 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     mods = np.array(primes, dtype=np.float64)[:, None]
     # pick[u, j] weights entry u of pushed column j at the end, and its
     # nonzero entries are where the column starts
-    if trace:  # a basis vector is not symmetric: push it through whole steps
-        plan = [(step, slice(None)) for step in chain.steps[i:] + chain.steps[:i]]
+    if trace:  # a basis vector is not symmetric: push it through whole links
+        plan = [(link, slice(None)) for link in links]
         _, reps, sizes = _link_orbits(links[0])
         k = max(1, STACK_ENTRIES // (len(primes) * max(r for r, _ in dims)))
         picks = (np.equal.outer(np.arange(size), reps[s:s + k]) * sizes[s:s + k] for s in range(0, len(reps), k))
     else:
-        plan, _, sizes = orbit_steps(links, len(primes))
+        plan, _, sizes = orbit_steps(links)
         picks = (sizes[:, None],)
     residues = np.zeros(len(primes))
     for pick in picks:
@@ -668,12 +671,12 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     at width n or m.  Of those whose slices fit in MAX_ENUM_LENGTH sites,
     the first with the lowest ``_push_costs`` wins, for a stack one
     layer per prime of ``_count_moduli`` wide: periods times the cost of
-    a period.  An open period costs the cheaper push of each step, built
-    or by its relation; a trace pushes built steps, once per state of
-    its smallest slice space.  Each step is priced at all its rows,
-    where an open sweep pushes one row per orbit and a trace one vector
-    per orbit, so the estimate over-counts both: by about 2 on open
-    slices (the mirror), by about the ring length on wrapped ones.
+    a period, the cheaper push of each step, taken once for an open
+    sweep and once per state of its smallest slice space for a trace.
+    Each step is priced at all its rows, where an open sweep pushes one
+    row per orbit and a trace one vector per orbit, so the estimate
+    over-counts both: by about 2 on open slices (the mirror), by about
+    the ring length on wrapped ones.
     """
     fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
     col, row = Direction.COLUMNWISE, Direction.ROWWISE
@@ -693,10 +696,8 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
         dims = _shapes(slices)
         stack = len(_count_moduli(dims, periods, trace))
         bits = slices[-1][1]  # every relation's sites are the last slice's
-        if trace:
-            cost = min(r for r, _ in dims) * sum(_push_costs(r, c, bits, stack)[0] for r, c in dims)
-        else:
-            cost = sum(min(_push_costs(r, c, bits, stack)) for r, c in dims)
+        pushes = min(r for r, _ in dims) if trace else 1  # a trace pushes a vector per state
+        cost = pushes * sum(min(_push_costs(r, c, bits, stack)) for r, c in dims)
         fits.append((periods * cost, (direction, width, periods, trace)))
     if not fits:
         raise ValueError(

@@ -9,8 +9,8 @@ product: it works in float64 a block of rows at a time, and exact
 counts push residues mod primes below 2**53 / (32 * widest slice space)
 (see ``chain._moduli``), where every sum is an exact float64 integer.
 A step need not be built to be pushed: ``chain.Relation.push`` takes
-the same product from the two spreads alone, and ``chain.orbit_steps``
-picks whichever of the two is cheaper for each link.
+the same product from the two spreads alone where that is cheaper, and
+through the step it builds (``Relation.built``) where it is not.
 
 Every step is one relation
 

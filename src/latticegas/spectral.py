@@ -10,14 +10,14 @@ use too.
 The iterates start from the all-ones vector, and every step of a chain
 from ``transfer_chain`` commutes with the symmetry of its slices, so
 they stay constant on its orbits.  They are held one entry per orbit and
-pushed through ``chain.orbit_steps``, whose steps have rows only at the
-orbit representatives; inner products and norms weight each orbit by its
-size, so the iterates, and the iteration counts, are those over every
-state.  Each such step is built or pushed as a relation (the zeta push,
-``chain.Relation.push``), whichever ``chain._push_costs`` prices lower
-for one vector: the wide aztec and truncated-square strips build no
-step at all.  The two pushes round differently, within 1e-14 of each
-other.  Hand-built chains and bare step lists are pushed whole.
+pushed through ``chain.orbit_steps``, relations narrowed to the rows at
+the orbit representatives; inner products and norms weight each orbit by
+its size, so the iterates, and the iteration counts, are those over every
+state.  Each relation pushes the vector through its built step or by the
+zeta push (``chain.Relation.push``), whichever ``chain._push_costs``
+prices lower for one vector: the wide aztec and truncated-square strips
+build no step at all.  The two pushes round differently, within 1e-14 of
+each other.  Hand-built chains and bare step lists are pushed whole.
 
 All composites in this package are symmetric (the factor lists read
 the same forwards as transposed backwards, since each return step is

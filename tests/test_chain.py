@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latticegas import chain as chain_module
-from latticegas import spectral as spectral_module
 from latticegas.chain import (
     Boundary,
     Direction,
@@ -331,6 +331,7 @@ class TestExactness:
             (Family.QUADRATIC, 14, 14, 48609694845429192825410114233405807),
             (Family.CROSSED, 14, 14, 12038380931111061789962901),
             (Family.AZTEC, 9, 10, 71644525635966696318741446884546),
+            (Family.TRUNCATED_SQUARE, 8, 8, 19091994364161308845002436432387834097),
         ],
     )
     def test_torus_golden(self, family, m, n, expect):
@@ -417,6 +418,13 @@ class TestOneSweep:
         with pytest.raises(ValueError, match=f"quadratic {topology.value} 1000x1000 .*22-site cap"):
             count(Family.QUADRATIC, topology, 1000, 1000)
 
+    def test_aztec_cylinder_8x18_traces_by_its_cheaper_pushes(self):
+        # its wide links are priced at the zeta push, as the trace pushes
+        # them; the count is the one of the full built trace
+        inst = LatticeInstance(Family.AZTEC, Topology.CYLINDER, 8, 18)
+        assert _sweep(inst) == (Direction.COLUMNWISE, 8, 18, True)
+        assert count_lattice(inst) == 59240015634637615445363791209538435650283945447360186624
+
     @staticmethod
     def earlier_rule(inst):
         """The sweep count_lattice took before the push count picked it:
@@ -450,22 +458,38 @@ class TestOneSweep:
                         _sweep(inst)
 
 
-def record_pushes(monkeypatch):
-    """Patch StepMatrix.push to log (len(block), larger of the in and out
-    sizes, block width: the length of its last axis, prime layers: the
-    length of the middle axis of a 3-D stack, else 1, rows of the output)
-    for every push."""
-    log = []
-    push = StepMatrix.push
+# One push: len(block), the larger of the in and out sizes, the block
+# width (the length of its last axis), the prime layers (the length of the
+# middle axis of a 3-D stack, else 1), the rows of the output, and the
+# kernel that took it, "built" or "zeta".
+Push = collections.namedtuple("Push", "cols size width layers rows kernel")
 
-    def logged(self, block):
-        out = push(self, block)
+
+def record_pushes(monkeypatch):
+    """Patch StepMatrix.push and Relation.push to log a Push for every
+    push; a relation that pushes its built step is logged once, as built."""
+    log = []
+    built, relation = StepMatrix.push, Relation.push
+
+    def note(block, out, kernel):
         shape = np.shape(block)
         layers = shape[1] if len(shape) == 3 else 1
-        log.append((len(block), max(np.size(block), out.size), shape[-1], layers, len(out)))
+        log.append(Push(len(block), max(np.size(block), out.size), shape[-1], layers, len(out), kernel))
+
+    def logged_built(self, block):
+        out = built(self, block)
+        note(block, out, "built")
         return out
 
-    monkeypatch.setattr(StepMatrix, "push", logged)
+    def logged_relation(self, block):
+        before = len(log)
+        out = relation(self, block)
+        if len(log) == before:
+            note(block, out, "zeta")
+        return out
+
+    monkeypatch.setattr(StepMatrix, "push", logged_built)
+    monkeypatch.setattr(Relation, "push", logged_relation)
     return log
 
 
@@ -499,9 +523,9 @@ def test_trace_stack_stays_within_a_block(monkeypatch):
         monkeypatch.setattr(chain_module, "STACK_ENTRIES", budget)
         pushes.clear()
         assert count_cyclic(chain, 4) == whole
-        assert max(size for _, size, _, _, _ in pushes) <= budget
-        assert {layers for _, _, _, layers, _ in pushes} == {3}
-        assert max(w for _, _, w, _, _ in pushes) == width
+        assert max(push.size for push in pushes) <= budget
+        assert {push.layers for push in pushes} == {3}
+        assert max(push.width for push in pushes) == width
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +620,7 @@ def test_orbit_steps_rows_are_the_representatives(family, direction):
 def basis_vectors(pushes, chain, periods):
     """Basis vectors a trace pushed: every one goes through each step of
     every period, so the block widths sum to that many times the count."""
-    total = sum(width for _, _, width, _, _ in pushes)
+    total = sum(push.width for push in pushes)
     assert total % (periods * len(chain.steps)) == 0
     return total // (periods * len(chain.steps))
 
@@ -628,7 +652,7 @@ def test_ring_eig_pushes_one_row_per_rotation_orbit(monkeypatch):
     pushes = record_pushes(monkeypatch)
     result = dominant_eigenvalue(chain)
     assert len(pushes) == result.iterations
-    assert {(cols, rows) for cols, _, _, _, rows in pushes} == {(322, 31)}
+    assert {(push.cols, push.rows) for push in pushes} == {(322, 31)}
     assert len(result.vector) == 322
 
 
@@ -639,19 +663,27 @@ def test_eig_and_open_counts_build_no_whole_step(family, direction, monkeypatch)
     built = []
     build_step = chain_module.build_step
 
-    def logged(rows, cols, *spreads):
-        built.append(len(rows))
-        return build_step(rows, cols, *spreads)
+    def logged(rows, cols, f, g):
+        built.append((rows, cols, f, g))
+        return build_step(rows, cols, f, g)
+
+    def rows_built(link):
+        # builds are lazy, so they come in push order, last link first
+        return [len(rows) for rows, cols, f, g in built if cols is link.cols and (f, g) == (link.f, link.g)]
 
     monkeypatch.setattr(chain_module, "build_step", logged)
     chain = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + 4)
     dominant_eigenvalue(chain)
     count_open(chain, 3)
-    full = [len(link.rows) for link in chain.links]
-    assert len(built) == 2 * len(full)
-    assert all(b < f for b, f in zip(built, full + full))
+    assert len(built) == 2 * len(chain.links)
+    for link in chain.links:
+        assert len(rows_built(link)) == 2 and max(rows_built(link)) < len(link.rows)
+    built.clear()
     count_cyclic(chain, 3)
-    assert built[-len(full):] == full
+    assert [rows_built(link) for link in chain.links] == [[len(link.rows)] for link in chain.links]
+    # matrix reads the steps the trace built
+    assert all(step is link.built for step, link in zip(chain.steps, chain.links))
+    assert len(built) == len(chain.links)
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +703,9 @@ def relations(family, direction, width):
     "family, direction, width",
     [(f, d, w) for f in Family for d in Direction for w in range(_MIN_WIDTH[(f, d)], 9)],
 )
-def test_relation_push_matches_the_built_step(family, direction, width):
+def test_relation_push_matches_the_built_step(family, direction, width, monkeypatch):
     # Every sum stays below 2**53, so both pushes are exact and any slip shows.
+    monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))  # always the zeta push
     rng = np.random.default_rng(width)
     for rel in relations(family, direction, width):
         step = build_step(rel.rows, rel.cols, rel.f, rel.g)
@@ -700,41 +733,29 @@ def test_relation_spreads_one_side_at_most():
 
 
 class TestPushPicks:
-    """orbit_steps pushes each link through its built rows or through the
-    relation itself, whichever _push_costs prices lower."""
-
-    @staticmethod
-    def record_picks(monkeypatch):
-        picks = []
-
-        def logged(links, stack=1):
-            found = orbit_steps(links, stack)
-            picks.append([type(step) for step, _ in found[0]])
-            return found
-
-        monkeypatch.setattr(chain_module, "orbit_steps", logged)
-        monkeypatch.setattr(spectral_module, "orbit_steps", logged)
-        return picks
+    """A relation pushes through its built step or by the zeta push,
+    whichever _push_costs prices lower for the stack it is given."""
 
     @pytest.mark.parametrize(
-        "family, direction, width, kind",
+        "family, direction, width, kernel",
         [
-            (Family.QUADRATIC, Direction.ROWWISE, 12, StepMatrix),  # 31 x 322 on 12 sites
-            (Family.AZTEC, Direction.COLUMNWISE, 10, Relation),  # 528 x 2048 on 11 sites
-            (Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 9, Relation),  # 3321 x 512 on 9
+            (Family.QUADRATIC, Direction.ROWWISE, 12, "built"),  # 31 x 322 on 12 sites
+            (Family.AZTEC, Direction.COLUMNWISE, 10, "zeta"),  # 528 x 2048 on 11 sites
+            (Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 9, "zeta"),  # 3321 x 512 on 9
         ],
     )
-    def test_eig(self, family, direction, width, kind, monkeypatch):
-        picks = self.record_picks(monkeypatch)
+    def test_eig(self, family, direction, width, kernel, monkeypatch):
+        pushes = record_pushes(monkeypatch)
         chain = transfer_chain(family, direction, width)
         dominant_eigenvalue(chain)
-        assert picks == [[kind] * len(chain.links)]
+        links = {(len(link.cols), len(_orbits(link.rows, link.wrap)[1])) for link in chain.links}
+        assert {(push.cols, push.rows, push.kernel) for push in pushes} == {(c, r, kernel) for c, r in links}
 
     def test_quadratic_plane_12x100(self, monkeypatch):
         # 322 x 610 on 13 sites, but a stack of 25 primes
-        picks = self.record_picks(monkeypatch)
+        pushes = record_pushes(monkeypatch)
         count(Family.QUADRATIC, Topology.PLANE, 12, 100)
-        assert picks == [[StepMatrix]]
+        assert {(push.cols, push.rows, push.layers, push.kernel) for push in pushes} == {(610, 322, 25, "built")}
 
 
 @pytest.mark.parametrize(
@@ -743,6 +764,14 @@ class TestPushPicks:
     [(Family.AZTEC, 14), (Family.TRUNCATED_SQUARE, 11)],
 )
 def test_wide_strip_eig_builds_no_large_step(family, width, monkeypatch):
+    refuse_large_builds(monkeypatch)
+    chain = transfer_chain(family, Direction.COLUMNWISE, width)
+    result = dominant_eigenvalue(chain)
+    assert len(result.vector) == len(chain.entry_space) and result.vector.min() > 0
+
+
+def refuse_large_builds(monkeypatch):
+    """Make building any step of more than 2**20 entries fail."""
     build_step = chain_module.build_step
 
     def guarded(rows, cols, *spreads):
@@ -751,9 +780,37 @@ def test_wide_strip_eig_builds_no_large_step(family, width, monkeypatch):
         return build_step(rows, cols, *spreads)
 
     monkeypatch.setattr(chain_module, "build_step", guarded)
-    chain = transfer_chain(family, Direction.COLUMNWISE, width)
-    result = dominant_eigenvalue(chain)
-    assert len(result.vector) == len(chain.entry_space) and result.vector.min() > 0
+
+
+def test_truncated_square_torus_trace_builds_no_large_step(monkeypatch):
+    # rowwise width 9: the 6561 x 256 links (and back) would be built
+    # whole for every basis vector block; the zeta push takes them
+    refuse_large_builds(monkeypatch)
+    assert _sweep(LatticeInstance(Family.TRUNCATED_SQUARE, Topology.TORUS, 9, 10))[:2] == (Direction.ROWWISE, 9)
+    expect = 6025964122887951693239209293733276270015021283724589343
+    assert count(Family.TRUNCATED_SQUARE, Topology.TORUS, 9, 10) == expect
+
+
+@pytest.mark.parametrize("budget, chunks", [(2**9, [4, 4, 4, 3]), (2**6, [1] * 15)])
+def test_zeta_push_splits_its_stack_within_the_budget(budget, chunks, monkeypatch):
+    # 15 vectors through 7 sites: a table of 2**7 rows holds budget >> 7
+    # of them, or one where the budget is below a single vector
+    monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))
+    monkeypatch.setattr(chain_module, "STACK_ENTRIES", budget)
+    tables = []
+    zeta = Relation._zeta
+
+    def logged(self, flat):
+        tables.append((1 << self.bits, flat.shape[1]))
+        return zeta(self, flat)
+
+    monkeypatch.setattr(Relation, "_zeta", logged)
+    link = transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 7).links[0]
+    assert (len(link.rows), len(link.cols), link.bits) == (729, 128, 7)
+    stack = np.random.default_rng(7).integers(0, 2**30, size=(128, 3, 5)).astype(np.float64)
+    out = link.push(stack)
+    assert tables == [(128, k) for k in chunks]
+    assert out.shape == (729, 3, 5) and np.array_equal(out, link.built.push(stack))
 
 
 def test_paired_spread_matches_pair_by_pair():
@@ -857,8 +914,8 @@ def test_quadratic_plane_12x100_pushes_at_most_26_layers(monkeypatch):
     pushes = record_pushes(monkeypatch)
     count_open(chain, 100)
     assert len(pushes) == 100
-    assert max(layers for _, _, _, layers, _ in pushes) <= 26
-    assert {(cols, rows) for cols, _, _, _, rows in pushes} == {(610, 322)}
+    assert max(push.layers for push in pushes) <= 26
+    assert {(push.cols, push.rows) for push in pushes} == {(610, 322)}
 
 
 @settings(deadline=None, max_examples=40)
