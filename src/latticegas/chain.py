@@ -38,9 +38,12 @@ and push each relation at its orbit representatives' rows only
 Counts are exact integers: float64 pushes mod primes, joined by the
 Chinese remainder theorem.  Each contraction takes primes as wide as
 its widest slice space leaves exact in float64, and as few as its
-count's bound needs (``_moduli``).  A trace runs over the period's
-smallest slice space: tr(ABC) = tr(BCA).  It pushes one basis vector per
-orbit of that space and weights its diagonal entry by the orbit's size.
+count's bound needs (``_moduli``).  It reduces its residues by exact
+float division (``_reduce``), and only when the next push could carry
+an entry past 2**52; a small count reduces once, at the end.  A trace
+runs over the period's smallest slice space: tr(ABC) = tr(BCA).  It
+pushes one basis vector per orbit of that space and weights its
+diagonal entry by the orbit's size.
 Each instance is counted once, by whichever of its two sweeps
 ``_push_costs`` prices lowest.
 """
@@ -143,6 +146,11 @@ class Relation:
         return self.cols.length if self.g is None else self.rows.length
 
     @cached_property
+    def _dims(self) -> tuple[int, int, int]:
+        """(rows, cols, bits), read on every push."""
+        return len(self.rows), len(self.cols), self.bits
+
+    @cached_property
     def _scatter(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         """(sites, order, starts): column v lands on site set g(v).  The
         identity needs only the sites; a spread sorts the columns by site
@@ -170,18 +178,19 @@ class Relation:
         along axis 0: by ``built`` where ``_push_costs`` prices it lower, else
         by ``_zeta`` on chunks whose table holds STACK_ENTRIES or one vector."""
         block = np.asarray(block, dtype=np.float64)
-        if len(block) != len(self.cols):
+        rows, cols, bits = self._dims
+        if len(block) != cols:
             raise ValueError("vector length does not match column space")
-        stack = block.size // len(block)
-        dense, zeta = _push_costs(len(self.rows), len(self.cols), self.bits, stack)
+        stack = block.size // cols
+        dense, zeta = _push_costs(rows, cols, bits, stack)
         if dense <= zeta:
             return self.built.push(block)
-        k = max(1, STACK_ENTRIES >> self.bits)
+        k = max(1, STACK_ENTRIES >> bits)
         if stack <= k:  # one chunk; a lone vector stays 1-D, which numpy indexes fastest
             return self._zeta(block)
         flat = block.reshape(len(block), -1)
         out = np.hstack([self._zeta(flat[:, s:s + k]) for s in range(0, stack, k)])
-        return out.reshape((len(self.rows),) + block.shape[1:])
+        return out.reshape((rows,) + block.shape[1:])
 
     def _zeta(self, block: np.ndarray) -> np.ndarray:
         """The step times block, unbuilt: row u sums x[v] over the v with
@@ -539,10 +548,12 @@ def _primes(count: int, bits: int) -> tuple[int, ...]:
 
 def _moduli(widest: int, bound: int) -> tuple[int, ...]:
     """The fewest primes whose product exceeds bound, each so narrow that
-    widest * 32 residues mod it sum exactly in float64 (below 2**53).
+    widest residues mod it sum below 2**48.
 
-    A push sums at most widest residues, and a trace's diagonal sum takes
-    at most widest of them times an orbit size below 32.
+    A push sums at most widest entries, so the first push after
+    ``_contract`` reduces a block stays well inside float64's exact
+    range; the headroom up to ``_EXACT`` lets later pushes skip the
+    reduction.
     """
     bits = 48 - widest.bit_length()
     # each prime exceeds 2**(bits-1), so these many multiply past bound
@@ -552,6 +563,19 @@ def _moduli(widest: int, bound: int) -> tuple[int, ...]:
         product *= primes[n]
         n += 1
     return primes[:n]
+
+
+# float64 holds every integer below 2**53.  Every entry of a block of
+# residue sums stays below half that, so adding a residue keeps it exact.
+_EXACT = 2**52
+
+
+def _reduce(block: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    """block mod mods, for float64 integers 0 <= x < 2**53, bit for bit
+    what np.fmod gives.  floor(x / p) is the exact quotient q: x / p lies
+    at least 1/p below q + 1, and rounding moves it by at most
+    x / p * 2**-53 < 1/p.  So q * p <= x is exact, and so is x - q * p."""
+    return block - np.floor(block / mods) * mods
 
 
 def _link_orbits(link: Relation | StepMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -612,8 +636,13 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     |orbit r| * M_rr, and it pushes one basis vector per orbit through
     the whole links, in blocks of STACK_ENTRIES at the widest space the
     stack fans out to; each link's ``push`` picks its kernel for them.
-    A stack with one layer per prime of ``_count_moduli`` is reduced
-    after each push, and the CRT joins its residues.
+
+    The stack has one layer per prime of ``_count_moduli``.  A push
+    sums at most len(cols) entries, so ``top`` bounds every entry: it
+    grows by that factor each push, and the block is reduced, back to
+    below the largest prime, only before a push that could carry it past
+    ``_EXACT``, and before the weighted sum if that could.  The residues
+    of each sum are reduced as they accumulate, and the CRT joins them.
     """
     links = chain.links
     if trace:  # tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
@@ -633,13 +662,20 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     else:
         plan, _, sizes = orbit_steps(links)
         picks = (sizes[:, None],)
+    pushes = [(step, gather, len(step.cols)) for step, gather in reversed(plan)]
     residues = np.zeros(len(primes))
     for pick in picks:
         block = np.broadcast_to((pick > 0)[:, None], (len(pick), len(primes), pick.shape[1]))
+        top = 1  # no entry of block exceeds top
         for _ in range(periods):
-            for step, gather in reversed(plan):
-                block = np.fmod(step.push(block[gather]), mods)
-        residues = np.fmod(residues + (block * pick[:, None]).sum(axis=(0, 2)), primes)
+            for step, gather, cols in pushes:
+                if top * cols >= _EXACT:
+                    block, top = _reduce(block, mods), primes[0] - 1  # primes[0] is the largest
+                block = step.push(block[gather])
+                top *= cols
+        if top * size >= _EXACT:  # the weights of pick sum to at most size
+            block = _reduce(block, mods)
+        residues = _reduce(residues + (block * pick[:, None]).sum(axis=(0, 2)), mods[:, 0])
     count, modulus = 0, 1
     for r, p in zip(residues, primes):
         count += modulus * ((int(r) - count) * pow(modulus, -1, p) % p)

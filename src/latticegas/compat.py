@@ -6,8 +6,10 @@ configurations can sit next to each other and 0 when some occupied
 pair of sites would touch.  A step is stored once, as that numpy bool
 array, so it is 0/1 by type.  ``StepMatrix.push`` is a built step's
 product: it works in float64 a block of rows at a time, and exact
-counts push residues mod primes below 2**53 / (32 * widest slice space)
-(see ``chain._moduli``), where every sum is an exact float64 integer.
+counts push residues mod primes below 2**48 / (widest slice space)
+(see ``chain._moduli``).  Their sums stay exact float64 integers
+because ``chain._contract`` reduces a block before any push that
+could carry an entry past 2**52.
 A step need not be built to be pushed: ``chain.Relation.push`` takes
 the same product from the two spreads alone where that is cheaper, and
 through the step it builds (``Relation.built``) where it is not.
@@ -96,14 +98,15 @@ class StepMatrix:
         """array @ block in float64, for a vector or a stack of vectors
         indexed by cols along axis 0, converting a block of rows at a time."""
         block = np.asarray(block, dtype=np.float64)
-        if len(block) != len(self.cols):
+        rows, cols = self.array.shape
+        if len(block) != cols:
             raise ValueError("vector length does not match column space")
-        flat = block.reshape(len(self.cols), -1)
-        out = np.empty((len(self.rows), flat.shape[1]))
-        step = max(1, BLOCK_ENTRIES // len(self.cols))
-        for i in range(0, len(self.rows), step):
+        flat = block.reshape(cols, -1)
+        out = np.empty((rows, flat.shape[1]))
+        step = max(1, BLOCK_ENTRIES // cols)
+        for i in range(0, rows, step):
             np.matmul(self.array[i:i + step].astype(np.float64), flat, out=out[i:i + step])
-        return out.reshape((len(self.rows),) + block.shape[1:])
+        return out.reshape((rows,) + block.shape[1:])
 
 
 def build_step(

@@ -24,6 +24,7 @@ from latticegas.chain import (
     _period_slices,
     _periods,
     _primes,
+    _reduce,
     _spread,
     _sweep,
     chain_dimensions,
@@ -35,7 +36,7 @@ from latticegas.chain import (
 )
 from latticegas.compat import StepMatrix, build_step
 from latticegas.spectral import dominant_eigenvalue
-from latticegas.statespace import MAX_ENUM_LENGTH, StateKind, StateSpace, enumerate_states
+from latticegas.statespace import MAX_ENUM_LENGTH, StateKind, StateSpace, enumerate_states, state_count
 
 
 def count(family, topology, m, n):
@@ -308,6 +309,18 @@ class TestExactness:
         got = count_open(chain, 100)
         assert type(got) is int and got.bit_length() == 784
         assert got == reference_open(chain, 100)
+
+    def test_truncated_square_plane_reduces_mid_period(self, monkeypatch):
+        # Pushes take 243, 64 and 64 columns in turn, so no entry passes
+        # 2**52 before the 8th push, the second of the third period: the
+        # block is first reduced between two links of one period.
+        chain = transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 6)
+        pushes = record_pushes(monkeypatch)
+        reductions = record_reductions(monkeypatch, pushes)
+        got = count_open(chain, 6)
+        assert [push.cols for push in pushes[:3]] == [243, 64, 64]
+        assert pushes[0].layers == 4 and reductions[0].after == 7
+        assert got == reference_open(chain, 6)
 
     @pytest.mark.parametrize(
         "family, width, periods",
@@ -895,8 +908,8 @@ def test_primes_refuse_more_than_their_width_holds():
 
 
 def test_prime_sums_stay_exact_in_float64():
-    # a push sums at most `widest` residues, a trace's diagonal sum at
-    # most `widest` of them times an orbit size of at most 22
+    # the push right after a reduction sums at most `widest` residues,
+    # which must leave room below 2**53 for the pushes after it
     for widest in sorted({w for j in range(23) for w in (2**j - 1, 2**j)} - {0}):
         assert widest * 32 * max(_moduli(widest, 2**200)) <= 2**53
 
@@ -916,6 +929,65 @@ def test_quadratic_plane_12x100_pushes_at_most_26_layers(monkeypatch):
     assert len(pushes) == 100
     assert max(push.layers for push in pushes) <= 26
     assert {(push.cols, push.rows) for push in pushes} == {(610, 322)}
+
+
+# Residues are reduced by exact division; the widest space any chain
+# can enumerate bounds the widths the primes are taken for.
+WIDEST = max(state_count(kind, MAX_ENUM_LENGTH) for kind in StateKind)
+
+
+@settings(deadline=None, max_examples=200)
+@given(widest=st.integers(1, WIDEST), bound=st.integers(1, 2**2000), data=st.data())
+def test_reduce_is_fmod(widest, bound, data):
+    # random float64 integers and the edges k*p - 1, k*p, k*p + 1 of every
+    # prime of the count, in the (rows, primes, 1) layout of a residue stack
+    primes = _moduli(widest, bound)
+    k = data.draw(st.integers(1, widest))
+    drawn = data.draw(st.lists(st.integers(0, 2**53 - 1), min_size=len(primes), max_size=len(primes)))
+    rows = [drawn, [2**52 - 1] * len(primes)] + [[k * p + d for p in primes] for d in (-1, 0, 1)]
+    block = np.array(rows, dtype=np.float64)[:, :, None]
+    mods = np.array(primes, dtype=np.float64)[:, None]
+    assert np.array_equal(_reduce(block, mods), np.fmod(block, mods))
+    assert np.array_equal(_reduce(block[:, :, 0], mods[:, 0]), np.fmod(block[:, :, 0], mods[:, 0]))
+
+
+# One reduction: the shape of the reduced block, and how many pushes the
+# log passed to record_reductions held when it was made.
+Reduction = collections.namedtuple("Reduction", "shape after")
+
+
+def record_reductions(monkeypatch, pushes=()):
+    """Patch chain._reduce to log a Reduction for every call."""
+    log = []
+    reduce = chain_module._reduce
+
+    def logged(block, mods):
+        log.append(Reduction(np.shape(block), len(pushes)))
+        return reduce(block, mods)
+
+    monkeypatch.setattr(chain_module, "_reduce", logged)
+    return log
+
+
+def test_one_prime_count_reduces_once(monkeypatch):
+    # 7 states and 4 periods: no entry passes 7**4, nor the weighted sum
+    # 7**5, so only the residue accumulator is reduced
+    reductions = record_reductions(monkeypatch)
+    assert count(Family.QUADRATIC, Topology.TORUS, 4, 4) == 743
+    assert [r.shape for r in reductions] == [(1,)]
+
+
+def test_quadratic_plane_12x100_reduces_before_all_but_five_pushes(monkeypatch):
+    # 610**5 < 2**52 <= 610**6, so the first five pushes run unreduced.
+    # A reduced entry is below a 38-bit prime, and two pushes of 610 would
+    # carry it past 2**52, so each of the other 95 pushes is preceded by a
+    # reduction; then the weighted sum's block, and the accumulator.
+    chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 12)
+    reductions = record_reductions(monkeypatch)
+    count_open(chain, 100)
+    shapes = [r.shape for r in reductions]
+    assert len(shapes) == 97
+    assert set(shapes[:-1]) == {(322, 25, 1)} and shapes[-1] == (25,)
 
 
 @settings(deadline=None, max_examples=40)
