@@ -25,8 +25,19 @@ A chain holds each step as that ``Relation``, the one link type every
 contraction pushes, and ``Relation.push`` takes whichever kernel
 ``_push_costs`` prices lower for its stack: the step built on first use
 (``Relation.built``), or a subset-sum (zeta) transform over the L sites
-the spreads touch, O(L * 2**L) per vector against rows * cols ("Fourier
-meets Moebius: fast subset convolution", Bjoerklund et al., STOC 2007).
+the spreads touch ("Fourier meets Moebius: fast subset convolution",
+Bjoerklund et al., STOC 2007).  The zeta push sums site by site: before
+site i a key holds query sites below i and data sites from i up, and
+next[k] = cur[k & ~bit_i] + (cur[k] if k has bit i else 0).  Its table
+plan holds all 2**L keys, O(L * 2**L) per vector against rows * cols.
+Its keys plan holds only the reachable ones, a prefix of some row's
+~f(u) joined to a suffix of some column's g(v), and takes each level in
+two gathers: a path or ring slice of L sites has about F(L+2) states, so
+its levels hold a few per cent of the table ("The 1-vertex transfer
+matrix and accurate estimation of channel capacity", Friedland, Lundow,
+Markstroem, 2010).  Each relation picks its plan once, from its own
+masks (``_zeta_costs``): the keys plan on wide path and ring slices, the
+table on free and paired ones, where nearly every key is reachable.
 
 Every step commutes with the symmetry of its slices (``_orbits``):
 turning a wrapped slice by one site, or one pair on a paired slice, and
@@ -50,6 +61,8 @@ Each instance is counted once, by whichever of its two sweeps
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -173,19 +186,60 @@ class Relation:
         """The whole step, built on first use."""
         return build_step(self.rows, self.cols, self.f, self.g)
 
+    @cached_property
+    def _built_stacks(self) -> range:
+        """The stack widths ``push`` sends through ``built``: those
+        ``_push_costs`` prices no dearer built than by the zeta push."""
+        return _crossover(*self._dims)
+
+    @cached_property
+    def _zeta_plan(self) -> tuple[int, list[tuple[np.ndarray, np.ndarray]] | None]:
+        """(entries per vector of the widest level the zeta push holds, the
+        keys plan's gathers or None for the table), picked on first use by
+        ``_zeta_costs`` from the keys plan's size: at each level, distinct
+        query prefixes times distinct site-set suffixes, each counted
+        from sorted neighbours (the queries with their bits reversed)."""
+        queries, sites, bits = self._gather, self._scatter[0], self.bits
+        prefixes = _distinct_shifts(np.sort(_mirror(queries, bits)), bits)[::-1]
+        suffixes = _distinct_shifts(sites, bits)
+        keys = prefixes * suffixes  # level i's keys, its last level's one per row
+        keys[-1] = len(queries)
+        table, plan = _zeta_costs(bits, int(keys[1:].sum()))
+        if table <= plan:
+            return 1 << bits, None
+        return int(keys[:-1].max()) + 1, _key_gathers(queries, sites, bits)
+
+    @cached_property
+    def _room(self) -> threading.local:
+        """Each thread's float64 room for ``_scratch``."""
+        return threading.local()
+
+    def _scratch(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Room of this shape for the zeta push's table or levels, kept
+        between this thread's pushes and grown to the largest it lent, so
+        that a push allocates only its output: a fresh table per push
+        faults its pages in again wherever the allocator has handed the
+        last one back (aztec w=16 eig, 1 MB tables: 2.1 ms a push where
+        it did, 3.5 ms where it did not)."""
+        size = math.prod(shape)
+        room = getattr(self._room, "floats", None)
+        if room is None or room.size < size:
+            room = self._room.floats = np.empty(size)
+        return room[:size].reshape(shape)
+
     def push(self, block: np.ndarray) -> np.ndarray:
         """The step times block, a vector or a stack of vectors indexed by cols
-        along axis 0: by ``built`` where ``_push_costs`` prices it lower, else
-        by ``_zeta`` on chunks whose table holds STACK_ENTRIES or one vector."""
+        along axis 0: by ``built`` for the stacks ``_push_costs`` prices no
+        dearer that way (``_built_stacks``), else by ``_zeta`` on chunks
+        whose widest level holds STACK_ENTRIES entries or one vector."""
         block = np.asarray(block, dtype=np.float64)
-        rows, cols, bits = self._dims
+        rows, cols, _ = self._dims
         if len(block) != cols:
             raise ValueError("vector length does not match column space")
         stack = block.size // cols
-        dense, zeta = _push_costs(rows, cols, bits, stack)
-        if dense <= zeta:
+        if stack in self._built_stacks:
             return self.built.push(block)
-        k = max(1, STACK_ENTRIES >> bits)
+        k = max(1, STACK_ENTRIES // self._zeta_plan[0])
         if stack <= k:  # one chunk; a lone vector stays 1-D, which numpy indexes fastest
             return self._zeta(block)
         flat = block.reshape(len(block), -1)
@@ -194,15 +248,44 @@ class Relation:
 
     def _zeta(self, block: np.ndarray) -> np.ndarray:
         """The step times block, unbuilt: row u sums x[v] over the v with
-        g(v) inside ~f(u).  Scatter x onto y[g(v)], take the subset sums of
-        y over the bits sites, one site at a time, and read them at ~f(u):
-        O(bits * 2**bits) per vector where the step has rows * cols entries.
-        Each sum adds at most len(cols) entries of x, as the step's product
-        does, so residues below ``_moduli``'s primes stay exact."""
+        g(v) inside ~f(u).  Scatter x onto the data sites y[g(v)], take the
+        subset sums of y one site at a time, and read them at ~f(u).  Each
+        sum adds at most len(cols) entries of x, as the step's product
+        does, so residues below ``_moduli``'s primes stay exact.
+
+        After site i, the entry at key k sums y[T] over the T that agree
+        with k on the sites from i up and lie inside k below i, so site i
+        takes next[k] = cur[k & ~bit_i] + (cur[k] if k has bit i else 0).
+        The table plan holds all 2**bits keys, half-adding in place:
+        O(bits * 2**bits) per vector where the step has rows * cols
+        entries.  The keys plan holds only the keys whose sites below i
+        are those of some row's ~f(u) and whose sites from i up are those
+        of some column's g(v), and takes each level in two gathers
+        (``_key_gathers``).
+        """
         sites, order, starts = self._scatter
-        y = np.zeros((1 << self.bits,) + block.shape[1:])
-        y[sites] = block if order is None else np.add.reduceat(block[order], starts, axis=0)
-        flat = y.reshape(len(y), -1)
+        y = block if order is None else np.add.reduceat(block[order], starts, axis=0)
+        widest, levels = self._zeta_plan
+        if levels is not None:
+            # three levels, taken in turn: the current, the next, and the second gather
+            cur, nxt, other = self._scratch((3, widest) + y.shape[1:])
+            cur[: len(y)] = y
+            cur[len(y)] = 0  # the last key is a zero
+            for a, b in levels[:-1]:
+                n = len(a)
+                np.take(cur, a, axis=0, out=nxt[:n], mode="clip")
+                np.take(cur, b, axis=0, out=other[:n], mode="clip")
+                nxt[:n] += other[:n]
+                nxt[n] = 0
+                cur, nxt = nxt, cur
+            a, b = levels[-1]
+            out = np.take(cur, a, axis=0, mode="clip")
+            out += np.take(cur, b, axis=0, mode="clip")
+            return out
+        table = self._scratch((1 << self.bits,) + block.shape[1:])
+        table.fill(0)
+        table[sites] = y
+        flat = table.reshape(len(table), -1)
         # A lone vector's lowest sites have strides too short for numpy to
         # add quickly; one product with their subset matrix takes them all.
         low = min(_LOW_SITES, self.bits) if flat.shape[1] == 1 else 0
@@ -211,12 +294,95 @@ class Relation:
             half[:, 1] += half[:, 0]
         if low:
             flat = flat.reshape(-1, 1 << low) @ _SUBSETS[: 1 << low, : 1 << low]
-        return flat.reshape(y.shape)[self._gather]
+        return flat.reshape(table.shape)[self._gather]
 
 
 # Entry (t, s) is 1 iff t is a subset of s, over the _LOW_SITES lowest sites.
 _LOW_SITES = 4
 _SUBSETS = np.array([[float(t & s == t) for s in range(1 << _LOW_SITES)] for t in range(1 << _LOW_SITES)])
+
+
+def _distinct_shifts(values: np.ndarray, bits: int) -> np.ndarray:
+    """Entry i is how many distinct values ``values >> i`` takes, for i from
+    0 to bits, of sorted values below 2**bits: one more than the
+    neighbours that differ at bit i or above."""
+    top = np.frexp(values[1:] ^ values[:-1])[1] - 1  # highest differing bit, -1 where equal
+    above = np.bincount(top[top >= 0], minlength=bits)[::-1].cumsum()[::-1]
+    return np.r_[above, 0] + 1
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted (``np.unique`` without its imports)."""
+    values = np.sort(values)
+    return values[np.r_[True, values[1:] != values[:-1]]]
+
+
+def _key_gathers(queries: np.ndarray, sites: np.ndarray, bits: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The keys plan: two gathers per site that take its level before the
+    site to the next, next = cur[a] + cur[b].
+
+    The level before site i holds the keys (p, s) of every distinct
+    query ~f(u) on the sites below i, p, and every distinct site set
+    g(v) on the sites from i up, shifted down by i, s.  It lays them out
+    suffix-major, key (p, s) at s * len(P) + p, and ends with one zero,
+    where every key missing from it reads.  New key (p', s') at site i
+    reads (p' below i, s' * 2) and, if p' has bit i, (p' below i,
+    s' * 2 + 1).  The last level's prefixes are the queries themselves,
+    in row order, so its gathers read the rows.
+    """
+    gathers = []
+    prefixes, suffixes = np.zeros(1, dtype=np.int64), sites
+    for i in range(bits):
+        new_prefixes = queries if i == bits - 1 else _distinct(queries & ((2 << i) - 1))
+        new_suffixes = _distinct(sites >> (i + 1))
+        zero = len(prefixes) * len(suffixes)
+        p = np.searchsorted(prefixes, new_prefixes & ((1 << i) - 1))
+        high = (new_prefixes >> i & 1).astype(bool)
+        pair = []
+        for bit, keep in ((0, True), (1, high)):
+            t = new_suffixes << 1 | bit
+            s = np.minimum(np.searchsorted(suffixes, t), len(suffixes) - 1)
+            found = (suffixes[s] == t)[:, None] & keep
+            pair.append(np.where(found, s[:, None] * len(prefixes) + p, zero).ravel())
+        gathers.append(tuple(pair))
+        prefixes, suffixes = new_prefixes, new_suffixes
+    return gathers
+
+
+def _zeta_costs(bits: int, entries: int) -> tuple[float, float]:
+    """Relative costs of one zeta push through a relation on ``bits``
+    sites: (the table plan, the keys plan whose levels after the first
+    hold ``entries`` keys in all).  The table adds half its 2**bits
+    entries into the other half per site, in order; the keys plan
+    gathers each key twice, out of order.  A key is priced at 8 table
+    entries per site, fitted to pushes of orbit relations on 8 to 20
+    sites, all four families (2-vCPU x86-64 VM): a lone vector broke
+    even near 13 entries per key on 13-site paths, a stack of 30 near 2
+    to 3, and on free and paired slices, at 2.3 or fewer, the keys plan
+    was up to 3 times slower for a lone vector."""
+    return bits * 2.0**bits, 8.0 * entries
+
+
+def _crossover(rows: int, cols: int, bits: int) -> range:
+    """The stacks whose push ``_push_costs`` prices no dearer built than
+    by the zeta push.  Both costs are affine in the stack, so these run
+    up to, or from, the stack where the two meet, found by the prices
+    themselves next to it, as floats round."""
+
+    def built(stack: int) -> bool:
+        dense, zeta = _push_costs(rows, cols, bits, stack)
+        return dense <= zeta
+
+    (d0, z0), (d1, z1) = _push_costs(rows, cols, bits, 0), _push_costs(rows, cols, bits, 1)
+    slope, first = (d1 - d0) - (z1 - z0), built(0)  # slope: how much dearer built each vector is
+    if slope == 0 or (slope > 0) != first:  # the same pick at every stack
+        return range(sys.maxsize if first else 0)
+    edge = max(1, math.ceil((z0 - d0) / slope))  # the first stack to pick otherwise, about
+    while edge > 1 and built(edge - 1) != first:
+        edge -= 1
+    while built(edge) == first:
+        edge += 1
+    return range(edge) if first else range(edge, sys.maxsize)
 
 
 def _push_costs(rows: int, cols: int, bits: int, stack: int) -> tuple[float, float]:
@@ -231,7 +397,10 @@ def _push_costs(rows: int, cols: int, bits: int, stack: int) -> tuple[float, flo
     single-threaded timings of both pushes through 323 links of all four
     families and stacks 1 to 25 wide (2-vCPU x86-64 VM); summed over
     those links, the pushes they pick take about 1% longer than the
-    faster ones.
+    faster ones.  The zeta term is the table plan's, so it is an upper
+    bound where a relation takes the keys plan (``_zeta_costs``).
+    Both costs are affine in the stack, so a relation finds once the
+    stacks whose built push is no dearer (``_crossover``).
     """
     dense = rows * cols * (0.6 + 0.05 * stack)
     half = bits * 2 ** (bits - 1)

@@ -8,6 +8,7 @@ decimal strings so no consumer is tempted to round them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -275,7 +276,10 @@ def _cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it as it was, so
+    every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="latticegas",
         description="Exact independent-set counts and entropy bounds for lattice models.",

@@ -15,9 +15,13 @@ the orbit representatives; inner products and norms weight each orbit by
 its size, so the iterates, and the iteration counts, are those over every
 state.  Each relation pushes the vector through its built step or by the
 zeta push (``chain.Relation.push``), whichever ``chain._push_costs``
-prices lower for one vector: the wide aztec and truncated-square strips
-build no step at all.  The two pushes round differently, within 1e-14 of
-each other.  Hand-built chains and bare step lists are pushed whole.
+prices lower for one vector: the wide strips build no step at all.  The
+zeta push sums over the table of every site set on aztec and
+truncated-square slices, and over the reachable keys only on quadratic
+and crossed ones, whose path slices reach a few per cent of the table.
+The pushes round differently, within 1e-14 of each other, and the
+iteration counts agree.  Hand-built chains and bare step lists are
+pushed whole.
 
 All composites in this package are symmetric (the factor lists read
 the same forwards as transposed backwards, since each return step is

@@ -712,6 +712,15 @@ def relations(family, direction, width):
         yield dataclasses.replace(link, rows=StateSpace(link.rows.kind, link.rows.length, link.rows.masks[reps]))
 
 
+# _zeta_costs prices (the table, the keys plan): each forces its plan
+ZETA_PLANS = {"table": lambda *args: (0.0, 1.0), "keys": lambda *args: (1.0, 0.0)}
+
+
+def zeta_plan(rel):
+    """The zeta push plan a relation took: "table" or "keys"."""
+    return "table" if rel._zeta_plan[1] is None else "keys"
+
+
 @pytest.mark.parametrize(
     "family, direction, width",
     [(f, d, w) for f in Family for d in Direction for w in range(_MIN_WIDTH[(f, d)], 9)],
@@ -719,17 +728,20 @@ def relations(family, direction, width):
 def test_relation_push_matches_the_built_step(family, direction, width, monkeypatch):
     # Every sum stays below 2**53, so both pushes are exact and any slip shows.
     monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))  # always the zeta push
-    rng = np.random.default_rng(width)
-    for rel in relations(family, direction, width):
-        step = build_step(rel.rows, rel.cols, rel.f, rel.g)
-        vector = rng.integers(0, 2**30, size=len(rel.cols)).astype(np.float64)
-        out = rel.push(vector)
-        assert out.shape == (len(rel.rows),) and np.array_equal(out, step.push(vector))
-        primes = np.array(_moduli(max(len(rel.rows), len(rel.cols)), 2**200))[:, None]
-        for layers, width in ((len(primes), 3), (1, 1)):  # one layer takes the lone-vector route
-            stack = rng.integers(0, primes[:layers], size=(len(rel.cols), layers, width)).astype(np.float64)
-            out = rel.push(stack)
-            assert out.shape == (len(rel.rows), layers, width) and np.array_equal(out, step.push(stack))
+    for plan, costs in ZETA_PLANS.items():  # each plan in turn, on relations made afresh
+        monkeypatch.setattr(chain_module, "_zeta_costs", costs)
+        rng = np.random.default_rng(width)
+        for rel in relations(family, direction, width):
+            step = build_step(rel.rows, rel.cols, rel.f, rel.g)
+            vector = rng.integers(0, 2**30, size=len(rel.cols)).astype(np.float64)
+            out = rel.push(vector)
+            assert out.shape == (len(rel.rows),) and np.array_equal(out, step.push(vector))
+            primes = np.array(_moduli(max(len(rel.rows), len(rel.cols)), 2**200))[:, None]
+            for layers, vectors in ((len(primes), 3), (1, 1)):  # one layer takes the lone-vector route
+                stack = rng.integers(0, primes[:layers], size=(len(rel.cols), layers, vectors)).astype(np.float64)
+                out = rel.push(stack)
+                assert out.shape == (len(rel.rows), layers, vectors) and np.array_equal(out, step.push(stack))
+            assert zeta_plan(rel) == plan
 
 
 def test_relation_push_rejects_wrong_length():
@@ -809,6 +821,7 @@ def test_zeta_push_splits_its_stack_within_the_budget(budget, chunks, monkeypatc
     # 15 vectors through 7 sites: a table of 2**7 rows holds budget >> 7
     # of them, or one where the budget is below a single vector
     monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))
+    monkeypatch.setattr(chain_module, "_zeta_costs", ZETA_PLANS["table"])
     monkeypatch.setattr(chain_module, "STACK_ENTRIES", budget)
     tables = []
     zeta = Relation._zeta
@@ -824,6 +837,103 @@ def test_zeta_push_splits_its_stack_within_the_budget(budget, chunks, monkeypatc
     out = link.push(stack)
     assert tables == [(128, k) for k in chunks]
     assert out.shape == (729, 3, 5) and np.array_equal(out, link.built.push(stack))
+
+
+@pytest.mark.parametrize("budget", [2**12, 2**6])
+def test_keys_plan_splits_its_stack_by_its_widest_level(budget, monkeypatch):
+    # the quadratic w=10 link's widest level holds far fewer keys than
+    # its 2**11 table, so a chunk holds that many more vectors
+    monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))
+    monkeypatch.setattr(chain_module, "_zeta_costs", ZETA_PLANS["keys"])
+    monkeypatch.setattr(chain_module, "STACK_ENTRIES", budget)
+    link = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 10).links[0]
+    widest = link._zeta_plan[0]
+    assert widest < 2**link.bits
+    widths = []
+    zeta = Relation._zeta
+
+    def logged(self, flat):
+        widths.append(flat.shape[1])
+        return zeta(self, flat)
+
+    monkeypatch.setattr(Relation, "_zeta", logged)
+    stack = np.random.default_rng(10).integers(0, 2**30, size=(len(link.cols), 3, 5)).astype(np.float64)
+    out = link.push(stack)
+    k = max(1, budget // widest)
+    assert widths == [min(k, 15 - s) for s in range(0, 15, k)]
+    assert np.array_equal(out, link.built.push(stack))
+
+
+@pytest.mark.parametrize(
+    "family, direction, width, plan",
+    # every relation the spectral-bounds benchmark jobs push by zeta
+    [
+        (Family.QUADRATIC, Direction.COLUMNWISE, 14, "keys"),
+        (Family.QUADRATIC, Direction.COLUMNWISE, 15, "keys"),
+        (Family.CROSSED, Direction.COLUMNWISE, 14, "keys"),
+        (Family.AZTEC, Direction.COLUMNWISE, 8, "table"),
+        (Family.AZTEC, Direction.COLUMNWISE, 10, "table"),
+        (Family.AZTEC, Direction.ROWWISE, 10, "table"),
+        (Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 8, "table"),
+        (Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 9, "table"),
+    ],
+)
+def test_zeta_relations_pick_their_plan(family, direction, width, plan):
+    # paths and rings reach a few keys of their table, free and paired
+    # slices nearly all of them
+    steps, _, _ = orbit_steps(transfer_chain(family, direction, width).links)
+    zetas = [step for step, _ in steps if 1 not in step._built_stacks]
+    assert zetas and {zeta_plan(step) for step in zetas} == {plan}
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("direction", list(Direction))
+def test_keys_plan_gathers_the_keys_it_was_priced_at(family, direction, monkeypatch):
+    counted = []
+
+    def logged(bits, entries):
+        counted.append(entries)
+        return ZETA_PLANS["keys"]()
+
+    monkeypatch.setattr(chain_module, "_zeta_costs", logged)
+    for rel in relations(family, direction, _MIN_WIDTH[(family, direction)] + 5):
+        counted.clear()
+        gathers = rel._zeta_plan[1]
+        assert len(gathers) == rel.bits and len(gathers[-1][0]) == len(rel.rows)
+        assert counted == [sum(len(a) for a, _ in gathers)]
+        assert all(len(a) == len(b) for a, b in gathers)
+
+
+def test_quadratic_w19_eig_allocates_no_table(monkeypatch):
+    # The 16-site relation would take a 2**20-entry float table per push;
+    # its keys plan holds at most 21,893 keys a level.
+    chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 19)
+
+    def refuse_tables(make):
+        def guarded(shape, *args, **kwargs):
+            if math.prod(np.atleast_1d(shape)) >= 2**20:
+                raise AssertionError(f"allocated {shape} entries")
+            return make(shape, *args, **kwargs)
+
+        return guarded
+
+    for name in ("zeros", "empty"):
+        monkeypatch.setattr(np, name, refuse_tables(getattr(np, name)))
+    result = dominant_eigenvalue(chain)
+    assert len(result.vector) == len(chain.entry_space) and result.vector.min() > 0
+
+
+@given(
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+    st.integers(1, MAX_ENUM_LENGTH),
+    st.lists(st.integers(0, 10**4), min_size=1, max_size=20),
+)
+def test_crossover_holds_the_stacks_priced_built(rows, cols, bits, stacks):
+    built = chain_module._crossover(rows, cols, bits)
+    for stack in stacks:
+        dense, zeta = chain_module._push_costs(rows, cols, bits, stack)
+        assert (stack in built) == (dense <= zeta)
 
 
 def test_paired_spread_matches_pair_by_pair():

@@ -331,6 +331,31 @@ class TestTable:
         assert out.splitlines()[0].startswith("k,q,lower,upper")
 
 
+class TestParserReuse:
+    def test_main_reuses_one_parser(self, capsys):
+        def fresh(argv):
+            args = cli.build_parser.__wrapped__().parse_args(argv)
+            return args.func(args)
+
+        def outcome(entry, argv):
+            try:
+                code = entry(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            return (code, *capsys.readouterr())
+
+        runs = [
+            ["count", "--family", "quadratic", "--topology", "torus", "-m", "4", "-n", "5"],
+            ["eig", "--family", "crossed", "--direction", "columnwise", "--width", "5"],
+            ["count", "--family", "quadratic", "-m", "4"],
+            ["count", "--family", "aztec", "--topology", "plane", "-m", "3", "-n", "4"],
+        ]
+        results = [outcome(main, argv) for argv in runs]
+        assert [code for code, _, _ in results] == [0, 0, ("exit", 2), 0]
+        assert results == [outcome(fresh, argv) for argv in runs]
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestModuleEntry:
     def test_python_dash_m_runs(self):
         import os

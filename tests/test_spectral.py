@@ -101,8 +101,8 @@ class TestOrbitIteration:
 
 
 class TestZetaIteration:
-    """Power iteration through relations (the zeta push) gives the
-    iterates of power iteration through built steps."""
+    """Power iteration through relations (the zeta push, by either plan)
+    gives the iterates of power iteration through built steps."""
 
     @pytest.mark.parametrize(
         "family, direction, width",
@@ -120,10 +120,13 @@ class TestZetaIteration:
         monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (0.0, 1.0))
         built = dominant_eigenvalue(chain)
         monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))
-        zeta = dominant_eigenvalue(chain)
-        assert zeta.iterations == built.iterations
-        assert abs(zeta.value - built.value) <= 1e-14 * built.value
-        assert np.max(np.abs(zeta.vector - built.vector)) <= 1e-14 * np.max(built.vector)
+        # _zeta_costs prices (the table plan, the keys plan): force each in turn
+        for costs in ((0.0, 1.0), (1.0, 0.0)):
+            monkeypatch.setattr(chain_module, "_zeta_costs", lambda *args: costs)
+            zeta = dominant_eigenvalue(chain)
+            assert zeta.iterations == built.iterations
+            assert abs(zeta.value - built.value) <= 1e-14 * built.value
+            assert np.max(np.abs(zeta.vector - built.vector)) <= 1e-14 * np.max(built.vector)
 
 
 class TestResultContract:
