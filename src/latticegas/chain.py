@@ -35,9 +35,10 @@ Its keys plan holds only the reachable ones, a prefix of some row's
 two gathers: a path or ring slice of L sites has about F(L+2) states, so
 its levels hold a few per cent of the table ("The 1-vertex transfer
 matrix and accurate estimation of channel capacity", Friedland, Lundow,
-Markstroem, 2010).  Each relation picks its plan once, from its own
-masks (``_zeta_costs``): the keys plan on wide path and ring slices, the
-table on free and paired ones, where nearly every key is reachable.
+Markstroem, 2010).  A relation's plan follows the kind of slice its
+sites lie in (``_KEYS_PLAN_KINDS``): the keys plan on path and ring
+slices, the table on free and paired ones, where nearly every key is
+reachable.
 
 Every step commutes with the symmetry of its slices (``_orbits``):
 turning a wrapped slice by one site, or one pair on a paired slice, and
@@ -61,7 +62,6 @@ Each instance is counted once, by whichever of its two sweeps
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -187,27 +187,21 @@ class Relation:
         return build_step(self.rows, self.cols, self.f, self.g)
 
     @cached_property
-    def _built_stacks(self) -> range:
-        """The stack widths ``push`` sends through ``built``: those
-        ``_push_costs`` prices no dearer built than by the zeta push."""
-        return _crossover(*self._dims)
+    def _picks(self) -> dict[int, bool]:
+        """Whether ``push`` takes ``built`` for each stack width it has met."""
+        return {}
 
     @cached_property
     def _zeta_plan(self) -> tuple[int, list[tuple[np.ndarray, np.ndarray]] | None]:
         """(entries per vector of the widest level the zeta push holds, the
-        keys plan's gathers or None for the table), picked on first use by
-        ``_zeta_costs`` from the keys plan's size: at each level, distinct
-        query prefixes times distinct site-set suffixes, each counted
-        from sorted neighbours (the queries with their bits reversed)."""
-        queries, sites, bits = self._gather, self._scatter[0], self.bits
-        prefixes = _distinct_shifts(np.sort(_mirror(queries, bits)), bits)[::-1]
-        suffixes = _distinct_shifts(sites, bits)
-        keys = prefixes * suffixes  # level i's keys, its last level's one per row
-        keys[-1] = len(queries)
-        table, plan = _zeta_costs(bits, int(keys[1:].sum()))
-        if table <= plan:
+        keys plan's gathers or None for the table): the keys plan where
+        the side left unspread, whose ``bits`` sites hold every mask, is
+        of a kind in ``_KEYS_PLAN_KINDS``."""
+        sites, bits = self._scatter[0], self.bits
+        if (self.cols if self.g is None else self.rows).kind not in _KEYS_PLAN_KINDS:
             return 1 << bits, None
-        return int(keys[:-1].max()) + 1, _key_gathers(queries, sites, bits)
+        gathers = _key_gathers(self._gather, sites, bits)
+        return max([len(sites)] + [len(a) for a, _ in gathers[:-1]]) + 1, gathers
 
     @cached_property
     def _room(self) -> threading.local:
@@ -230,14 +224,18 @@ class Relation:
     def push(self, block: np.ndarray) -> np.ndarray:
         """The step times block, a vector or a stack of vectors indexed by cols
         along axis 0: by ``built`` for the stacks ``_push_costs`` prices no
-        dearer that way (``_built_stacks``), else by ``_zeta`` on chunks
-        whose widest level holds STACK_ENTRIES entries or one vector."""
+        dearer that way, else by ``_zeta`` on chunks whose widest level
+        holds STACK_ENTRIES entries or one vector.  Each stack width is
+        priced once, on its first push."""
         block = np.asarray(block, dtype=np.float64)
-        rows, cols, _ = self._dims
+        rows, cols, bits = self._dims
         if len(block) != cols:
             raise ValueError("vector length does not match column space")
         stack = block.size // cols
-        if stack in self._built_stacks:
+        if stack not in self._picks:
+            dense, zeta = _push_costs(rows, cols, bits, stack)
+            self._picks[stack] = dense <= zeta
+        if self._picks[stack]:
             return self.built.push(block)
         k = max(1, STACK_ENTRIES // self._zeta_plan[0])
         if stack <= k:  # one chunk; a lone vector stays 1-D, which numpy indexes fastest
@@ -301,14 +299,10 @@ class Relation:
 _LOW_SITES = 4
 _SUBSETS = np.array([[float(t & s == t) for s in range(1 << _LOW_SITES)] for t in range(1 << _LOW_SITES)])
 
-
-def _distinct_shifts(values: np.ndarray, bits: int) -> np.ndarray:
-    """Entry i is how many distinct values ``values >> i`` takes, for i from
-    0 to bits, of sorted values below 2**bits: one more than the
-    neighbours that differ at bit i or above."""
-    top = np.frexp(values[1:] ^ values[:-1])[1] - 1  # highest differing bit, -1 where equal
-    above = np.bincount(top[top >= 0], minlength=bits)[::-1].cumsum()[::-1]
-    return np.r_[above, 0] + 1
+# The slice kinds whose relations take the keys plan: a path or ring of
+# L sites has about F(L+2) states, so it reaches a few per cent of the
+# 2**L keys, where a free or paired slice reaches nearly every one.
+_KEYS_PLAN_KINDS = frozenset({StateKind.PATH, StateKind.CYCLE})
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -349,42 +343,6 @@ def _key_gathers(queries: np.ndarray, sites: np.ndarray, bits: int) -> list[tupl
     return gathers
 
 
-def _zeta_costs(bits: int, entries: int) -> tuple[float, float]:
-    """Relative costs of one zeta push through a relation on ``bits``
-    sites: (the table plan, the keys plan whose levels after the first
-    hold ``entries`` keys in all).  The table adds half its 2**bits
-    entries into the other half per site, in order; the keys plan
-    gathers each key twice, out of order.  A key is priced at 8 table
-    entries per site, fitted to pushes of orbit relations on 8 to 20
-    sites, all four families (2-vCPU x86-64 VM): a lone vector broke
-    even near 13 entries per key on 13-site paths, a stack of 30 near 2
-    to 3, and on free and paired slices, at 2.3 or fewer, the keys plan
-    was up to 3 times slower for a lone vector."""
-    return bits * 2.0**bits, 8.0 * entries
-
-
-def _crossover(rows: int, cols: int, bits: int) -> range:
-    """The stacks whose push ``_push_costs`` prices no dearer built than
-    by the zeta push.  Both costs are affine in the stack, so these run
-    up to, or from, the stack where the two meet, found by the prices
-    themselves next to it, as floats round."""
-
-    def built(stack: int) -> bool:
-        dense, zeta = _push_costs(rows, cols, bits, stack)
-        return dense <= zeta
-
-    (d0, z0), (d1, z1) = _push_costs(rows, cols, bits, 0), _push_costs(rows, cols, bits, 1)
-    slope, first = (d1 - d0) - (z1 - z0), built(0)  # slope: how much dearer built each vector is
-    if slope == 0 or (slope > 0) != first:  # the same pick at every stack
-        return range(sys.maxsize if first else 0)
-    edge = max(1, math.ceil((z0 - d0) / slope))  # the first stack to pick otherwise, about
-    while edge > 1 and built(edge - 1) != first:
-        edge -= 1
-    while built(edge) == first:
-        edge += 1
-    return range(edge) if first else range(edge, sys.maxsize)
-
-
 def _push_costs(rows: int, cols: int, bits: int, stack: int) -> tuple[float, float]:
     """Estimated nanoseconds of one push of a stack ``stack`` vectors
     wide through a rows x cols relation on ``bits`` sites: (built step,
@@ -398,9 +356,8 @@ def _push_costs(rows: int, cols: int, bits: int, stack: int) -> tuple[float, flo
     families and stacks 1 to 25 wide (2-vCPU x86-64 VM); summed over
     those links, the pushes they pick take about 1% longer than the
     faster ones.  The zeta term is the table plan's, so it is an upper
-    bound where a relation takes the keys plan (``_zeta_costs``).
-    Both costs are affine in the stack, so a relation finds once the
-    stacks whose built push is no dearer (``_crossover``).
+    bound where a relation takes the keys plan (``_KEYS_PLAN_KINDS``).
+    A relation prices each stack width once, on its first push of it.
     """
     dense = rows * cols * (0.6 + 0.05 * stack)
     half = bits * 2 ** (bits - 1)
@@ -743,8 +700,12 @@ def _reduce(block: np.ndarray, mods: np.ndarray) -> np.ndarray:
     """block mod mods, for float64 integers 0 <= x < 2**53, bit for bit
     what np.fmod gives.  floor(x / p) is the exact quotient q: x / p lies
     at least 1/p below q + 1, and rounding moves it by at most
-    x / p * 2**-53 < 1/p.  So q * p <= x is exact, and so is x - q * p."""
-    return block - np.floor(block / mods) * mods
+    x / p * 2**-53 < 1/p.  So q * p <= x is exact, and so is x - q * p.
+    It takes one temporary the size of block and leaves block as it was."""
+    q = np.divide(block, mods)
+    np.floor(q, out=q)
+    q *= mods
+    return np.subtract(block, q, out=q)
 
 
 def _link_orbits(link: Relation | StepMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

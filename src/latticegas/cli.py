@@ -220,6 +220,8 @@ def _cmd_verify(args) -> int:
         families = [Family(args.family)] if args.family else list(Family)
         topologies = [Topology(args.topology)] if args.topology else list(Topology)
         results = list(sweep(args.max_vertices, families, topologies))
+        if not results:  # a sweep that checked nothing must not pass
+            raise ValueError(f"no instance has at most {args.max_vertices} vertices")
     rows = [
         {
             "family": r.instance.family.value,

@@ -30,6 +30,7 @@ estimate accurate to the residual squared.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,8 +74,8 @@ def dominant_eigenvalue(
     n_out = len(links[0].rows)
     if n_in != n_out:
         raise ValueError("chain composite is not square")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     plan, of, sizes = orbit_steps(links)
     v = np.ones(len(sizes)) / np.sqrt(n_in)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from latticegas.chain import (
     _MIN_WIDTH,
     _VALIDITY,
     _is_prime,
+    _key_gathers,
     _moduli,
     _orbits,
     _period_slices,
@@ -712,8 +714,8 @@ def relations(family, direction, width):
         yield dataclasses.replace(link, rows=StateSpace(link.rows.kind, link.rows.length, link.rows.masks[reps]))
 
 
-# _zeta_costs prices (the table, the keys plan): each forces its plan
-ZETA_PLANS = {"table": lambda *args: (0.0, 1.0), "keys": lambda *args: (1.0, 0.0)}
+# the slice kinds that take the keys plan: each forces its plan
+ZETA_PLANS = {"table": frozenset(), "keys": frozenset(StateKind)}
 
 
 def zeta_plan(rel):
@@ -728,8 +730,8 @@ def zeta_plan(rel):
 def test_relation_push_matches_the_built_step(family, direction, width, monkeypatch):
     # Every sum stays below 2**53, so both pushes are exact and any slip shows.
     monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))  # always the zeta push
-    for plan, costs in ZETA_PLANS.items():  # each plan in turn, on relations made afresh
-        monkeypatch.setattr(chain_module, "_zeta_costs", costs)
+    for plan, kinds in ZETA_PLANS.items():  # each plan in turn, on relations made afresh
+        monkeypatch.setattr(chain_module, "_KEYS_PLAN_KINDS", kinds)
         rng = np.random.default_rng(width)
         for rel in relations(family, direction, width):
             step = build_step(rel.rows, rel.cols, rel.f, rel.g)
@@ -821,7 +823,7 @@ def test_zeta_push_splits_its_stack_within_the_budget(budget, chunks, monkeypatc
     # 15 vectors through 7 sites: a table of 2**7 rows holds budget >> 7
     # of them, or one where the budget is below a single vector
     monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))
-    monkeypatch.setattr(chain_module, "_zeta_costs", ZETA_PLANS["table"])
+    monkeypatch.setattr(chain_module, "_KEYS_PLAN_KINDS", ZETA_PLANS["table"])
     monkeypatch.setattr(chain_module, "STACK_ENTRIES", budget)
     tables = []
     zeta = Relation._zeta
@@ -844,7 +846,7 @@ def test_keys_plan_splits_its_stack_by_its_widest_level(budget, monkeypatch):
     # the quadratic w=10 link's widest level holds far fewer keys than
     # its 2**11 table, so a chunk holds that many more vectors
     monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))
-    monkeypatch.setattr(chain_module, "_zeta_costs", ZETA_PLANS["keys"])
+    monkeypatch.setattr(chain_module, "_KEYS_PLAN_KINDS", ZETA_PLANS["keys"])
     monkeypatch.setattr(chain_module, "STACK_ENTRIES", budget)
     link = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 10).links[0]
     widest = link._zeta_plan[0]
@@ -882,25 +884,16 @@ def test_zeta_relations_pick_their_plan(family, direction, width, plan):
     # paths and rings reach a few keys of their table, free and paired
     # slices nearly all of them
     steps, _, _ = orbit_steps(transfer_chain(family, direction, width).links)
-    zetas = [step for step, _ in steps if 1 not in step._built_stacks]
+    zetas = [step for step, _ in steps if not operator.le(*chain_module._push_costs(*step._dims, 1))]
     assert zetas and {zeta_plan(step) for step in zetas} == {plan}
 
 
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("direction", list(Direction))
-def test_keys_plan_gathers_the_keys_it_was_priced_at(family, direction, monkeypatch):
-    counted = []
-
-    def logged(bits, entries):
-        counted.append(entries)
-        return ZETA_PLANS["keys"]()
-
-    monkeypatch.setattr(chain_module, "_zeta_costs", logged)
+def test_key_gathers_take_one_pair_per_site(family, direction):
     for rel in relations(family, direction, _MIN_WIDTH[(family, direction)] + 5):
-        counted.clear()
-        gathers = rel._zeta_plan[1]
+        gathers = _key_gathers(rel._gather, rel._scatter[0], rel.bits)
         assert len(gathers) == rel.bits and len(gathers[-1][0]) == len(rel.rows)
-        assert counted == [sum(len(a) for a, _ in gathers)]
         assert all(len(a) == len(b) for a, b in gathers)
 
 
@@ -923,17 +916,25 @@ def test_quadratic_w19_eig_allocates_no_table(monkeypatch):
     assert len(result.vector) == len(chain.entry_space) and result.vector.min() > 0
 
 
-@given(
-    st.integers(1, 10**6),
-    st.integers(1, 10**6),
-    st.integers(1, MAX_ENUM_LENGTH),
-    st.lists(st.integers(0, 10**4), min_size=1, max_size=20),
-)
-def test_crossover_holds_the_stacks_priced_built(rows, cols, bits, stacks):
-    built = chain_module._crossover(rows, cols, bits)
+def test_relation_prices_each_stack_width_once(monkeypatch):
+    # priced built for even stacks and zeta for odd ones
+    priced = []
+
+    def costs(rows, cols, bits, stack):
+        priced.append((rows, cols, bits, stack))
+        return (0.0, 1.0) if stack % 2 == 0 else (1.0, 0.0)
+
+    monkeypatch.setattr(chain_module, "_push_costs", costs)
+    pushes = record_pushes(monkeypatch)
+    link = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 4).links[0]
+    stacks = [1, 2, 1, 3, 2, 4, 3, 1]
+    rng = np.random.default_rng(4)
     for stack in stacks:
-        dense, zeta = chain_module._push_costs(rows, cols, bits, stack)
-        assert (stack in built) == (dense <= zeta)
+        block = rng.integers(0, 2**30, size=(len(link.cols), stack)).astype(np.float64)
+        assert np.array_equal(link.push(block), link.built.push(block))
+        pushes.pop()  # the reference push
+    assert priced == [(len(link.rows), len(link.cols), link.bits, stack) for stack in (1, 2, 3, 4)]
+    assert [push.kernel for push in pushes] == ["zeta" if stack % 2 else "built" for stack in stacks]
 
 
 def test_paired_spread_matches_pair_by_pair():

@@ -265,6 +265,20 @@ class TestBounds:
         assert "lower" in out and "upper" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eig", "--family", "quadratic", "--direction", "columnwise", "--width", "3"),
+        ("bounds", "--family", "quadratic", "-p", "1", "-q", "2", "-k", "2"),
+    ],
+)
+def test_non_finite_tolerance_refused(capsys, argv, tol):
+    code, out, err = run(capsys, *argv, f"--tol={tol}")
+    assert code == 1 and out == ""
+    assert "tol must be positive and finite" in err
+
+
 class TestVerify:
     def test_single_instance(self, capsys):
         code, out, _ = run(
@@ -291,6 +305,12 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[-1] == "OK"
         assert len(lines) > 2  # header plus at least one instance
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_empty_sweep_is_refused(self, capsys, cap):
+        code, out, err = run(capsys, "verify", "--max-vertices", cap)
+        assert code == 1 and out == ""
+        assert err.startswith("error: no instance")
 
     def test_sweep_json(self, capsys):
         code, out, _ = run(

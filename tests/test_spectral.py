@@ -120,9 +120,9 @@ class TestZetaIteration:
         monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (0.0, 1.0))
         built = dominant_eigenvalue(chain)
         monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))
-        # _zeta_costs prices (the table plan, the keys plan): force each in turn
-        for costs in ((0.0, 1.0), (1.0, 0.0)):
-            monkeypatch.setattr(chain_module, "_zeta_costs", lambda *args: costs)
+        # the slice kinds that take the keys plan: none, then all, forcing each plan in turn
+        for kinds in (frozenset(), frozenset(StateKind)):
+            monkeypatch.setattr(chain_module, "_KEYS_PLAN_KINDS", kinds)
             zeta = dominant_eigenvalue(chain)
             assert zeta.iterations == built.iterations
             assert abs(zeta.value - built.value) <= 1e-14 * built.value
@@ -175,8 +175,9 @@ class TestFailureModes:
 
     def test_rejects_bad_tolerance(self):
         chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 2)
-        with pytest.raises(ValueError):
-            dominant_eigenvalue(chain, tol=0.0)
+        for tol in (0.0, -1e-12, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                dominant_eigenvalue(chain, tol=tol)
 
     def test_nilpotent_matrix_reported_degenerate(self):
         two = path(1)
