@@ -367,19 +367,25 @@ def _push_costs(rows: int, cols: int, bits: int, stack: int) -> tuple[float, flo
 
 @dataclass(frozen=True)
 class TransferChain:
-    """One period of a sweep.  ``links`` are relations from
-    ``transfer_chain``, or hand-built steps, each state its own orbit."""
+    """One period of a sweep: one ``Relation`` per step."""
 
     family: Family
     direction: Direction
     boundary: Boundary
     width: int
-    links: tuple[Relation | StepMatrix, ...]
+    links: tuple[Relation, ...]
+
+    def __post_init__(self) -> None:
+        if not self.links:
+            raise ValueError("empty chain")
+        for link in self.links:
+            if not isinstance(link, Relation):
+                raise TypeError(f"a chain's links are chain.Relation, got {type(link).__name__}")
 
     @property
     def steps(self) -> tuple[StepMatrix, ...]:
         """The whole step of every link: each relation's ``built``."""
-        return tuple(link if isinstance(link, StepMatrix) else link.built for link in self.links)
+        return tuple(link.built for link in self.links)
 
     @property
     def entry_space(self) -> StateSpace:
@@ -708,18 +714,9 @@ def _reduce(block: np.ndarray, mods: np.ndarray) -> np.ndarray:
     return np.subtract(block, q, out=q)
 
 
-def _link_orbits(link: Relation | StepMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_orbits`` of a link's rows; a hand-built step's states are each
-    their own orbit."""
-    if isinstance(link, StepMatrix):
-        n = len(link.rows)
-        return np.arange(n), np.arange(n), np.ones(n, dtype=np.int64)
-    return _orbits(link.rows, link.wrap)
-
-
 def orbit_steps(
-    links: tuple[Relation | StepMatrix, ...]
-) -> tuple[list[tuple[Relation | StepMatrix, np.ndarray]], np.ndarray, np.ndarray]:
+    links: tuple[Relation, ...]
+) -> tuple[list[tuple[Relation, np.ndarray]], np.ndarray, np.ndarray]:
     """How to push vectors that are constant on orbits through a period.
 
     Returns (step, gather) for every link, and the orbit index and orbit
@@ -727,16 +724,13 @@ def orbit_steps(
     orbits of a space: ``step.push(x[gather])`` unfolds it to every
     column and gives it on the orbits of the rows, since the step is the
     link's relation narrowed to the rows at orbit representatives.  A
-    period is a cycle, so a link's columns are the next link's rows.  A
-    hand-built step is pushed whole, behind an identity gather.
+    period is a cycle, so a link's columns are the next link's rows.
     """
-    orbits = [_link_orbits(link) for link in links]
+    orbits = [_orbits(link.rows, link.wrap) for link in links]
     plan = []
     for link, (_, reps, _), (gather, _, _) in zip(links, orbits, orbits[1:] + orbits[:1]):
-        if isinstance(link, Relation):
-            rows = StateSpace(link.rows.kind, link.rows.length, link.rows.masks[reps])
-            link = Relation(rows, link.cols, link.f, link.g, link.wrap)
-        plan.append((link, gather))
+        rows = StateSpace(link.rows.kind, link.rows.length, link.rows.masks[reps])
+        plan.append((Relation(rows, link.cols, link.f, link.g, link.wrap), gather))
     of, _, sizes = orbits[0]
     return plan, of, sizes
 
@@ -757,15 +751,15 @@ def _count_moduli(dims: Sequence[tuple[int, int]], periods: int, trace: bool) ->
 def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     """1^T M^periods 1, or tr(M^periods) if trace, for the composite M.
 
-    Every step commutes with the symmetry of its slices (a hand-built
-    step's is the identity), so both are sums over orbits.  An open count
-    pushes the all-ones vector, which is constant on orbits, through
-    ``orbit_steps`` and weights each orbit by its size.  A trace runs
-    over the period's smallest slice space: every state of an orbit has
-    the same diagonal entry, so tr = sum over orbit representatives r of
-    |orbit r| * M_rr, and it pushes one basis vector per orbit through
-    the whole links, in blocks of STACK_ENTRIES at the widest space the
-    stack fans out to; each link's ``push`` picks its kernel for them.
+    Every step commutes with the symmetry of its slices, so both are
+    sums over orbits.  An open count pushes the all-ones vector, which
+    is constant on orbits, through ``orbit_steps`` and weights each
+    orbit by its size.  A trace runs over the period's smallest slice
+    space: every state of an orbit has the same diagonal entry, so tr =
+    sum over orbit representatives r of |orbit r| * M_rr, and it pushes
+    one basis vector per orbit through the whole links, in blocks of
+    STACK_ENTRIES at the widest space the stack fans out to; each link's
+    ``push`` picks its kernel for them.
 
     The stack has one layer per prime of ``_count_moduli``.  A push
     sums at most len(cols) entries, so ``top`` bounds every entry: it
@@ -786,7 +780,7 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     # nonzero entries are where the column starts
     if trace:  # a basis vector is not symmetric: push it through whole links
         plan = [(link, slice(None)) for link in links]
-        _, reps, sizes = _link_orbits(links[0])
+        _, reps, sizes = _orbits(links[0].rows, links[0].wrap)
         k = max(1, STACK_ENTRIES // (len(primes) * max(r for r, _ in dims)))
         picks = (np.equal.outer(np.arange(size), reps[s:s + k]) * sizes[s:s + k] for s in range(0, len(reps), k))
     else:

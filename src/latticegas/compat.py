@@ -10,9 +10,9 @@ counts push residues mod primes below 2**48 / (widest slice space)
 (see ``chain._moduli``).  Their sums stay exact float64 integers
 because ``chain._contract`` reduces a block before any push that
 could carry an entry past 2**52.
-A step need not be built to be pushed: ``chain.Relation.push`` takes
-the same product from the two spreads alone where that is cheaper, and
-through the step it builds (``Relation.built``) where it is not.
+A chain pushes ``chain.Relation`` links, which build a step only where
+this product is the cheaper kernel; ``chain``'s module docstring
+describes the kernels.
 
 Every step is one relation
 

@@ -8,20 +8,13 @@ through the factors, last to first, with the pushes that open counts
 use too.
 
 The iterates start from the all-ones vector, and every step of a chain
-from ``transfer_chain`` commutes with the symmetry of its slices, so
-they stay constant on its orbits.  They are held one entry per orbit and
-pushed through ``chain.orbit_steps``, relations narrowed to the rows at
-the orbit representatives; inner products and norms weight each orbit by
-its size, so the iterates, and the iteration counts, are those over every
-state.  Each relation pushes the vector through its built step or by the
-zeta push (``chain.Relation.push``), whichever ``chain._push_costs``
-prices lower for one vector: the wide strips build no step at all.  The
-zeta push sums over the table of every site set on aztec and
-truncated-square slices, and over the reachable keys only on quadratic
-and crossed ones, whose path slices reach a few per cent of the table.
-The pushes round differently, within 1e-14 of each other, and the
-iteration counts agree.  Hand-built chains and bare step lists are
-pushed whole.
+commutes with the symmetry of its slices, so they stay constant on its
+orbits.  They are held one entry per orbit and pushed through
+``chain.orbit_steps``, relations narrowed to the rows at the orbit
+representatives; inner products and norms weight each orbit by its
+size, so the iterates, and the iteration counts, are those over every
+state.  Each relation picks its own kernel for the push; ``chain``'s
+module docstring describes the kernels and how they are priced.
 
 All composites in this package are symmetric (the factor lists read
 the same forwards as transposed backwards, since each return step is
@@ -32,11 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .compat import StepMatrix
 from .chain import TransferChain, orbit_steps
 
 __all__ = ["ConvergenceError", "EigenResult", "dominant_eigenvalue"]
@@ -55,7 +46,7 @@ class EigenResult:
 
 
 def dominant_eigenvalue(
-    chain: "TransferChain | Sequence[StepMatrix]",
+    chain: TransferChain,
     tol: float = 1e-12,
     max_iterations: int = 50000,
 ) -> EigenResult:
@@ -67,17 +58,15 @@ def dominant_eigenvalue(
     tol relative to lambda * ||v||, both in the max norm.  The result's
     vector has an entry for every state, unfolded from the orbits.
     """
-    links = chain.links if isinstance(chain, TransferChain) else tuple(chain)
-    if not links:
-        raise ValueError("empty chain")
-    n_in = len(links[-1].cols)
-    n_out = len(links[0].rows)
-    if n_in != n_out:
+    n_in = len(chain.exit_space)
+    if n_in != len(chain.entry_space):
         raise ValueError("chain composite is not square")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be at least 1, got {max_iterations}")
 
-    plan, of, sizes = orbit_steps(links)
+    plan, of, sizes = orbit_steps(chain.links)
     v = np.ones(len(sizes)) / np.sqrt(n_in)
     lam = 0.0
     for it in range(1, max_iterations + 1):

@@ -176,12 +176,17 @@ class TestContractions:
         lopsided = TransferChain(
             Family.AZTEC,
             Direction.COLUMNWISE,
-            3,
             Boundary.CYCLIC,
-            (transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3).steps[0],),
+            3,
+            transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3).links[:1],
         )
         with pytest.raises(ValueError):
             count_cyclic(lopsided, 2)
+
+    def test_chain_refuses_a_built_step_link(self):
+        chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 3)
+        with pytest.raises(TypeError, match="chain.Relation"):
+            dataclasses.replace(chain, links=chain.steps)
 
 
 class TestInstances:
@@ -959,10 +964,11 @@ def test_paired_spread_matches_pair_by_pair():
 
 
 def all_true_chain(length):
-    """One all-ones step over every mask of `length` free sites: its open
-    count is size**(periods + 1), which is exactly _contract's bound."""
+    """One all-ones step over every mask of `length` free sites (every
+    row spreads to no site): its open count is size**(periods + 1), which
+    is exactly _contract's bound."""
     space = enumerate_states(StateKind.FREE, length)
-    step = StepMatrix(space, space, np.ones((len(space), len(space)), dtype=bool))
+    step = Relation(space, space, np.zeros_like, None, False)
     return TransferChain(Family.QUADRATIC, Direction.COLUMNWISE, Boundary.OPEN, length, (step,))
 
 

@@ -244,6 +244,15 @@ class TestEig:
         assert code == 1 and out == ""
         assert err == "error: MemoryError\n"
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_empty_iteration_budget_refused(self, capsys, budget):
+        code, out, err = run(
+            capsys, "eig", "--family", "quadratic", "--direction", "columnwise", "--width", "3",
+            f"--max-iterations={budget}",
+        )
+        assert code == 1 and out == ""
+        assert "max_iterations must be at least 1" in err
+
 
 class TestBounds:
     def test_json_payload(self, capsys):

@@ -4,16 +4,30 @@ import numpy as np
 import pytest
 
 from latticegas import chain as chain_module
-from latticegas.chain import _MIN_WIDTH, Boundary, Direction, Family, chain_dimensions, transfer_chain
-from latticegas.compat import StepMatrix
+from latticegas.chain import (
+    _MIN_WIDTH,
+    Boundary,
+    Direction,
+    Family,
+    Relation,
+    TransferChain,
+    chain_dimensions,
+    transfer_chain,
+)
 from latticegas.spectral import ConvergenceError, dominant_eigenvalue
-from latticegas.statespace import StateKind, enumerate_states
+from latticegas.statespace import StateKind, StateSpace
 
 import golden_data as gold
 
 
-def path(n):
-    return enumerate_states(StateKind.PATH, n)
+def chain_of(links):
+    """A chain of these relations; power iteration reads only its links."""
+    return TransferChain(Family.QUADRATIC, Direction.COLUMNWISE, Boundary.OPEN, 1, tuple(links))
+
+
+def free_space(*masks):
+    """Free sites, holding only these masks."""
+    return StateSpace(StateKind.FREE, max(masks).bit_length(), np.array(masks, dtype=np.int64))
 
 
 class TestKnownRoots:
@@ -50,7 +64,7 @@ class TestKnownRoots:
 
     def test_factored_matches_composed(self):
         chain = transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 3)
-        a = dominant_eigenvalue(chain.steps)
+        a = dominant_eigenvalue(chain)
         b = float(np.linalg.eigvalsh(gold.product(chain.steps)).max())
         assert a.value == pytest.approx(b, rel=1e-12)
 
@@ -87,16 +101,6 @@ class TestOrbitIteration:
         assert res.iterations == iterations
         assert abs(res.value - value) <= 1e-14 * value
         assert res.vector.shape == vector.shape
-        assert np.max(np.abs(res.vector - vector)) <= 1e-14
-
-    @pytest.mark.parametrize("family", list(Family))
-    @pytest.mark.parametrize("direction", list(Direction))
-    def test_step_lists_are_iterated_whole(self, family, direction):
-        steps = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + 2).steps
-        value, vector, iterations = full_space_root(steps)
-        res = dominant_eigenvalue(steps)
-        assert res.iterations == iterations
-        assert abs(res.value - value) <= 1e-14 * value
         assert np.max(np.abs(res.vector - vector)) <= 1e-14
 
 
@@ -153,25 +157,32 @@ class TestResultContract:
 class TestFailureModes:
     def test_periodic_matrix_never_converges(self):
         # the 3-vertex path's adjacency: eigenvalues +/- sqrt(2) tie in
-        # modulus, so the iterate orbits
-        three = path(2)
-        bipartite = StepMatrix(three, three, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool))
+        # modulus, so the iterate orbits; each mask is its own mirror orbit
+        three = free_space(1, 2, 5)
+        bipartite = Relation(three, three, None, None, False)
+        assert bipartite.built.array.astype(int).tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
         with pytest.raises(ConvergenceError):
-            dominant_eigenvalue([bipartite], max_iterations=500)
+            dominant_eigenvalue(chain_of([bipartite]), max_iterations=500)
 
     def test_iteration_budget_enforced(self):
         chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 2)
         with pytest.raises(ConvergenceError):
             dominant_eigenvalue(chain, max_iterations=1)
 
+    @pytest.mark.parametrize("max_iterations", [0, -5])
+    def test_rejects_an_empty_iteration_budget(self, max_iterations):
+        chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 2)
+        with pytest.raises(ValueError, match="max_iterations"):
+            dominant_eigenvalue(chain, max_iterations=max_iterations)
+
     def test_rejects_rectangular_chain(self):
         chain = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3)
         with pytest.raises(ValueError):
-            dominant_eigenvalue(chain.steps[:1])
+            dominant_eigenvalue(chain_of(chain.links[:1]))
 
     def test_rejects_empty_chain(self):
-        with pytest.raises(ValueError):
-            dominant_eigenvalue([])
+        with pytest.raises(ValueError, match="empty chain"):
+            chain_of([])
 
     def test_rejects_bad_tolerance(self):
         chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 2)
@@ -180,7 +191,9 @@ class TestFailureModes:
                 dominant_eigenvalue(chain, tol=tol)
 
     def test_nilpotent_matrix_reported_degenerate(self):
-        two = path(1)
-        shift = StepMatrix(two, two, np.array([[0, 1], [0, 0]], dtype=bool))
+        # the one mask meets itself: the step is [[0]]
+        one = free_space(1)
+        zero = Relation(one, one, None, None, False)
+        assert zero.built.array.tolist() == [[False]]
         with pytest.raises(ValueError, match="degenerate"):
-            dominant_eigenvalue([shift])
+            dominant_eigenvalue(chain_of([zero]))
