@@ -183,10 +183,17 @@ class TestContractions:
         with pytest.raises(ValueError):
             count_cyclic(lopsided, 2)
 
-    def test_chain_refuses_a_built_step_link(self):
-        chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 3)
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_chain_refuses_a_built_step_link(self, family, direction):
+        # the built steps whole, and each one among relations
+        chain = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + 2)
         with pytest.raises(TypeError, match="chain.Relation"):
             dataclasses.replace(chain, links=chain.steps)
+        for i, step in enumerate(chain.steps):
+            links = chain.links[:i] + (step,) + chain.links[i + 1 :]
+            with pytest.raises(TypeError, match="chain.Relation"):
+                dataclasses.replace(chain, links=links)
 
 
 class TestInstances:
