@@ -22,11 +22,12 @@ iff f(u) & g(v) == 0.  ``_spread`` gives each family's one map from the
 period's first slice to the next; a return step (A^T, B^T) applies that
 same map to its columns, so it is built, not copied from a transpose.
 A chain holds each step as that ``Relation``, the one link type every
-contraction pushes, and ``Relation.push`` takes whichever kernel
-``_push_costs`` prices lower for its stack: the step built on first use
-(``Relation.built``), or a subset-sum (zeta) transform over the L sites
-the spreads touch ("Fourier meets Moebius: fast subset convolution",
-Bjoerklund et al., STOC 2007).  The zeta push sums site by site: before
+contraction pushes, and ``Relation.push`` takes one of three kernels,
+whichever ``_push_costs`` prices lower for its stack: the step built on
+first use (``Relation.built``), the folded step of an orbit relation
+(below), or a subset-sum (zeta) transform over the L sites the spreads
+touch ("Fourier meets Moebius: fast subset convolution", Bjoerklund et
+al., STOC 2007).  The zeta push sums site by site: before
 site i a key holds query sites below i and data sites from i up, and
 next[k] = cur[k & ~bit_i] + (cur[k] if k has bit i else 0).  Its table
 plan holds all 2**L keys, O(L * 2**L) per vector against rows * cols.
@@ -44,8 +45,15 @@ Every step commutes with the symmetry of its slices (``_orbits``):
 turning a wrapped slice by one site, or one pair on a paired slice, and
 mirroring an open slice over its own length.  Power iteration and open
 counts push only vectors fixed by it, so they keep one entry per orbit
-and push each relation at its orbit representatives' rows only
-(``orbit_steps``); traces push basis vectors through whole relations.
+and push orbit relations (``orbit_steps``): each relation at its orbit
+representatives' rows, taking a vector on its column orbits.  Such a
+relation pushes by its folded step, F[u, o] = sum of S[u, v] over the
+columns v of orbit o, held as float64 rows x orbits (the step's block
+on the symmetric subspace: about half its columns on open slices, 1/L
+on rings of L), or where F would pass STACK_ENTRIES entries or price
+higher, by the zeta push on the vector unfolded to every column; never
+by its built step.  Traces push basis vectors through whole relations,
+by the built step or the zeta push.
 
 Counts are exact integers: float64 pushes mod primes, joined by the
 Chinese remainder theorem.  Each contraction takes primes as wide as
@@ -57,7 +65,7 @@ runs over the period's smallest slice space: tr(ABC) = tr(BCA).  It
 pushes one basis vector per orbit of that space and weights its
 diagonal entry by the orbit's size.
 Each instance is counted once, by whichever of its two sweeps
-``_push_costs`` prices lowest.
+``_sweep`` prices lowest, at the kernels and stacks its pushes take.
 """
 from __future__ import annotations
 
@@ -70,7 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compat import Spread, StepMatrix, build_step
+from .compat import BLOCK_ENTRIES, Spread, StepMatrix, build_step
 from .statespace import MAX_ENUM_LENGTH, StateKind, StateSpace, enumerate_states, state_count
 
 __all__ = [
@@ -140,8 +148,11 @@ class Relation:
     the slice symmetry: turning a wrapped slice (wrap), mirroring an open
     one.  A vector constant on the orbits of the columns is pushed to one
     constant on the orbits of the rows, so one row per orbit suffices.
-    At most one side is spread, so both sides' masks lie in the ``bits``
-    sites of the side left as is.
+    A relation ``on_orbits`` (``orbit_steps`` makes them) takes such a
+    vector as one entry per column orbit, and pushes it by its folded
+    step or the zeta push, never by ``built``.  At most one side is
+    spread, so both sides' masks lie in the ``bits`` sites of the side
+    left as is.
     """
 
     rows: StateSpace
@@ -149,6 +160,7 @@ class Relation:
     f: Spread | None
     g: Spread | None
     wrap: bool
+    on_orbits: bool = False
 
     def __post_init__(self) -> None:
         if self.f is not None and self.g is not None:
@@ -160,8 +172,10 @@ class Relation:
 
     @cached_property
     def _dims(self) -> tuple[int, int, int]:
-        """(rows, cols, bits), read on every push."""
-        return len(self.rows), len(self.cols), self.bits
+        """(rows, entries of a pushed vector, bits), read on every push: a
+        vector has one entry per column, or per column orbit on_orbits."""
+        cols = len(_orbits(self.cols, self.wrap)[1]) if self.on_orbits else len(self.cols)
+        return len(self.rows), cols, self.bits
 
     @cached_property
     def _scatter(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -187,9 +201,35 @@ class Relation:
         return build_step(self.rows, self.cols, self.f, self.g)
 
     @cached_property
-    def _picks(self) -> dict[int, bool]:
-        """Whether ``push`` takes ``built`` for each stack width it has met."""
+    def _folded(self) -> np.ndarray:
+        """The folded step, float64 rows x column orbits: entry (u, o) sums
+        the step's row u over the columns of orbit o.  The bool step is
+        built for it and not kept: its columns at each row of
+        ``_orbit_images`` are summed as uint8, which counts each column of
+        orbit o n / size(o) times over the n rows, and divided by that."""
+        images = _orbit_images(self.cols, self.wrap)
+        step = build_step(self.rows, self.cols, self.f, self.g).array.view(np.uint8)
+        out = step[:, images[0]]
+        for columns in images[1:]:
+            out += step[:, columns]
+        del step  # before the float64 copy is made
+        out //= (len(images) // _orbits(self.cols, self.wrap)[2]).astype(np.uint8)
+        return out.astype(np.float64)
+
+    @cached_property
+    def _picks(self) -> dict[int, str]:
+        """The kernel ``push`` takes for each stack width it has met."""
         return {}
+
+    def _pick(self, stack: int) -> str:
+        """The kernel ``push`` takes for a stack this wide, from ``_kernel``,
+        priced on the first push of that width."""
+        kernel = self._picks.get(stack)
+        if kernel is None:
+            rows, cols, bits = self._dims
+            orbits = cols if self.on_orbits else None
+            kernel = self._picks[stack] = _kernel(rows, len(self.cols), bits, stack, orbits)[1]
+        return kernel
 
     @cached_property
     def _zeta_plan(self) -> tuple[int, list[tuple[np.ndarray, np.ndarray]] | None]:
@@ -223,26 +263,41 @@ class Relation:
 
     def push(self, block: np.ndarray) -> np.ndarray:
         """The step times block, a vector or a stack of vectors indexed by cols
-        along axis 0: by ``built`` for the stacks ``_push_costs`` prices no
-        dearer that way, else by ``_zeta`` on chunks whose widest level
-        holds STACK_ENTRIES entries or one vector.  Each stack width is
-        priced once, on its first push."""
+        (by column orbits on_orbits) along axis 0, by the kernel ``_pick``
+        gives its stack width: ``built``, ``_fold``, or ``_zeta`` on chunks
+        whose widest level holds STACK_ENTRIES entries or one vector, a
+        vector on orbits first unfolded to every column."""
         block = np.asarray(block, dtype=np.float64)
-        rows, cols, bits = self._dims
+        rows, cols, _ = self._dims
         if len(block) != cols:
             raise ValueError("vector length does not match column space")
         stack = block.size // cols
-        if stack not in self._picks:
-            dense, zeta = _push_costs(rows, cols, bits, stack)
-            self._picks[stack] = dense <= zeta
-        if self._picks[stack]:
+        kernel = self._pick(stack)
+        if kernel == "built":
             return self.built.push(block)
+        if kernel == "fold":
+            return self._fold(block)
+        if self.on_orbits:
+            block = block[_orbits(self.cols, self.wrap)[0]]
         k = max(1, STACK_ENTRIES // self._zeta_plan[0])
         if stack <= k:  # one chunk; a lone vector stays 1-D, which numpy indexes fastest
             return self._zeta(block)
         flat = block.reshape(len(block), -1)
         out = np.hstack([self._zeta(flat[:, s:s + k]) for s in range(0, stack, k)])
         return out.reshape((rows,) + block.shape[1:])
+
+    def _fold(self, block: np.ndarray) -> np.ndarray:
+        """The step times block on column orbits, by the folded step, a
+        block of BLOCK_ENTRIES entries of its rows at a time, as a built
+        step's push is.  Entry (u, o) of ``_folded`` counts the 1s of row u
+        in orbit o, so a row sums at most len(cols) entries of block, as
+        the step's does."""
+        folded, flat = self._folded, block.reshape(len(block), -1)
+        out = np.empty((len(folded), flat.shape[1]))
+        step = max(1, BLOCK_ENTRIES // len(flat))
+        for i in range(0, len(out), step):
+            np.matmul(folded[i:i + step], flat, out=out[i:i + step])
+        return out.reshape((len(out),) + block.shape[1:])
 
     def _zeta(self, block: np.ndarray) -> np.ndarray:
         """The step times block, unbuilt: row u sums x[v] over the v with
@@ -343,26 +398,58 @@ def _key_gathers(queries: np.ndarray, sites: np.ndarray, bits: int) -> list[tupl
     return gathers
 
 
-def _push_costs(rows: int, cols: int, bits: int, stack: int) -> tuple[float, float]:
+def _push_costs(rows: int, cols: int, bits: int, stack: int, orbits: int | None = None) -> tuple[float, float]:
     """Estimated nanoseconds of one push of a stack ``stack`` vectors
-    wide through a rows x cols relation on ``bits`` sites: (built step,
-    zeta push), the two kernels ``Relation.push`` picks from.
+    wide through a rows x cols relation on ``bits`` sites: (product,
+    zeta push).  The product is the built step's, or, given the column
+    orbits a vector holds, the folded step's (``Relation._fold``).
 
     A built step converts each entry to float64 and multiplies it into
-    every vector.  The zeta push adds one half of a 2**bits table into
-    the other once per site, with a fixed numpy overhead per site, and
-    scatters and gathers every vector.  The constants are fitted to
+    every vector; a folded one is float64 already, rows x orbits.  The
+    zeta push adds one half of a 2**bits table into the other once per
+    site, with a fixed numpy overhead per site, and scatters and gathers
+    every vector.  The built and zeta constants are fitted to
     single-threaded timings of both pushes through 323 links of all four
     families and stacks 1 to 25 wide (2-vCPU x86-64 VM); summed over
     those links, the pushes they pick take about 1% longer than the
-    faster ones.  The zeta term is the table plan's, so it is an upper
-    bound where a relation takes the keys plan (``_KEYS_PLAN_KINDS``).
-    A relation prices each stack width once, on its first push of it.
+    faster ones.  The folded ones are fitted to timings of the folded
+    and zeta pushes of 150 orbit relations of all four families at
+    stacks 1 to 40 (same VM, numpy's default threads), where the picks
+    take 0.3% longer than the faster pushes.  The zeta term is the table
+    plan's, so it is an upper bound where a relation takes the keys plan
+    (``_KEYS_PLAN_KINDS``).
     """
-    dense = rows * cols * (0.6 + 0.05 * stack)
+    if orbits is None:
+        dense = rows * cols * (0.6 + 0.05 * stack)
+    else:
+        dense = rows * orbits * (0.2 + 0.045 * stack)
     half = bits * 2 ** (bits - 1)
     zeta = half * (0.1 + stack) + 3 * (rows + cols + 2**bits) * stack + 3000 * bits + 5000
     return dense, zeta
+
+
+# float64 entries a folded step may hold where that is more than the
+# bytes of the bool step it folds: 2**17 entries is 1 MiB.
+FOLD_ENTRIES = 1 << 17
+
+
+def _kernel(rows: int, cols: int, bits: int, stack: int, orbits: int | None = None) -> tuple[float, str]:
+    """(estimated nanoseconds, kernel) of the push a relation takes for a
+    stack this wide, from ``_push_costs``: a whole relation's built step
+    or zeta push; a relation on ``orbits`` column orbits takes its folded
+    step, or else the zeta push, and never its built step.
+
+    A folded step is taken where it is priced no dearer and holds at
+    most STACK_ENTRIES entries, and no more bytes than the bool step it
+    folds or FOLD_ENTRIES entries.  It holds 8 bytes per entry of rows x
+    orbits: on a ring of L sites 8/L of the bool step's bytes, on a
+    mirrored slice 4 times them (truncated-square strip 8's 136 x 1107
+    fold would hold 1.2 MB for a 0.3 MB step)."""
+    dense, zeta = _push_costs(rows, cols, bits, stack, orbits)
+    if orbits is None:
+        return (dense, "built") if dense <= zeta else (zeta, "zeta")
+    room = min(STACK_ENTRIES, max(FOLD_ENTRIES, rows * cols // 8))
+    return (dense, "fold") if dense <= zeta and rows * orbits <= room else (zeta, "zeta")
 
 
 @dataclass(frozen=True)
@@ -451,12 +538,23 @@ def _mirror(x: np.ndarray, length: int) -> np.ndarray:
     return out >> (-length % 8)
 
 
+def _images(masks: np.ndarray, space: StateSpace, wrap: bool) -> np.ndarray:
+    """Every image of masks of this space under its symmetry, one row per
+    element: turned by 0, 1, ... units of a wrapped slice (sites, or
+    pairs on a PAIRED space); as they are and mirrored on an open one."""
+    L = space.length
+    if wrap:
+        s = np.arange(0, L, 2 if space.kind is StateKind.PAIRED else 1, dtype=np.int64)[:, None]
+        return ((masks << s) | (masks >> (L - s))) & ((1 << L) - 1)
+    return np.stack((masks, _mirror(masks, L)))
+
+
 @lru_cache(maxsize=64)
 def _orbits(space: StateSpace, wrap: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(orbit index of every state, representative index of every orbit,
-    orbit sizes) of a slice space under its symmetry: turning a wrapped
-    slice by one site, or by one pair on a PAIRED space; mirroring an
-    open one over its own length.
+    orbit sizes) of a slice space under its symmetry (``_images``):
+    turning a wrapped slice by one site, or by one pair on a PAIRED
+    space; mirroring an open one over its own length.
 
     A representative is the smallest mask of its orbit, and orbits are
     numbered in the order of their representatives.  The arrays are
@@ -464,18 +562,58 @@ def _orbits(space: StateSpace, wrap: bool) -> tuple[np.ndarray, np.ndarray, np.n
     shares per (kind, length): a sweep over many small instances meets
     the same few spaces in every count.
     """
-    L, masks = space.length, space.masks
-    if wrap:
-        s = np.arange(0, L, 2 if space.kind is StateKind.PAIRED else 1, dtype=np.int64)[:, None]
-        least = (((masks << s) | (masks >> (L - s))) & ((1 << L) - 1)).min(axis=0)
-    else:
-        least = np.minimum(masks, _mirror(masks, L))
+    masks = space.masks
+    least = _images(masks, space, wrap).min(axis=0)
     reps = np.flatnonzero(masks == least)
     of = np.searchsorted(masks[reps], least)
     found = of, reps, np.bincount(of)
     for a in found:
         a.flags.writeable = False
     return found
+
+
+@lru_cache(maxsize=64)
+def _orbit_images(space: StateSpace, wrap: bool) -> np.ndarray:
+    """The index of every image of every orbit representative, one row
+    per element of the symmetry, one column per orbit: the columns that
+    ``Relation._folded`` sums.  Over its n rows, column o holds each
+    state of orbit o n / size(o) times."""
+    _, reps, _ = _orbits(space, wrap)
+    found = np.searchsorted(space.masks, _images(space.masks[reps], space, wrap))
+    found.flags.writeable = False
+    return found
+
+
+@lru_cache(maxsize=None)
+def _orbit_count(kind: StateKind, length: int, wrap: bool) -> int:
+    """The number of orbits ``_orbits`` finds in a (kind, length) space
+    of a chain (paths are open, cycles wrapped), from closed forms,
+    without enumerating it: by Burnside's lemma, the mean over the
+    symmetry's elements of the states each one fixes."""
+    fib = [0, 1]
+    for _ in range(length + 2):
+        fib.append(fib[-1] + fib[-2])
+    if not wrap:  # the identity fixes every state, the mirror the palindromes
+        h = length // 2
+        if kind is StateKind.FREE:
+            fixed = 2 ** (length - h)
+        elif kind is StateKind.PAIRED:  # a middle pair fixed by the swap is empty
+            fixed = 3 ** (h // 2)
+        else:  # a path's first half, whose last site stays empty at even length
+            fixed = fib[h + 3] if length % 2 else fib[h + 1]
+        return (state_count(kind, length) + fixed) // 2
+    # turning by j of the n units (sites, or pairs on a PAIRED space)
+    # fixes the states that repeat a ring of gcd(j, n) units
+    n = length // 2 if kind is StateKind.PAIRED else length
+
+    def ring(d: int) -> int:
+        if kind is StateKind.FREE:
+            return 2**d
+        if kind is StateKind.PAIRED:
+            return 3**d
+        return fib[d - 1] + fib[d + 1]
+
+    return sum(ring(math.gcd(j, n)) for j in range(n)) // n
 
 
 def _spread(family: Family, wrap: bool, length: int) -> Spread | None:
@@ -663,19 +801,25 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+# The primes found so far below 2**bits, largest first, per bits.
+_PRIMES: dict[int, tuple[int, ...]] = {}
+
+
 def _primes(count: int, bits: int) -> tuple[int, ...]:
     """The count largest primes below 2**bits, largest first; each lies
-    above 2**(bits-1)."""
-    found: list[int] = []
-    n = 2**bits - 1
-    while len(found) < count:
-        if n <= 2 ** (bits - 1):
-            raise ValueError(f"fewer than {count} primes of {bits} bits")
-        if _is_prime(n):
-            found.append(n)
-        n -= 2
-    return tuple(found)
+    above 2**(bits-1).  One list per width is kept and extended on demand."""
+    found = _PRIMES.get(bits, ())
+    if len(found) < count:
+        more = list(found)
+        n = (found[-1] if found else 2**bits + 1) - 2
+        while len(more) < count:
+            if n <= 2 ** (bits - 1):
+                raise ValueError(f"fewer than {count} primes of {bits} bits")
+            if _is_prime(n):
+                more.append(n)
+            n -= 2
+        found = _PRIMES[bits] = tuple(more)
+    return found[:count]
 
 
 def _moduli(widest: int, bound: int) -> tuple[int, ...]:
@@ -688,13 +832,11 @@ def _moduli(widest: int, bound: int) -> tuple[int, ...]:
     reduction.
     """
     bits = 48 - widest.bit_length()
-    # each prime exceeds 2**(bits-1), so these many multiply past bound
-    primes = _primes(bound.bit_length() // (bits - 1) + 1, bits)
     product, n = 1, 0
     while product <= bound:
-        product *= primes[n]
         n += 1
-    return primes[:n]
+        product *= _primes(n, bits)[-1]
+    return _primes(n, bits)
 
 
 # float64 holds every integer below 2**53.  Every entry of a block of
@@ -714,24 +856,23 @@ def _reduce(block: np.ndarray, mods: np.ndarray) -> np.ndarray:
     return np.subtract(block, q, out=q)
 
 
-def orbit_steps(
-    links: tuple[Relation, ...]
-) -> tuple[list[tuple[Relation, np.ndarray]], np.ndarray, np.ndarray]:
+def orbit_steps(links: tuple[Relation, ...]) -> tuple[list[Relation], np.ndarray, np.ndarray]:
     """How to push vectors that are constant on orbits through a period.
 
-    Returns (step, gather) for every link, and the orbit index and orbit
-    size of every state of the first link's rows.  A vector lives on the
-    orbits of a space: ``step.push(x[gather])`` unfolds it to every
-    column and gives it on the orbits of the rows, since the step is the
-    link's relation narrowed to the rows at orbit representatives.  A
-    period is a cycle, so a link's columns are the next link's rows.
+    Returns every link's relation narrowed to the rows at its orbit
+    representatives and taking vectors on its columns' orbits
+    (``on_orbits``), and the orbit index and orbit size of every state of
+    the first link's rows.  A vector lives on the orbits of a space, one
+    entry per orbit in the order of their representatives, and a push
+    gives it on the orbits of the rows.  A period is a cycle, so a link's
+    columns are the next link's rows.
     """
-    orbits = [_orbits(link.rows, link.wrap) for link in links]
     plan = []
-    for link, (_, reps, _), (gather, _, _) in zip(links, orbits, orbits[1:] + orbits[:1]):
+    for link in links:
+        _, reps, _ = _orbits(link.rows, link.wrap)
         rows = StateSpace(link.rows.kind, link.rows.length, link.rows.masks[reps])
-        plan.append((Relation(rows, link.cols, link.f, link.g, link.wrap), gather))
-    of, _, sizes = orbits[0]
+        plan.append(Relation(rows, link.cols, link.f, link.g, link.wrap, on_orbits=True))
+    of, _, sizes = _orbits(links[0].rows, links[0].wrap)
     return plan, of, sizes
 
 
@@ -746,6 +887,12 @@ def _count_moduli(dims: Sequence[tuple[int, int]], periods: int, trace: bool) ->
     size = min(r for r, _ in dims) if trace else dims[0][0]
     widest = max(r for r, _ in dims)
     return _moduli(widest, size * math.prod(c for _, c in dims) ** periods)
+
+
+def _trace_block(primes: int, dims: Sequence[tuple[int, int]]) -> int:
+    """Basis vectors per block of a trace: its stack holds STACK_ENTRIES
+    entries, one layer per prime, at the widest slice space of ``dims``."""
+    return max(1, STACK_ENTRIES // (primes * max(r for r, _ in dims)))
 
 
 def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
@@ -779,23 +926,23 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     # pick[u, j] weights entry u of pushed column j at the end, and its
     # nonzero entries are where the column starts
     if trace:  # a basis vector is not symmetric: push it through whole links
-        plan = [(link, slice(None)) for link in links]
+        plan = links
         _, reps, sizes = _orbits(links[0].rows, links[0].wrap)
-        k = max(1, STACK_ENTRIES // (len(primes) * max(r for r, _ in dims)))
+        k = _trace_block(len(primes), dims)
         picks = (np.equal.outer(np.arange(size), reps[s:s + k]) * sizes[s:s + k] for s in range(0, len(reps), k))
     else:
         plan, _, sizes = orbit_steps(links)
         picks = (sizes[:, None],)
-    pushes = [(step, gather, len(step.cols)) for step, gather in reversed(plan)]
+    pushes = [(step, len(step.cols)) for step in reversed(plan)]
     residues = np.zeros(len(primes))
     for pick in picks:
         block = np.broadcast_to((pick > 0)[:, None], (len(pick), len(primes), pick.shape[1]))
         top = 1  # no entry of block exceeds top
         for _ in range(periods):
-            for step, gather, cols in pushes:
+            for step, cols in pushes:  # a push sums at most cols entries, on orbits too
                 if top * cols >= _EXACT:
                     block, top = _reduce(block, mods), primes[0] - 1  # primes[0] is the largest
-                block = step.push(block[gather])
+                block = step.push(block)
                 top *= cols
         if top * size >= _EXACT:  # the weights of pick sum to at most size
             block = _reduce(block, mods)
@@ -823,20 +970,27 @@ def count_cyclic(chain: TransferChain, periods: int) -> int:
     return _contract(chain, periods, trace=True)
 
 
+# Nanoseconds per entry of the rows x cols step a kernel builds, once
+# per contraction: built, and built then folded (2-vCPU x86-64 VM).  The
+# zeta push builds no step; its plan is left unpriced.
+_SETUP_NS = {"built": 1.0, "fold": 3.0, "zeta": 0.0}
+
+
 def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     """(direction, width, periods, trace) of the sweep that counts an instance.
 
     A plane sweeps open across m or across n, a cylinder traces around
     its wrap or sweeps open along its axis, and a torus traces rowwise
     at width n or m.  Of those whose slices fit in MAX_ENUM_LENGTH sites,
-    the first with the lowest ``_push_costs`` wins, for a stack one
-    layer per prime of ``_count_moduli`` wide: periods times the cost of
-    a period, the cheaper push of each step, taken once for an open
-    sweep and once per state of its smallest slice space for a trace.
-    Each step is priced at all its rows, where an open sweep pushes one
-    row per orbit and a trace one vector per orbit, so the estimate
-    over-counts both: by about 2 on open slices (the mirror), by about
-    the ring length on wrapped ones.
+    the first with the lowest price wins: periods times the price of a
+    period, the push ``_kernel`` picks for each link at the stack
+    ``_contract`` pushes, one layer per prime of ``_count_moduli``.  An
+    open sweep pushes each link once, at its orbit rows and on its
+    column orbits; a trace pushes each whole link once per block of
+    ``_trace_block`` basis vectors, one per orbit of its smallest slice
+    space.  Each link's kernel adds its one-time build (``_SETUP_NS``).
+    Orbits are counted by ``_orbit_count``, so pricing enumerates
+    nothing.
     """
     fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
     col, row = Direction.COLUMNWISE, Direction.ROWWISE
@@ -854,11 +1008,22 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
         if max(length for _, length in slices) > MAX_ENUM_LENGTH:
             continue
         dims = _shapes(slices)
-        stack = len(_count_moduli(dims, periods, trace))
+        primes = len(_count_moduli(dims, periods, trace))
         bits = slices[-1][1]  # every relation's sites are the last slice's
-        pushes = min(r for r, _ in dims) if trace else 1  # a trace pushes a vector per state
-        cost = pushes * sum(min(_push_costs(r, c, bits, stack)) for r, c in dims)
-        fits.append((periods * cost, (direction, width, periods, trace)))
+        orbits = [_orbit_count(kind, length, direction is row) for kind, length in slices]
+        if trace:
+            k = _trace_block(primes, dims)
+            vectors = orbits[min(range(len(dims)), key=lambda i: dims[i][0])]
+            blocks = ((k, vectors // k), (vectors % k, 1))  # (width, how many)
+            links = [(r, c, None) for r, c in dims]
+        else:
+            blocks = ((1, 1),)
+            links = [(orbits[i], c, orbits[(i + 1) % len(dims)]) for i, (_, c) in enumerate(dims)]
+        cost = 0.0
+        for r, c, o in links:
+            picks = [(times, *_kernel(r, c, bits, primes * w, o)) for w, times in blocks if w]
+            cost += periods * sum(times * price for times, price, _ in picks) + r * c * _SETUP_NS[picks[0][2]]
+        fits.append((cost, (direction, width, periods, trace)))
     if not fits:
         raise ValueError(
             f"{fam.value} {topo.value} {m}x{n} has no sweep whose slices fit "

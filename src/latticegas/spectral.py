@@ -11,9 +11,10 @@ The iterates start from the all-ones vector, and every step of a chain
 commutes with the symmetry of its slices, so they stay constant on its
 orbits.  They are held one entry per orbit and pushed through
 ``chain.orbit_steps``, relations narrowed to the rows at the orbit
-representatives; inner products and norms weight each orbit by its
-size, so the iterates, and the iteration counts, are those over every
-state.  Each relation picks its own kernel for the push; ``chain``'s
+representatives that take and give vectors on orbits; inner products
+and norms weight each orbit by its size, so the iterates, and the
+iteration counts, are those over every state.  Each relation picks its
+own kernel for the push, its folded step or the zeta push; ``chain``'s
 module docstring describes the kernels and how they are priced.
 
 All composites in this package are symmetric (the factor lists read
@@ -73,8 +74,8 @@ def dominant_eigenvalue(
         # The composite is steps[0] @ steps[1] @ ... acting on column
         # vectors, so the last factor hits the vector first.
         w = v
-        for step, gather in reversed(plan):
-            w = step.push(w[gather])
+        for step in reversed(plan):
+            w = step.push(w)
         lam_new = float((sizes * v) @ w)
         norm = float(np.sqrt(w @ (sizes * w)))
         if norm == 0.0:

@@ -1,7 +1,6 @@
 import collections
 import dataclasses
 import math
-import operator
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from latticegas.chain import (
     _is_prime,
     _key_gathers,
     _moduli,
+    _orbit_count,
     _orbits,
     _period_slices,
     _periods,
@@ -325,14 +325,15 @@ class TestExactness:
         assert got == reference_open(chain, 100)
 
     def test_truncated_square_plane_reduces_mid_period(self, monkeypatch):
-        # Pushes take 243, 64 and 64 columns in turn, so no entry passes
-        # 2**52 before the 8th push, the second of the third period: the
-        # block is first reduced between two links of one period.
+        # Pushes sum 243, 64 and 64 columns in turn, held as their 126, 36
+        # and 36 mirror orbits, so no entry passes 2**52 before the 8th
+        # push, the second of the third period: the block is first reduced
+        # between two links of one period.
         chain = transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 6)
         pushes = record_pushes(monkeypatch)
         reductions = record_reductions(monkeypatch, pushes)
         got = count_open(chain, 6)
-        assert [push.cols for push in pushes[:3]] == [243, 64, 64]
+        assert [push.cols for push in pushes[:3]] == [126, 36, 36]
         assert pushes[0].layers == 4 and reductions[0].after == 7
         assert got == reference_open(chain, 6)
 
@@ -398,6 +399,34 @@ class TestLongCylinders:
 class TestOneSweep:
     """count_lattice counts an instance once, by the cheapest sweep."""
 
+    @pytest.mark.parametrize(
+        "family, topology, m, n",
+        [
+            (Family.QUADRATIC, Topology.PLANE, 12, 100),  # folded orbit links
+            (Family.AZTEC, Topology.CYLINDER, 8, 18),  # a trace, zeta pushes
+            (Family.TRUNCATED_SQUARE, Topology.TORUS, 8, 9),  # a trace in blocks
+            (Family.TRUNCATED_SQUARE, Topology.CYLINDER, 4, 12),  # open orbit links
+        ],
+    )
+    def test_prices_the_pushes_it_takes(self, family, topology, m, n, monkeypatch):
+        # every (rows, cols, stack, column orbits) a count's relations pick
+        # a kernel for is one its sweep was priced at, kernel and all
+        priced = []
+        kernel = chain_module._kernel
+
+        def logged(rows, cols, bits, stack, orbits=None):
+            found = kernel(rows, cols, bits, stack, orbits)
+            priced.append((rows, cols, stack, orbits, found[1]))
+            return found
+
+        monkeypatch.setattr(chain_module, "_kernel", logged)
+        inst = LatticeInstance(family, topology, m, n)
+        _sweep(inst)
+        swept = set(priced)
+        priced.clear()
+        count_lattice(inst)
+        assert priced and set(priced) <= swept
+
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("topology", list(Topology))
     def test_one_contraction_per_count(self, family, topology, monkeypatch):
@@ -425,10 +454,11 @@ class TestOneSweep:
     @pytest.mark.parametrize(
         "m, n, direction",
         [
-            (3, 3, Direction.ROWWISE),  # 48 open pushes against 1536 traced
-            (13, 3, Direction.ROWWISE),  # 208 against about 2.9e9
-            (5, 10, Direction.ROWWISE),  # 75645 against 92610
-            (5, 11, Direction.COLUMNWISE),  # 101871 traced against 198005 open
+            # priced in estimated nanoseconds
+            (3, 3, Direction.ROWWISE),  # 27 open against 227 traced
+            (13, 3, Direction.ROWWISE),  # 37 against about 1.5e8
+            (5, 10, Direction.ROWWISE),  # 5861 against 8379
+            (5, 11, Direction.COLUMNWISE),  # 9173 traced against 11866 open
             (2, 30, Direction.COLUMNWISE),  # a 30-site ring does not fit
         ],
     )
@@ -488,15 +518,16 @@ class TestOneSweep:
 # One push: len(block), the larger of the in and out sizes, the block
 # width (the length of its last axis), the prime layers (the length of the
 # middle axis of a 3-D stack, else 1), the rows of the output, and the
-# kernel that took it, "built" or "zeta".
+# kernel that took it, "built", "fold" or "zeta".
 Push = collections.namedtuple("Push", "cols size width layers rows kernel")
 
 
 def record_pushes(monkeypatch):
-    """Patch StepMatrix.push and Relation.push to log a Push for every
-    push; a relation that pushes its built step is logged once, as built."""
+    """Patch StepMatrix.push, Relation._fold and Relation.push to log a
+    Push for every push; a relation that pushes its built or folded step
+    is logged once, as built or fold."""
     log = []
-    built, relation = StepMatrix.push, Relation.push
+    built, fold, relation = StepMatrix.push, Relation._fold, Relation.push
 
     def note(block, out, kernel):
         shape = np.shape(block)
@@ -508,6 +539,11 @@ def record_pushes(monkeypatch):
         note(block, out, "built")
         return out
 
+    def logged_fold(self, block):
+        out = fold(self, block)
+        note(block, out, "fold")
+        return out
+
     def logged_relation(self, block):
         before = len(log)
         out = relation(self, block)
@@ -516,6 +552,7 @@ def record_pushes(monkeypatch):
         return out
 
     monkeypatch.setattr(StepMatrix, "push", logged_built)
+    monkeypatch.setattr(Relation, "_fold", logged_fold)
     monkeypatch.setattr(Relation, "push", logged_relation)
     return log
 
@@ -619,6 +656,19 @@ def test_orbits_partition_the_space(kind, length, wrap):
         assert {of[masks.index(mask)] for mask in orbit} == {j}
 
 
+@pytest.mark.parametrize(
+    "kind, wrap",
+    # every space a chain holds: paths open, rings wrapped, the rest either way
+    [(StateKind.PATH, False), (StateKind.CYCLE, True)] + [(k, w) for k in (StateKind.FREE, StateKind.PAIRED) for w in (False, True)],
+)
+def test_orbit_count_matches_the_orbits(kind, wrap):
+    # the closed forms _sweep prices by, against the orbits pushes run on
+    lengths = {StateKind.CYCLE: range(3, 19), StateKind.PAIRED: range(2, 19, 2)}.get(kind, range(1, 19))
+    for length in lengths:
+        space = enumerate_states(kind, length)
+        assert _orbit_count(kind, length, wrap) == len(_orbits(space, wrap)[1])
+
+
 def test_separate_chains_share_their_orbits():
     # enumeration is shared per (kind, length), so the orbits that the
     # first count caches serve the second chain's count too
@@ -636,12 +686,12 @@ def test_separate_chains_share_their_orbits():
 def test_orbit_steps_rows_are_the_representatives(family, direction):
     chain = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + 3)
     plan, _, _ = orbit_steps(chain.links)
-    for (step, _), link in zip(plan, chain.links):
+    for step, link in zip(plan, chain.links):
         _, reps, _ = _orbits(link.rows, link.wrap)
         masks = step.rows.masks
         assert masks.dtype == np.int64 and not masks.flags.writeable
         assert masks.tolist() == link.rows.masks[reps].tolist()
-        assert step.cols is link.cols
+        assert step.cols is link.cols and step.on_orbits and not link.on_orbits
 
 
 def basis_vectors(pushes, chain, periods):
@@ -675,11 +725,12 @@ def test_cylinder_trace_pushes_one_vector_per_mirror_orbit(family, width, orbits
 
 
 def test_ring_eig_pushes_one_row_per_rotation_orbit(monkeypatch):
+    # 31 orbits in, 31 out: the folded step, not 31 rows of all 322 columns
     chain = transfer_chain(Family.QUADRATIC, Direction.ROWWISE, 12, Boundary.CYCLIC)
     pushes = record_pushes(monkeypatch)
     result = dominant_eigenvalue(chain)
     assert len(pushes) == result.iterations
-    assert {(push.cols, push.rows) for push in pushes} == {(322, 31)}
+    assert {(push.cols, push.rows, push.kernel) for push in pushes} == {(31, 31, "fold")}
     assert len(result.vector) == 322
 
 
@@ -758,6 +809,57 @@ def test_relation_push_matches_the_built_step(family, direction, width, monkeypa
             assert zeta_plan(rel) == plan
 
 
+@pytest.mark.parametrize(
+    "family, direction, width",
+    [(f, d, w) for f in Family for d in Direction for w in range(_MIN_WIDTH[(f, d)], 11)],
+)
+def test_folded_push_matches_the_unfolded_one(family, direction, width):
+    # The folded step times x on orbits, against the step at the orbit
+    # rows times x unfolded to every column: residues exactly, floats to
+    # within the rounding of a sum of at most len(cols) nonnegative terms.
+    rng = np.random.default_rng(width)
+    plan, _, _ = orbit_steps(transfer_chain(family, direction, width).links)
+    for rel in plan:
+        of, reps, _ = _orbits(rel.cols, rel.wrap)
+        step = build_step(rel.rows, rel.cols, rel.f, rel.g)
+        prime = _moduli(len(rel.cols), 2**200)[0]
+        for stack in (1, 25):
+            residues = rng.integers(0, prime, size=(len(reps), stack)).astype(np.float64)
+            assert np.array_equal(rel._fold(residues), step.push(residues[of]))
+            x = rng.random((len(reps), stack))
+            folded, unfolded = rel._fold(x), step.push(x[of])
+            assert np.all(np.abs(folded - unfolded) <= len(rel.cols) * 2.0**-52 * unfolded)
+
+
+@pytest.mark.parametrize(
+    "family, direction, width",
+    # orbit rows x column orbits: 1811 x 1811, 23,188 x 23,188 and 826 x 826
+    [(Family.QUADRATIC, Direction.ROWWISE, 22), (Family.QUADRATIC, Direction.COLUMNWISE, 21), (Family.QUADRATIC, None, 14)],
+)
+def test_no_fold_passes_the_budget(family, direction, width, monkeypatch):
+    # eig at the two widest quadratic slices, and a 14x200 plane count at
+    # 59 primes: each folded step fits STACK_ENTRIES, or the relation takes
+    # the zeta push, and no orbit relation pushes its built step
+    folds = []
+    fold = Relation._fold
+
+    def logged(self, block):
+        folds.append(self._folded.size)
+        return fold(self, block)
+
+    def refused(self, block):
+        raise AssertionError(f"pushed a built {self.shape[0]} x {self.shape[1]} step")
+
+    monkeypatch.setattr(Relation, "_fold", logged)
+    monkeypatch.setattr(StepMatrix, "push", refused)
+    if direction is None:
+        assert _sweep(LatticeInstance(family, Topology.PLANE, width, 200))[:2] == (Direction.COLUMNWISE, width)
+        count(family, Topology.PLANE, width, 200)
+    else:
+        dominant_eigenvalue(transfer_chain(family, direction, width))
+    assert max(folds, default=0) <= STACK_ENTRIES
+
+
 def test_relation_push_rejects_wrong_length():
     link = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3).links[0]
     with pytest.raises(ValueError, match="column space"):
@@ -772,29 +874,35 @@ def test_relation_spreads_one_side_at_most():
 
 
 class TestPushPicks:
-    """A relation pushes through its built step or by the zeta push,
-    whichever _push_costs prices lower for the stack it is given."""
+    """An orbit relation pushes through its folded step or by the zeta
+    push, whichever _push_costs prices lower for the stack it is given,
+    and by the zeta push where its folded step would pass STACK_ENTRIES."""
 
     @pytest.mark.parametrize(
-        "family, direction, width, kernel",
+        "family, direction, width, kernels",
+        # orbit rows x column orbits of each link, and the columns it folds
         [
-            (Family.QUADRATIC, Direction.ROWWISE, 12, "built"),  # 31 x 322 on 12 sites
-            (Family.AZTEC, Direction.COLUMNWISE, 10, "zeta"),  # 528 x 2048 on 11 sites
-            (Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 9, "zeta"),  # 3321 x 512 on 9
+            (Family.QUADRATIC, Direction.ROWWISE, 12, ["fold"]),  # 31 x 31 of 31 x 322
+            (Family.AZTEC, Direction.COLUMNWISE, 8, ["fold", "fold"]),  # 136 x 272 of 136 x 512
+            (Family.AZTEC, Direction.ROWWISE, 10, ["fold", "fold"]),  # 108 x 108 of 108 x 1024
+            (Family.AZTEC, Direction.COLUMNWISE, 10, ["zeta", "zeta"]),  # 528 x 1056 passes 2**19
+            # 3321 x 272 and 272 x 3321 on 9 sites, 272 x 272 between
+            (Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 9, ["zeta", "fold", "zeta"]),
         ],
     )
-    def test_eig(self, family, direction, width, kernel, monkeypatch):
+    def test_eig(self, family, direction, width, kernels, monkeypatch):
         pushes = record_pushes(monkeypatch)
         chain = transfer_chain(family, direction, width)
         dominant_eigenvalue(chain)
-        links = {(len(link.cols), len(_orbits(link.rows, link.wrap)[1])) for link in chain.links}
-        assert {(push.cols, push.rows, push.kernel) for push in pushes} == {(c, r, kernel) for c, r in links}
+        orbits = [len(_orbits(link.rows, link.wrap)[1]) for link in chain.links]
+        links = zip(orbits[1:] + orbits[:1], orbits, kernels)  # (column orbits, orbit rows, kernel)
+        assert {(push.cols, push.rows, push.kernel) for push in pushes} == set(links)
 
     def test_quadratic_plane_12x100(self, monkeypatch):
-        # 322 x 610 on 13 sites, but a stack of 25 primes
+        # 322 x 322 folded from 322 x 610 on 13 sites, at a stack of 25 primes
         pushes = record_pushes(monkeypatch)
         count(Family.QUADRATIC, Topology.PLANE, 12, 100)
-        assert {(push.cols, push.rows, push.layers, push.kernel) for push in pushes} == {(610, 322, 25, "built")}
+        assert {(push.cols, push.rows, push.layers, push.kernel) for push in pushes} == {(322, 322, 25, "fold")}
 
 
 @pytest.mark.parametrize(
@@ -885,9 +993,7 @@ def test_keys_plan_splits_its_stack_by_its_widest_level(budget, monkeypatch):
         (Family.QUADRATIC, Direction.COLUMNWISE, 14, "keys"),
         (Family.QUADRATIC, Direction.COLUMNWISE, 15, "keys"),
         (Family.CROSSED, Direction.COLUMNWISE, 14, "keys"),
-        (Family.AZTEC, Direction.COLUMNWISE, 8, "table"),
         (Family.AZTEC, Direction.COLUMNWISE, 10, "table"),
-        (Family.AZTEC, Direction.ROWWISE, 10, "table"),
         (Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 8, "table"),
         (Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 9, "table"),
     ],
@@ -896,7 +1002,7 @@ def test_zeta_relations_pick_their_plan(family, direction, width, plan):
     # paths and rings reach a few keys of their table, free and paired
     # slices nearly all of them
     steps, _, _ = orbit_steps(transfer_chain(family, direction, width).links)
-    zetas = [step for step, _ in steps if not operator.le(*chain_module._push_costs(*step._dims, 1))]
+    zetas = [step for step in steps if step._pick(1) == "zeta"]
     assert zetas and {zeta_plan(step) for step in zetas} == {plan}
 
 
@@ -932,7 +1038,7 @@ def test_relation_prices_each_stack_width_once(monkeypatch):
     # priced built for even stacks and zeta for odd ones
     priced = []
 
-    def costs(rows, cols, bits, stack):
+    def costs(rows, cols, bits, stack, orbits=None):
         priced.append((rows, cols, bits, stack))
         return (0.0, 1.0) if stack % 2 == 0 else (1.0, 0.0)
 
@@ -1038,6 +1144,17 @@ def test_prime_sums_stay_exact_in_float64():
         assert widest * 32 * max(_moduli(widest, 2**200)) <= 2**53
 
 
+def test_primes_extend_one_list_per_width(monkeypatch):
+    # the list of a width grows only as far as a count asks, and every
+    # shorter ask reads its head
+    monkeypatch.setattr(chain_module, "_PRIMES", {})
+    primes = _moduli(610, 610**101)
+    assert chain_module._PRIMES == {38: primes}
+    assert _primes(3, 38) == primes[:3] and chain_module._PRIMES == {38: primes}
+    more = _primes(len(primes) + 4, 38)
+    assert more[: len(primes)] == primes and chain_module._PRIMES[38] == more
+
+
 def test_moduli_are_the_fewest_whose_product_exceeds_the_bound():
     for widest in (1, 610, 2**22):
         for bound in (1, 2**37, 2**38, 610**101, 3**500):
@@ -1046,13 +1163,13 @@ def test_moduli_are_the_fewest_whose_product_exceeds_the_bound():
 
 
 def test_quadratic_plane_12x100_pushes_at_most_26_layers(monkeypatch):
-    # 610 columns in, one row per mirror orbit (322 of 610) out
+    # one entry per mirror orbit (322 of 610) in and out
     chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 12)
     pushes = record_pushes(monkeypatch)
     count_open(chain, 100)
     assert len(pushes) == 100
     assert max(push.layers for push in pushes) <= 26
-    assert {(push.cols, push.rows) for push in pushes} == {(610, 322)}
+    assert {(push.cols, push.rows) for push in pushes} == {(322, 322)}
 
 
 # Residues are reduced by exact division; the widest space any chain
