@@ -832,11 +832,13 @@ def _moduli(widest: int, bound: int) -> tuple[int, ...]:
     reduction.
     """
     bits = 48 - widest.bit_length()
-    product, n = 1, 0
+    primes, product, n = _PRIMES.get(bits, ()), 1, 0
     while product <= bound:
+        if n == len(primes):
+            primes = _primes(n + 1, bits)
+        product *= primes[n]
         n += 1
-        product *= _primes(n, bits)[-1]
-    return _primes(n, bits)
+    return primes[:n]
 
 
 # float64 holds every integer below 2**53.  Every entry of a block of
@@ -970,6 +972,31 @@ def count_cyclic(chain: TransferChain, periods: int) -> int:
     return _contract(chain, periods, trace=True)
 
 
+@lru_cache(maxsize=256)
+def _sweep_links(
+    family: Family, direction: Direction, width: int, trace: bool
+) -> tuple[tuple[tuple[int, int], ...], int, tuple[tuple[int, int, int | None], ...], int] | None:
+    """What ``_sweep`` prices a sweep's pushes by, or None where a slice
+    passes MAX_ENUM_LENGTH sites: the (rows, cols) of every step, the
+    sites every relation lies in (the last slice's), (rows, cols, column
+    orbits) of every link a period pushes, and the vectors it pushes.
+    An open sweep pushes one vector through orbit relations; a trace
+    pushes whole links (no column orbits), one basis vector per orbit of
+    its smallest slice space."""
+    slices = _period_slices(family, direction, width)
+    if max(length for _, length in slices) > MAX_ENUM_LENGTH:
+        return None
+    dims = _shapes(slices)
+    orbits = [_orbit_count(kind, length, direction is Direction.ROWWISE) for kind, length in slices]
+    if trace:
+        links = tuple((r, c, None) for r, c in dims)
+        vectors = orbits[min(range(len(dims)), key=lambda i: dims[i][0])]
+    else:
+        links = tuple((orbits[i], c, orbits[(i + 1) % len(dims)]) for i, (_, c) in enumerate(dims))
+        vectors = 1
+    return dims, slices[-1][1], links, vectors
+
+
 # Nanoseconds per entry of the rows x cols step a kernel builds, once
 # per contraction: built, and built then folded (2-vCPU x86-64 VM).  The
 # zeta push builds no step; its plan is left unpriced.
@@ -1004,24 +1031,16 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     for direction, width, periods, trace in sweeps:
         if width < _MIN_WIDTH[(fam, direction)]:
             continue
-        slices = _period_slices(fam, direction, width)
-        if max(length for _, length in slices) > MAX_ENUM_LENGTH:
+        shape = _sweep_links(fam, direction, width, trace)
+        if shape is None:
             continue
-        dims = _shapes(slices)
+        dims, bits, links, vectors = shape
         primes = len(_count_moduli(dims, periods, trace))
-        bits = slices[-1][1]  # every relation's sites are the last slice's
-        orbits = [_orbit_count(kind, length, direction is row) for kind, length in slices]
-        if trace:
-            k = _trace_block(primes, dims)
-            vectors = orbits[min(range(len(dims)), key=lambda i: dims[i][0])]
-            blocks = ((k, vectors // k), (vectors % k, 1))  # (width, how many)
-            links = [(r, c, None) for r, c in dims]
-        else:
-            blocks = ((1, 1),)
-            links = [(orbits[i], c, orbits[(i + 1) % len(dims)]) for i, (_, c) in enumerate(dims)]
+        k = _trace_block(primes, dims) if trace else 1
+        blocks = [(w, times) for w, times in ((k, vectors // k), (vectors % k, 1)) if w]  # (width, how many)
         cost = 0.0
         for r, c, o in links:
-            picks = [(times, *_kernel(r, c, bits, primes * w, o)) for w, times in blocks if w]
+            picks = [(times, *_kernel(r, c, bits, primes * w, o)) for w, times in blocks]
             cost += periods * sum(times * price for times, price, _ in picks) + r * c * _SETUP_NS[picks[0][2]]
         fits.append((cost, (direction, width, periods, trace)))
     if not fits:
