@@ -78,7 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compat import BLOCK_ENTRIES, Spread, StepMatrix, build_step
+from .compat import Spread, StepMatrix, blocked_product, build_step
 from .statespace import MAX_ENUM_LENGTH, StateKind, StateSpace, enumerate_states, state_count
 
 __all__ = [
@@ -134,8 +134,8 @@ _MIN_WIDTH = {
 
 
 # float64 entries of a trace's stack of basis vectors at its widest
-# slice space, times its primes, and of a zeta push's table: 2**19
-# entries is 4 MiB.
+# slice space, times its primes, of a zeta push's table, and at most of
+# a folded step: 2**19 entries is 4 MiB.
 STACK_ENTRIES = 1 << 19
 
 
@@ -288,16 +288,10 @@ class Relation:
 
     def _fold(self, block: np.ndarray) -> np.ndarray:
         """The step times block on column orbits, by the folded step, a
-        block of BLOCK_ENTRIES entries of its rows at a time, as a built
-        step's push is.  Entry (u, o) of ``_folded`` counts the 1s of row u
-        in orbit o, so a row sums at most len(cols) entries of block, as
-        the step's does."""
-        folded, flat = self._folded, block.reshape(len(block), -1)
-        out = np.empty((len(folded), flat.shape[1]))
-        step = max(1, BLOCK_ENTRIES // len(flat))
-        for i in range(0, len(out), step):
-            np.matmul(folded[i:i + step], flat, out=out[i:i + step])
-        return out.reshape((len(out),) + block.shape[1:])
+        block of its rows at a time, as a built step's push is.  Entry
+        (u, o) of ``_folded`` counts the 1s of row u in orbit o, so a row
+        sums at most len(cols) entries of block, as the step's does."""
+        return blocked_product(self._folded, block)
 
     def _zeta(self, block: np.ndarray) -> np.ndarray:
         """The step times block, unbuilt: row u sums x[v] over the v with

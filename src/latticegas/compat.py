@@ -98,15 +98,22 @@ class StepMatrix:
         """array @ block in float64, for a vector or a stack of vectors
         indexed by cols along axis 0, converting a block of rows at a time."""
         block = np.asarray(block, dtype=np.float64)
-        rows, cols = self.array.shape
-        if len(block) != cols:
+        if len(block) != self.array.shape[1]:
             raise ValueError("vector length does not match column space")
-        flat = block.reshape(cols, -1)
-        out = np.empty((rows, flat.shape[1]))
-        step = max(1, BLOCK_ENTRIES // cols)
-        for i in range(0, rows, step):
-            np.matmul(self.array[i:i + step].astype(np.float64), flat, out=out[i:i + step])
-        return out.reshape((rows,) + block.shape[1:])
+        return blocked_product(self.array, block)
+
+
+def blocked_product(array: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """array @ block in float64, for a float64 vector or stack of vectors
+    indexed by array's columns along axis 0, BLOCK_ENTRIES entries of
+    array's rows at a time: each block of a bool array is converted to
+    float64 on its own, and each product stays small."""
+    flat = block.reshape(len(block), -1)
+    out = np.empty((len(array), flat.shape[1]))
+    step = max(1, BLOCK_ENTRIES // len(flat))
+    for i in range(0, len(out), step):
+        np.matmul(np.asarray(array[i:i + step], dtype=np.float64), flat, out=out[i:i + step])
+    return out.reshape((len(out),) + block.shape[1:])
 
 
 def build_step(

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -880,14 +881,15 @@ class TestPushPicks:
 
     @pytest.mark.parametrize(
         "family, direction, width, kernels",
-        # orbit rows x column orbits of each link, and the columns it folds
+        # the kernel of every link, or of each in turn; orbit rows x column
+        # orbits of a link, and the columns it folds
         [
-            (Family.QUADRATIC, Direction.ROWWISE, 12, ["fold"]),  # 31 x 31 of 31 x 322
-            (Family.AZTEC, Direction.COLUMNWISE, 8, ["fold", "fold"]),  # 136 x 272 of 136 x 512
-            (Family.AZTEC, Direction.ROWWISE, 10, ["fold", "fold"]),  # 108 x 108 of 108 x 1024
-            (Family.AZTEC, Direction.COLUMNWISE, 10, ["zeta", "zeta"]),  # 528 x 1056 passes 2**19
+            (Family.QUADRATIC, Direction.ROWWISE, 12, "fold"),  # 31 x 31 of 31 x 322
+            (Family.AZTEC, Direction.COLUMNWISE, 8, "fold"),  # 136 x 272 of 136 x 512
+            (Family.AZTEC, Direction.ROWWISE, 10, "fold"),  # 108 x 108 of 108 x 1024
+            (Family.AZTEC, Direction.COLUMNWISE, 10, "zeta"),  # 528 x 1056 passes 2**19
             # 3321 x 272 and 272 x 3321 on 9 sites, 272 x 272 between
-            (Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 9, ["zeta", "fold", "zeta"]),
+            (Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 9, "zeta fold zeta"),
         ],
     )
     def test_eig(self, family, direction, width, kernels, monkeypatch):
@@ -895,7 +897,8 @@ class TestPushPicks:
         chain = transfer_chain(family, direction, width)
         dominant_eigenvalue(chain)
         orbits = [len(_orbits(link.rows, link.wrap)[1]) for link in chain.links]
-        links = zip(orbits[1:] + orbits[:1], orbits, kernels)  # (column orbits, orbit rows, kernel)
+        # (column orbits, orbit rows, kernel) of each link
+        links = zip(orbits[1:] + orbits[:1], orbits, itertools.cycle(kernels.split()))
         assert {(push.cols, push.rows, push.kernel) for push in pushes} == set(links)
 
     def test_quadratic_plane_12x100(self, monkeypatch):
