@@ -50,10 +50,11 @@ representatives' rows, taking a vector on its column orbits.  Such a
 relation pushes by its folded step, F[u, o] = sum of S[u, v] over the
 columns v of orbit o, held as float64 rows x orbits (the step's block
 on the symmetric subspace: about half its columns on open slices, 1/L
-on rings of L), or where F would pass STACK_ENTRIES entries or price
-higher, by the zeta push on the vector unfolded to every column; never
-by its built step.  Traces push basis vectors through whole relations,
-by the built step or the zeta push.
+on rings of L) and filled from masks one symmetry image at a time, with
+no S; or where F would pass STACK_ENTRIES entries or price higher, by
+the zeta push on the vector unfolded to every column; never by its
+built step.  Traces push basis vectors through whole relations, by the
+built step or the zeta push.
 
 Counts are exact integers: float64 pushes mod primes, joined by the
 Chinese remainder theorem.  Each contraction takes primes as wide as
@@ -74,11 +75,11 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .compat import Spread, StepMatrix, blocked_product, build_step
+from .compat import Spread, StepMatrix, blocked_product, build_step, compatible
 from .statespace import MAX_ENUM_LENGTH, StateKind, StateSpace, enumerate_states, state_count
 
 __all__ = [
@@ -150,9 +151,9 @@ class Relation:
     constant on the orbits of the rows, so one row per orbit suffices.
     A relation ``on_orbits`` (``orbit_steps`` makes them) takes such a
     vector as one entry per column orbit, and pushes it by its folded
-    step or the zeta push, never by ``built``.  At most one side is
-    spread, so both sides' masks lie in the ``bits`` sites of the side
-    left as is.
+    step, filled from masks (``_folded``), or the zeta push, never by
+    ``built``.  At most one side is spread, so both sides' masks lie in
+    the ``bits`` sites of the side left as is.
     """
 
     rows: StateSpace
@@ -203,17 +204,17 @@ class Relation:
     @cached_property
     def _folded(self) -> np.ndarray:
         """The folded step, float64 rows x column orbits: entry (u, o) sums
-        the step's row u over the columns of orbit o.  The bool step is
-        built for it and not kept: its columns at each row of
-        ``_orbit_images`` are summed as uint8, which counts each column of
-        orbit o n / size(o) times over the n rows, and divided by that."""
-        images = _orbit_images(self.cols, self.wrap)
-        step = build_step(self.rows, self.cols, self.f, self.g).array.view(np.uint8)
-        out = step[:, images[0]]
-        for columns in images[1:]:
-            out += step[:, columns]
-        del step  # before the float64 copy is made
-        out //= (len(images) // _orbits(self.cols, self.wrap)[2]).astype(np.uint8)
+        the step's row u over the columns of orbit o.  It is filled from
+        masks, with no whole step: ``compatible`` of the rows and each of
+        the n images (``_images``) of the column orbits' representatives,
+        summed as uint8, counts each column of orbit o n / size(o) times,
+        and is divided by that."""
+        _, reps, sizes = _orbits(self.cols, self.wrap)
+        fr = self.f(self.rows.masks) if self.f else self.rows.masks
+        out = np.zeros((len(fr), len(reps)), dtype=np.uint8)
+        for n, image in enumerate(_images(self.cols.masks[reps], self.cols, self.wrap), 1):
+            out += compatible(fr, self.g(image) if self.g else image).view(np.uint8)
+        out //= (n // sizes).astype(np.uint8)
         return out.astype(np.float64)
 
     @cached_property
@@ -512,12 +513,9 @@ def _period_slices(
     return [(StateKind.PAIRED, 2 * p), plain, plain]
 
 
-def _rotl(x: np.ndarray, length: int) -> np.ndarray:
-    return ((x << 1) | (x >> (length - 1))) & ((1 << length) - 1)
-
-
-def _rotr(x: np.ndarray, length: int) -> np.ndarray:
-    return ((x >> 1) | (x << (length - 1))) & ((1 << length) - 1)
+def _rot(x: np.ndarray, length: int, s: int) -> np.ndarray:
+    """Masks of ``length`` sites turned s sites up, 0 <= s < length."""
+    return ((x << s) | (x >> (length - s))) & ((1 << length) - 1)
 
 
 # every byte with its 8 bits in reverse order
@@ -532,15 +530,18 @@ def _mirror(x: np.ndarray, length: int) -> np.ndarray:
     return out >> (-length % 8)
 
 
-def _images(masks: np.ndarray, space: StateSpace, wrap: bool) -> np.ndarray:
-    """Every image of masks of this space under its symmetry, one row per
-    element: turned by 0, 1, ... units of a wrapped slice (sites, or
-    pairs on a PAIRED space); as they are and mirrored on an open one."""
+def _images(masks: np.ndarray, space: StateSpace, wrap: bool) -> Iterator[np.ndarray]:
+    """Each image of masks of this space under its symmetry, one element
+    at a time, the identity first, so no caller holds them all: turned by
+    0, 1, ... units of a wrapped slice (sites, or pairs on a PAIRED
+    space); as they are and mirrored on an open one."""
     L = space.length
     if wrap:
-        s = np.arange(0, L, 2 if space.kind is StateKind.PAIRED else 1, dtype=np.int64)[:, None]
-        return ((masks << s) | (masks >> (L - s))) & ((1 << L) - 1)
-    return np.stack((masks, _mirror(masks, L)))
+        for s in range(0, L, 2 if space.kind is StateKind.PAIRED else 1):
+            yield _rot(masks, L, s)
+    else:
+        yield masks
+        yield _mirror(masks, L)
 
 
 @lru_cache(maxsize=64)
@@ -551,30 +552,21 @@ def _orbits(space: StateSpace, wrap: bool) -> tuple[np.ndarray, np.ndarray, np.n
     space; mirroring an open one over its own length.
 
     A representative is the smallest mask of its orbit, and orbits are
-    numbered in the order of their representatives.  The arrays are
+    numbered in the order of their representatives, each state's least
+    image found by a running minimum over the images.  The arrays are
     cached read-only, keyed on the space, which ``enumerate_states``
     shares per (kind, length): a sweep over many small instances meets
     the same few spaces in every count.
     """
     masks = space.masks
-    least = _images(masks, space, wrap).min(axis=0)
+    least = masks.copy()
+    for image in _images(masks, space, wrap):
+        np.minimum(least, image, out=least)
     reps = np.flatnonzero(masks == least)
     of = np.searchsorted(masks[reps], least)
     found = of, reps, np.bincount(of)
     for a in found:
         a.flags.writeable = False
-    return found
-
-
-@lru_cache(maxsize=64)
-def _orbit_images(space: StateSpace, wrap: bool) -> np.ndarray:
-    """The index of every image of every orbit representative, one row
-    per element of the symmetry, one column per orbit: the columns that
-    ``Relation._folded`` sums.  Over its n rows, column o holds each
-    state of orbit o n / size(o) times."""
-    _, reps, _ = _orbits(space, wrap)
-    found = np.searchsorted(space.masks, _images(space.masks[reps], space, wrap))
-    found.flags.writeable = False
     return found
 
 
@@ -625,11 +617,11 @@ def _spread(family: Family, wrap: bool, length: int) -> Spread | None:
         return None
     if family is Family.CROSSED:
         if wrap:
-            return lambda u: u | _rotl(u, L) | _rotr(u, L)
+            return lambda u: u | _rot(u, L, 1) | _rot(u, L, L - 1)
         return lambda u: (u | (u << 1) | (u >> 1)) & ((1 << L) - 1)
     if family is Family.AZTEC:
         if wrap:
-            return lambda u: u | _rotr(u, L)
+            return lambda u: u | _rot(u, L, L - 1)
         return lambda u: u | (u << 1)
     p = L // 2
 
@@ -641,7 +633,7 @@ def _spread(family: Family, wrap: bool, length: int) -> Spread | None:
             if shift < p:
                 x = (x | x >> shift) & keep
         lo, hi = x
-        return lo | (_rotl(hi, p) if wrap else hi << 1)
+        return lo | (_rot(hi, p, 1) if wrap else hi << 1)
 
     return paired
 
@@ -991,8 +983,8 @@ def _sweep_links(
     return dims, slices[-1][1], links, vectors
 
 
-# Nanoseconds per entry of the rows x cols step a kernel builds, once
-# per contraction: built, and built then folded (2-vCPU x86-64 VM).  The
+# Nanoseconds per entry of the rows x cols step a kernel fills, once
+# per contraction: built, and folded from masks (2-vCPU x86-64 VM).  The
 # zeta push builds no step; its plan is left unpriced.
 _SETUP_NS = {"built": 1.0, "fold": 3.0, "zeta": 0.0}
 

@@ -18,9 +18,9 @@ Every step is one relation
 
     compatible(u, v)  <=>  f(u) & g(v) == 0
 
-for a pair of bit-spreading maps f, g, which is what build_step
-exploits to fill whole matrices with vectorized mask arithmetic.  The
-maps themselves, one per lattice family, live in ``chain``.
+for a pair of bit-spreading maps f, g, which ``compatible`` tests with
+vectorized mask arithmetic, for build_step and ``chain``'s folded steps.
+The maps themselves, one per lattice family, live in ``chain``.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ __all__ = [
 Spread = Callable[[np.ndarray], np.ndarray]
 
 # Entries per block whenever a whole-step array is worked on a block at
-# a time (build_step's int64 intermediate, push's float64 rows): 2**15
+# a time (compatible's int64 intermediate, push's float64 rows): 2**15
 # entries is 256 KiB, which stays in cache, and is small enough that
 # freeing it strands no large block in the allocator's heap, so peak
 # memory does not depend on job order.
@@ -130,9 +130,15 @@ def build_step(
     """
     fr = row_spread(rows.masks) if row_spread else rows.masks
     fc = col_spread(cols.masks) if col_spread else cols.masks
+    return StepMatrix(rows, cols, compatible(fr, fc))
+
+
+def compatible(fr: np.ndarray, fc: np.ndarray) -> np.ndarray:
+    """Bools len(fr) x len(fc), entry (i, j) fr[i] & fc[j] == 0, for int64
+    spread masks, BLOCK_ENTRIES entries of int64 intermediate at a time."""
     ok = np.empty((len(fr), len(fc)), dtype=bool)
     block = max(1, BLOCK_ENTRIES // len(fc))
     for i in range(0, len(fr), block):
         np.equal(fr[i:i + block, None] & fc, 0, out=ok[i:i + block])
-    return StepMatrix(rows, cols, ok)
+    return ok
 

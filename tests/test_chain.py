@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -670,6 +671,21 @@ def test_orbit_count_matches_the_orbits(kind, wrap):
         assert _orbit_count(kind, length, wrap) == len(_orbits(space, wrap)[1])
 
 
+def test_orbits_hold_no_array_per_image():
+    # the 18-site wrapped free space, 2**18 states under 18 rotations:
+    # a running minimum over the rotations holds a few state-sized
+    # arrays, where stacking every rotation held about 75 MB
+    space = enumerate_states(StateKind.FREE, 18)
+    _orbits.cache_clear()
+    tracemalloc.start()
+    try:
+        _orbits(space, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * 2**18
+
+
 def test_separate_chains_share_their_orbits():
     # enumeration is shared per (kind, length), so the orbits that the
     # first count caches serve the second chain's count too
@@ -738,7 +754,7 @@ def test_ring_eig_pushes_one_row_per_rotation_orbit(monkeypatch):
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("direction", list(Direction))
 def test_eig_and_open_counts_build_no_whole_step(family, direction, monkeypatch):
-    # only traces (and matrix) need a step at every row
+    # only traces (and matrix) build a step; folds fill theirs from masks
     built = []
     build_step = chain_module.build_step
 
@@ -747,17 +763,13 @@ def test_eig_and_open_counts_build_no_whole_step(family, direction, monkeypatch)
         return build_step(rows, cols, f, g)
 
     def rows_built(link):
-        # builds are lazy, so they come in push order, last link first
         return [len(rows) for rows, cols, f, g in built if cols is link.cols and (f, g) == (link.f, link.g)]
 
     monkeypatch.setattr(chain_module, "build_step", logged)
     chain = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + 4)
     dominant_eigenvalue(chain)
     count_open(chain, 3)
-    assert len(built) == 2 * len(chain.links)
-    for link in chain.links:
-        assert len(rows_built(link)) == 2 and max(rows_built(link)) < len(link.rows)
-    built.clear()
+    assert built == []
     count_cyclic(chain, 3)
     assert [rows_built(link) for link in chain.links] == [[len(link.rows)] for link in chain.links]
     # matrix reads the steps the trace built
@@ -818,11 +830,17 @@ def test_folded_push_matches_the_unfolded_one(family, direction, width):
     # The folded step times x on orbits, against the step at the orbit
     # rows times x unfolded to every column: residues exactly, floats to
     # within the rounding of a sum of at most len(cols) nonnegative terms.
+    # The folded step itself is the step summed over each column orbit,
+    # as exact integers.
     rng = np.random.default_rng(width)
     plan, _, _ = orbit_steps(transfer_chain(family, direction, width).links)
     for rel in plan:
         of, reps, _ = _orbits(rel.cols, rel.wrap)
         step = build_step(rel.rows, rel.cols, rel.f, rel.g)
+        order = np.argsort(of, kind="stable")  # the columns, orbit by orbit
+        starts = np.flatnonzero(np.r_[True, of[order][1:] != of[order][:-1]])
+        sums = np.add.reduceat(step.array[:, order].astype(np.int64), starts, axis=1)
+        assert sums.shape == rel._folded.shape and np.array_equal(rel._folded.astype(np.int64), sums)
         prime = _moduli(len(rel.cols), 2**200)[0]
         for stack in (1, 25):
             residues = rng.integers(0, prime, size=(len(reps), stack)).astype(np.float64)
