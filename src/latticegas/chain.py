@@ -50,11 +50,10 @@ representatives' rows, taking a vector on its column orbits.  Such a
 relation pushes by its folded step, F[u, o] = sum of S[u, v] over the
 columns v of orbit o, held as float64 rows x orbits (the step's block
 on the symmetric subspace: about half its columns on open slices, 1/L
-on rings of L) and filled from masks one symmetry image at a time, with
-no S; or where F would pass STACK_ENTRIES entries or price higher, by
-the zeta push on the vector unfolded to every column; never by its
-built step.  Traces push basis vectors through whole relations, by the
-built step or the zeta push.
+on rings of L) and filled from masks, not from S; or where F would pass
+STACK_ENTRIES entries or price higher, by the zeta push on the vector
+unfolded to every column; never by its built step.  Traces push basis
+vectors through whole relations, by the built step or the zeta push.
 
 Counts are exact integers: float64 pushes mod primes, joined by the
 Chinese remainder theorem.  Each contraction takes primes as wide as

@@ -673,8 +673,7 @@ def test_orbit_count_matches_the_orbits(kind, wrap):
 
 def test_orbits_hold_no_array_per_image():
     # the 18-site wrapped free space, 2**18 states under 18 rotations:
-    # a running minimum over the rotations holds a few state-sized
-    # arrays, where stacking every rotation held about 75 MB
+    # its orbits hold a few state-sized int64 arrays, not one per rotation
     space = enumerate_states(StateKind.FREE, 18)
     _orbits.cache_clear()
     tracemalloc.start()
