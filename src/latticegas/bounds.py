@@ -15,10 +15,12 @@ two the other way around: its wrapped period lays down four fewer
 sites than width-times-four, which turns the ring into an
 underestimate, while the strip ratio overshoots.
 
-One unit of width covers one vertex per swept column on the quadratic
-and crossed grids, two on the aztec grid and four on the
-truncated-square tiling, so raising a bound to the family's
-per-vertex exponent converts it to the per-vertex constant.
+A bound grows by one factor per unit of width, and one unit of width
+adds to a strip's period the sites ``chain._period_sites`` gains from
+width w to w+1: one on the quadratic and crossed grids, two on the
+aztec grid and four on the truncated-square tiling.  The family's
+per-vertex exponent is one over that gain, so raising a bound to it
+converts it to the per-vertex constant.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chain import Boundary, Direction, Family, TransferChain, transfer_chain
+from .chain import Boundary, Direction, Family, TransferChain, _period_sites, transfer_chain
 from .spectral import EigenResult, dominant_eigenvalue
 
 __all__ = [
@@ -44,11 +46,12 @@ __all__ = [
 # width, tol) a process asks for.
 ROOT_CACHE_SIZE = 64
 
+# One over the sites a strip period gains per unit of width, taken from
+# width 2, the narrowest strip every family has.
 PER_VERTEX_EXPONENT = {
-    Family.QUADRATIC: Fraction(1),
-    Family.CROSSED: Fraction(1),
-    Family.AZTEC: Fraction(1, 2),
-    Family.TRUNCATED_SQUARE: Fraction(1, 4),
+    family: Fraction(1, _period_sites(family, Direction.COLUMNWISE, 3)
+                     - _period_sites(family, Direction.COLUMNWISE, 2))
+    for family in Family
 }
 
 

@@ -17,6 +17,10 @@ aztec              diagonal grid; columns alternate short and long,
 truncated-square   the 8.8.4 tiling; a period is a paired column and
                    two plain columns: steps B, C, B^T
 
+``_period_slices`` states each family's geometry once, as the (kind,
+length) of every slice a period lays down: chain shapes, an instance's
+vertices and the bounds' per-vertex exponents are all read from it.
+
 Every step is one ``build_step(rows, cols, f, g)``: entry (u, v) is 1
 iff f(u) & g(v) == 0.  ``_spread`` gives each family's one map from the
 period's first slice to the next; a return step (A^T, B^T) applies that
@@ -476,10 +480,10 @@ class TransferChain:
     def exit_space(self) -> StateSpace:
         return self.links[-1].cols
 
-    @cached_property
+    @property
     def period_sites(self) -> int:
         """Lattice sites laid down by one period of the chain."""
-        return sum(link.rows.length for link in self.links)
+        return _period_sites(self.family, self.direction, self.width)
 
     def describe(self) -> str:
         dims = " ".join("%dx%d" % (len(link.rows), len(link.cols)) for link in self.links)
@@ -489,9 +493,10 @@ class TransferChain:
         )
 
 
+@lru_cache(maxsize=None)
 def _period_slices(
     family: Family, direction: Direction, width: int
-) -> list[tuple[StateKind, int]]:
+) -> tuple[tuple[StateKind, int], ...]:
     """(kind, length) of each slice one period lays down, in sweep order.
 
     Step i of the chain runs from slice i to slice i+1, and the last
@@ -504,12 +509,18 @@ def _period_slices(
         )
     wrap = direction is Direction.ROWWISE
     if family in (Family.QUADRATIC, Family.CROSSED):
-        return [(StateKind.CYCLE, width) if wrap else (StateKind.PATH, width + 1)]
+        return ((StateKind.CYCLE, width) if wrap else (StateKind.PATH, width + 1),)
     if family is Family.AZTEC:
-        return [(StateKind.FREE, width), (StateKind.FREE, width if wrap else width + 1)]
+        return (StateKind.FREE, width), (StateKind.FREE, width if wrap else width + 1)
     p = width - 1
     plain = (StateKind.FREE, p if wrap else p + 1)
-    return [(StateKind.PAIRED, 2 * p), plain, plain]
+    return (StateKind.PAIRED, 2 * p), plain, plain
+
+
+@lru_cache(maxsize=None)
+def _period_sites(family: Family, direction: Direction, width: int) -> int:
+    """Sites one period lays down: the lengths of ``_period_slices``."""
+    return sum(length for _, length in _period_slices(family, direction, width))
 
 
 def _rot(x: np.ndarray, length: int, s: int) -> np.ndarray:
@@ -552,10 +563,11 @@ def _orbits(space: StateSpace, wrap: bool) -> tuple[np.ndarray, np.ndarray, np.n
 
     A representative is the smallest mask of its orbit, and orbits are
     numbered in the order of their representatives, each state's least
-    image found by a running minimum over the images.  The arrays are
-    cached read-only, keyed on the space, which ``enumerate_states``
-    shares per (kind, length): a sweep over many small instances meets
-    the same few spaces in every count.
+    image found by a running minimum over the images.  A least image
+    that is not a mask of the space is refused: the symmetry must map
+    the space to itself.  The arrays are cached read-only, keyed on the
+    space, which ``enumerate_states`` shares per (kind, length): a sweep
+    over many small instances meets the same few spaces in every count.
     """
     masks = space.masks
     least = masks.copy()
@@ -563,6 +575,11 @@ def _orbits(space: StateSpace, wrap: bool) -> tuple[np.ndarray, np.ndarray, np.n
         np.minimum(least, image, out=least)
     reps = np.flatnonzero(masks == least)
     of = np.searchsorted(masks[reps], least)
+    if not np.array_equal(np.append(masks[reps], -1)[of], least):  # -1 is no mask
+        raise ValueError(
+            f"a state's least image is not a mask of the {space.kind.value} space of "
+            f"{space.length} sites: its symmetry does not map the space to itself"
+        )
     found = of, reps, np.bincount(of)
     for a in found:
         a.flags.writeable = False
@@ -607,9 +624,10 @@ def _spread(family: Family, wrap: bool, length: int) -> Spread | None:
 
     Site i touches site i for quadratic; i-1, i and i+1 for crossed;
     i and i+1 for aztec (i-1 and i wrapped); and for truncated-square
-    pair k's first member touches site k, its second site k+1.  Wrapped
-    offsets are taken mod the next slice's length, open ones are cut
-    to it.
+    pair k's first member touches site k, its second site k+1, so pair
+    k's two bits shift down k places together.  Wrapped offsets are
+    taken mod the next slice's length (a wrapped paired spread folds
+    site p back to site 0), open ones are cut to it.
     """
     L = length
     if family is Family.QUADRATIC:
@@ -625,27 +643,12 @@ def _spread(family: Family, wrap: bool, length: int) -> Spread | None:
     p = L // 2
 
     def paired(u: np.ndarray) -> np.ndarray:
-        # pack the first members (even bits) and the second members (odd
-        # bits) into p bits each, halving the gaps between them each round
-        x = np.stack((u, u >> 1)) & 0x5555555555555555
-        for shift, keep in _PACK_ROUNDS:
-            if shift < p:
-                x = (x | x >> shift) & keep
-        lo, hi = x
-        return lo | (_rot(hi, p, 1) if wrap else hi << 1)
+        out = u & 3
+        for k in range(1, p):
+            out |= (u & 3 << 2 * k) >> k
+        return (out | out >> p) & ((1 << p) - 1) if wrap else out
 
     return paired
-
-
-# (shift, mask) of each round of a paired spread's packing: after the
-# round with shift s, each 4s-bit group holds its packed run in its low 2s bits.
-_PACK_ROUNDS = (
-    (1, 0x3333333333333333),
-    (2, 0x0F0F0F0F0F0F0F0F),
-    (4, 0x00FF00FF00FF00FF),
-    (8, 0x0000FFFF0000FFFF),
-    (16, 0x00000000FFFFFFFF),
-)
 
 
 def transfer_chain(
@@ -683,7 +686,7 @@ def chain_dimensions(family: Family, direction: Direction, width: int) -> tuple[
     return _shapes(_period_slices(family, direction, width))
 
 
-def _shapes(slices: list[tuple[StateKind, int]]) -> tuple[tuple[int, int], ...]:
+def _shapes(slices: Sequence[tuple[StateKind, int]]) -> tuple[tuple[int, int], ...]:
     counts = [state_count(*s) for s in slices]
     return tuple(zip(counts, counts[1:] + counts[:1]))
 
@@ -731,26 +734,14 @@ class LatticeInstance:
                 f"m >= {lo_m} and n >= {lo_n}, got m={self.m} n={self.n}"
             )
 
-    @property
+    @cached_property
     def vertices(self) -> int:
-        m, n = self.m, self.n
-        if self.family in (Family.QUADRATIC, Family.CROSSED):
-            if self.topology is Topology.PLANE:
-                return (m + 1) * (n + 1)
-            if self.topology is Topology.CYLINDER:
-                return n * (m + 1)
-            return n * m
-        if self.family is Family.AZTEC:
-            if self.topology is Topology.PLANE:
-                return 2 * m * n + m + n
-            if self.topology is Topology.CYLINDER:
-                return n * (2 * m + 1)
-            return 2 * m * n
-        if self.topology is Topology.PLANE:
-            return 4 * m * n - 2 * m - 2 * n
-        if self.topology is Topology.CYLINDER:
-            return (n - 1) * (4 * m - 2)
-        return 4 * (m - 1) * (n - 1)
+        """The sites its first sweep (``_sweeps``) lays down: each
+        period's, and the closing slice of an open sweep.  Every sweep of
+        an instance lays down the same sites."""
+        direction, width, periods, trace = _sweeps(self)[0]
+        sites = periods * _period_sites(self.family, direction, width)
+        return sites if trace else sites + _period_slices(self.family, direction, width)[0][1]
 
 
 def _periods(family: Family, direction: Direction, m: int, n: int) -> int:
@@ -758,6 +749,21 @@ def _periods(family: Family, direction: Direction, m: int, n: int) -> int:
     if family is Family.TRUNCATED_SQUARE:
         return raw - 1
     return raw
+
+
+def _sweeps(instance: LatticeInstance) -> list[tuple[Direction, int, int, bool]]:
+    """(direction, width, periods, trace) of the two sweeps that can count
+    an instance.  A plane sweeps open across m or across n, a cylinder
+    traces around its wrap or sweeps open along its axis, and a torus
+    traces rowwise at width n or m.  The first is always as wide as its
+    family's slices need; the second may be too narrow (``_MIN_WIDTH``)."""
+    fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
+    col, row = Direction.COLUMNWISE, Direction.ROWWISE
+    if topo is Topology.PLANE:
+        return [(col, m, _periods(fam, col, m, n), False), (col, n, _periods(fam, col, n, m), False)]
+    if topo is Topology.CYLINDER:
+        return [(col, m, _periods(fam, col, m, n), True), (row, n, _periods(fam, row, m, n), False)]
+    return [(row, n, _periods(fam, row, m, n), True), (row, m, _periods(fam, row, n, m), True)]
 
 
 # Miller-Rabin with these witnesses is exact for every n below 3.3e24.
@@ -991,10 +997,8 @@ _SETUP_NS = {"built": 1.0, "fold": 3.0, "zeta": 0.0}
 def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     """(direction, width, periods, trace) of the sweep that counts an instance.
 
-    A plane sweeps open across m or across n, a cylinder traces around
-    its wrap or sweeps open along its axis, and a torus traces rowwise
-    at width n or m.  Of those whose slices fit in MAX_ENUM_LENGTH sites,
-    the first with the lowest price wins: periods times the price of a
+    Of its ``_sweeps`` whose slices fit in MAX_ENUM_LENGTH sites, the
+    first with the lowest price wins: periods times the price of a
     period, the push ``_kernel`` picks for each link at the stack
     ``_contract`` pushes, one layer per prime of ``_count_moduli``.  An
     open sweep pushes each link once, at its orbit rows and on its
@@ -1005,15 +1009,8 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     nothing.
     """
     fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
-    col, row = Direction.COLUMNWISE, Direction.ROWWISE
-    if topo is Topology.PLANE:
-        sweeps = [(col, m, _periods(fam, col, m, n), False), (col, n, _periods(fam, col, n, m), False)]
-    elif topo is Topology.CYLINDER:
-        sweeps = [(col, m, _periods(fam, col, m, n), True), (row, n, _periods(fam, row, m, n), False)]
-    else:
-        sweeps = [(row, n, _periods(fam, row, m, n), True), (row, m, _periods(fam, row, n, m), True)]
     fits = []
-    for direction, width, periods, trace in sweeps:
+    for direction, width, periods, trace in _sweeps(instance):
         if width < _MIN_WIDTH[(fam, direction)]:
             continue
         shape = _sweep_links(fam, direction, width, trace)

@@ -98,6 +98,8 @@ class StateSpace:
         m = np.asarray(self.masks)
         if m.dtype != np.int64 or m.ndim != 1:
             raise ValueError(f"masks must be a 1-D int64 array, got {m.dtype} of {m.ndim} dims")
+        if not (m[1:] > m[:-1]).all():
+            raise ValueError("masks must be strictly increasing")
         m = m.view()
         m.flags.writeable = False
         object.__setattr__(self, "masks", m)

@@ -31,6 +31,7 @@ from latticegas.chain import (
     _reduce,
     _spread,
     _sweep,
+    _sweeps,
     chain_dimensions,
     count_cyclic,
     count_lattice,
@@ -215,6 +216,22 @@ class TestInstances:
     )
     def test_vertex_formulas(self, family, topology, m, n, expect):
         assert LatticeInstance(family, topology, m, n).vertices == expect
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_every_sweep_lays_down_the_vertices(self, family, topology):
+        # both orientations, traced and open: periods times a period's
+        # sites, and an open sweep's closing slice
+        lo_m, lo_n = _VALIDITY[(family, topology)]
+        for m in range(lo_m, 31):
+            for n in range(lo_n, 31):
+                inst = LatticeInstance(family, topology, m, n)
+                sweeps = [s for s in _sweeps(inst) if s[1] >= _MIN_WIDTH[(family, s[0])]]
+                assert sweeps[0] == _sweeps(inst)[0]  # the first is never too narrow
+                for direction, width, periods, trace in sweeps:
+                    slices = _period_slices(family, direction, width)
+                    sites = periods * sum(length for _, length in slices) + (0 if trace else slices[0][1])
+                    assert sites == inst.vertices
 
     @pytest.mark.parametrize(
         "family, topology, m, n",
@@ -408,6 +425,18 @@ class TestOneSweep:
             (Family.AZTEC, Topology.CYLINDER, 8, 18),  # a trace, zeta pushes
             (Family.TRUNCATED_SQUARE, Topology.TORUS, 8, 9),  # a trace in blocks
             (Family.TRUNCATED_SQUARE, Topology.CYLINDER, 4, 12),  # open orbit links
+            # the rest of the exact-count benchmark's instances
+            (Family.QUADRATIC, Topology.TORUS, 10, 11),
+            (Family.QUADRATIC, Topology.TORUS, 11, 12),
+            (Family.QUADRATIC, Topology.CYLINDER, 8, 10),
+            (Family.CROSSED, Topology.TORUS, 11, 12),
+            (Family.CROSSED, Topology.CYLINDER, 10, 10),
+            (Family.AZTEC, Topology.TORUS, 7, 8),
+            (Family.AZTEC, Topology.CYLINDER, 7, 7),
+            (Family.AZTEC, Topology.PLANE, 8, 40),
+            (Family.TRUNCATED_SQUARE, Topology.TORUS, 6, 7),
+            (Family.TRUNCATED_SQUARE, Topology.CYLINDER, 6, 6),
+            (Family.TRUNCATED_SQUARE, Topology.PLANE, 6, 30),
         ],
     )
     def test_prices_the_pushes_it_takes(self, family, topology, m, n, monkeypatch):
@@ -683,6 +712,18 @@ def test_orbits_hold_no_array_per_image():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 8 * 2**18
+
+
+def test_orbits_refuse_a_space_its_symmetry_leaves():
+    # free masks {1, 4, 6} of 3 sites, mirrored: 6 turns to 3, which the
+    # space does not hold, so no orbit of 6 lies in it
+    space = StateSpace(StateKind.FREE, 3, np.array([1, 4, 6], dtype=np.int64))
+    chain = TransferChain(
+        Family.QUADRATIC, Direction.COLUMNWISE, Boundary.OPEN, 2, (Relation(space, space, None, None, False),)
+    )
+    for run in (lambda: _orbits(space, False), lambda: count_open(chain, 1), lambda: dominant_eigenvalue(chain)):
+        with pytest.raises(ValueError, match="least image is not a mask of the free space of 3 sites"):
+            run()
 
 
 def test_separate_chains_share_their_orbits():
@@ -1077,19 +1118,17 @@ def test_relation_prices_each_stack_width_once(monkeypatch):
 
 def test_paired_spread_matches_pair_by_pair():
     # pair k's first member (bit 2k) touches site k, its second (bit 2k+1)
-    # site k+1, turned mod p when wrapped
-    for p in range(1, 10):
+    # site k+1, turned mod p when wrapped; p <= 11 is every paired slice
+    # a chain lays down, up to MAX_ENUM_LENGTH sites
+    for p in range(1, MAX_ENUM_LENGTH // 2 + 1):
         masks = enumerate_states(StateKind.PAIRED, 2 * p).masks
         for wrap in (False, True):
-            got = _spread(Family.TRUNCATED_SQUARE, wrap, 2 * p)(np.array(masks, dtype=np.int64))
-            expect = []
-            for u in masks:
-                out = 0
-                for k in range(p):
-                    out |= ((u >> 2 * k) & 1) << k
-                    out |= ((u >> 2 * k + 1) & 1) << ((k + 1) % p if wrap else k + 1)
-                expect.append(out)
-            assert got.tolist() == expect
+            got = _spread(Family.TRUNCATED_SQUARE, wrap, 2 * p)(masks)
+            expect = np.zeros_like(masks)
+            for k in range(p):
+                expect |= ((masks >> 2 * k) & 1) << k
+                expect |= ((masks >> 2 * k + 1) & 1) << ((k + 1) % p if wrap else k + 1)
+            assert np.array_equal(got, expect)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,14 @@ class TestSharedSpaces:
         assert copy != space
 
     @pytest.mark.parametrize(
-        "masks", [(0.0, 1.0, 2.0), np.array([0, 1, 2], dtype=np.int32), np.zeros((1, 3), dtype=np.int64)]
+        "masks",
+        [
+            (0.0, 1.0, 2.0),
+            np.array([0, 1, 2], dtype=np.int32),
+            np.zeros((1, 3), dtype=np.int64),
+            np.array([0, 2, 1], dtype=np.int64),  # shuffled
+            np.array([0, 1, 1, 2], dtype=np.int64),  # a mask twice
+        ],
     )
     def test_refuses_masks_of_another_form(self, masks):
         with pytest.raises(ValueError):
