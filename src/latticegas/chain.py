@@ -18,8 +18,8 @@ truncated-square   the 8.8.4 tiling; a period is a paired column and
                    two plain columns: steps B, C, B^T
 
 ``_period_slices`` states each family's geometry once, as the (kind,
-length) of every slice a period lays down: chain shapes, an instance's
-vertices and the bounds' per-vertex exponents are all read from it.
+length) of every slice a period lays down: which instances exist, their
+vertices, chain shapes and the bounds' per-vertex exponents read it.
 
 Every step is one ``build_step(rows, cols, f, g)``: entry (u, v) is 1
 iff f(u) & g(v) == 0.  ``_spread`` gives each family's one map from the
@@ -73,7 +73,9 @@ Each instance is counted once, by whichever of its two sweeps
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -485,13 +487,6 @@ class TransferChain:
         """Lattice sites laid down by one period of the chain."""
         return _period_sites(self.family, self.direction, self.width)
 
-    def describe(self) -> str:
-        dims = " ".join("%dx%d" % (len(link.rows), len(link.cols)) for link in self.links)
-        return (
-            f"{self.family.value} {self.direction.value} width={self.width} "
-            f"{self.boundary.value} [{dims}]"
-        )
-
 
 @lru_cache(maxsize=None)
 def _period_slices(
@@ -695,30 +690,13 @@ def _shapes(slices: Sequence[tuple[StateKind, int]]) -> tuple[tuple[int, int], .
 # Instances and exact counts
 
 
-_VALIDITY = {
-    # (family, topology): (min_m, min_n)
-    (Family.QUADRATIC, Topology.PLANE): (1, 1),
-    (Family.QUADRATIC, Topology.CYLINDER): (1, 3),
-    (Family.QUADRATIC, Topology.TORUS): (3, 3),
-    (Family.CROSSED, Topology.PLANE): (1, 1),
-    (Family.CROSSED, Topology.CYLINDER): (1, 3),
-    (Family.CROSSED, Topology.TORUS): (3, 3),
-    (Family.AZTEC, Topology.PLANE): (1, 1),
-    (Family.AZTEC, Topology.CYLINDER): (1, 2),
-    (Family.AZTEC, Topology.TORUS): (2, 2),
-    (Family.TRUNCATED_SQUARE, Topology.PLANE): (2, 2),
-    (Family.TRUNCATED_SQUARE, Topology.CYLINDER): (2, 3),
-    (Family.TRUNCATED_SQUARE, Topology.TORUS): (2, 3),
-}
-
-
 @dataclass(frozen=True)
 class LatticeInstance:
     """A concrete finite lattice: family, topology and the two sizes.
 
     Cylinders always wrap in the n direction; rows run around, columns
-    stay open.  Sizes below the minimum either leave no vertices or
-    would force repeated edges, and are rejected outright.
+    stay open.  The sizes are integers, at least the smallest its sweeps
+    can lay down (``_minima``); any other is refused at construction.
     """
 
     family: Family
@@ -727,7 +705,9 @@ class LatticeInstance:
     n: int
 
     def __post_init__(self) -> None:
-        lo_m, lo_n = _VALIDITY[(self.family, self.topology)]
+        object.__setattr__(self, "m", operator.index(self.m))
+        object.__setattr__(self, "n", operator.index(self.n))
+        lo_m, lo_n = _minima(self.family, self.topology)
         if self.m < lo_m or self.n < lo_n:
             raise ValueError(
                 f"{self.family.value} {self.topology.value} needs "
@@ -739,31 +719,50 @@ class LatticeInstance:
         """The sites its first sweep (``_sweeps``) lays down: each
         period's, and the closing slice of an open sweep.  Every sweep of
         an instance lays down the same sites."""
-        direction, width, periods, trace = _sweeps(self)[0]
+        direction, width, periods, trace = _sweeps(self.family, self.topology, self.m, self.n)[0]
         sites = periods * _period_sites(self.family, direction, width)
         return sites if trace else sites + _period_slices(self.family, direction, width)[0][1]
 
 
 def _periods(family: Family, direction: Direction, m: int, n: int) -> int:
     raw = n if direction is Direction.COLUMNWISE else m
-    if family is Family.TRUNCATED_SQUARE:
-        return raw - 1
-    return raw
+    return raw - 1 if family is Family.TRUNCATED_SQUARE else raw
 
 
-def _sweeps(instance: LatticeInstance) -> list[tuple[Direction, int, int, bool]]:
+def _sweeps(fam: Family, topo: Topology, m: int, n: int) -> list[tuple[Direction, int, int, bool]]:
     """(direction, width, periods, trace) of the two sweeps that can count
     an instance.  A plane sweeps open across m or across n, a cylinder
     traces around its wrap or sweeps open along its axis, and a torus
     traces rowwise at width n or m.  The first is always as wide as its
     family's slices need; the second may be too narrow (``_MIN_WIDTH``)."""
-    fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
     col, row = Direction.COLUMNWISE, Direction.ROWWISE
     if topo is Topology.PLANE:
         return [(col, m, _periods(fam, col, m, n), False), (col, n, _periods(fam, col, n, m), False)]
     if topo is Topology.CYLINDER:
         return [(col, m, _periods(fam, col, m, n), True), (row, n, _periods(fam, row, m, n), False)]
     return [(row, n, _periods(fam, row, m, n), True), (row, m, _periods(fam, row, n, m), True)]
+
+
+def _exists(family: Family, topology: Topology, m: int, n: int) -> bool:
+    """Whether the sweeps lay these sizes down: the first as wide as its
+    slices need and over a slice (three around a trace, so that no edge is
+    laid twice), and the second, where open, as wide as its slices need."""
+    (direction, width, periods, trace), (other, other_width, _, closed) = _sweeps(family, topology, m, n)
+    return (
+        width >= _MIN_WIDTH[(family, direction)]
+        and periods * len(_period_slices(family, direction, width)) >= (3 if trace else 1)
+        and (closed or other_width >= _MIN_WIDTH[(family, other)])
+    )
+
+
+@lru_cache(maxsize=None)
+def _minima(family: Family, topology: Topology) -> tuple[int, int]:
+    """(lo_m, lo_n), the smallest sizes that exist (``_exists``): the
+    first k that exists as k x k, then each size lowered as far as it
+    exists with the other held at k."""
+    k = next(k for k in itertools.count(1) if _exists(family, topology, k, k))
+    lo_m = next(m for m in range(1, k + 1) if _exists(family, topology, m, k))
+    return lo_m, next(n for n in range(1, k + 1) if _exists(family, topology, k, n))
 
 
 # Miller-Rabin with these witnesses is exact for every n below 3.3e24.
@@ -1010,7 +1009,7 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     """
     fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
     fits = []
-    for direction, width, periods, trace in _sweeps(instance):
+    for direction, width, periods, trace in _sweeps(fam, topo, m, n):
         if width < _MIN_WIDTH[(fam, direction)]:
             continue
         shape = _sweep_links(fam, direction, width, trace)

@@ -19,9 +19,9 @@ from latticegas.chain import (
     Topology,
     TransferChain,
     _MIN_WIDTH,
-    _VALIDITY,
     _is_prime,
     _key_gathers,
+    _minima,
     _moduli,
     _orbit_count,
     _orbits,
@@ -138,10 +138,6 @@ class TestChainShape:
         assert transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 3).period_sites == 10
         assert transfer_chain(Family.TRUNCATED_SQUARE, Direction.ROWWISE, 3).period_sites == 8
 
-    def test_describe_mentions_the_pieces(self):
-        text = transfer_chain(Family.AZTEC, Direction.ROWWISE, 3).describe()
-        assert "aztec" in text and "rowwise" in text and "8x8" in text
-
     @pytest.mark.parametrize(
         "family, direction, width",
         [
@@ -222,36 +218,19 @@ class TestInstances:
     def test_every_sweep_lays_down_the_vertices(self, family, topology):
         # both orientations, traced and open: periods times a period's
         # sites, and an open sweep's closing slice
-        lo_m, lo_n = _VALIDITY[(family, topology)]
+        lo_m, lo_n = _minima(family, topology)
         for m in range(lo_m, 31):
             for n in range(lo_n, 31):
                 inst = LatticeInstance(family, topology, m, n)
-                sweeps = [s for s in _sweeps(inst) if s[1] >= _MIN_WIDTH[(family, s[0])]]
-                assert sweeps[0] == _sweeps(inst)[0]  # the first is never too narrow
+                sweeps = [s for s in _sweeps(family, topology, m, n) if s[1] >= _MIN_WIDTH[(family, s[0])]]
+                assert sweeps[0] == _sweeps(family, topology, m, n)[0]  # the first is never too narrow
                 for direction, width, periods, trace in sweeps:
                     slices = _period_slices(family, direction, width)
                     sites = periods * sum(length for _, length in slices) + (0 if trace else slices[0][1])
                     assert sites == inst.vertices
 
     @pytest.mark.parametrize(
-        "family, topology, m, n",
-        [
-            (Family.QUADRATIC, Topology.TORUS, 2, 3),
-            (Family.QUADRATIC, Topology.CYLINDER, 1, 2),
-            (Family.CROSSED, Topology.TORUS, 3, 2),
-            (Family.AZTEC, Topology.TORUS, 1, 2),
-            (Family.AZTEC, Topology.CYLINDER, 1, 1),
-            (Family.TRUNCATED_SQUARE, Topology.PLANE, 1, 5),
-            (Family.TRUNCATED_SQUARE, Topology.CYLINDER, 2, 2),
-            (Family.TRUNCATED_SQUARE, Topology.TORUS, 2, 2),
-        ],
-    )
-    def test_undersized_instances_rejected(self, family, topology, m, n):
-        with pytest.raises(ValueError):
-            LatticeInstance(family, topology, m, n)
-
-    @pytest.mark.parametrize(
-        "family, topology, m, n",
+        "family, topology, lo_m, lo_n",
         [
             (Family.QUADRATIC, Topology.PLANE, 1, 1),
             (Family.QUADRATIC, Topology.CYLINDER, 1, 3),
@@ -264,12 +243,35 @@ class TestInstances:
             (Family.AZTEC, Topology.TORUS, 2, 2),
             (Family.TRUNCATED_SQUARE, Topology.PLANE, 2, 2),
             (Family.TRUNCATED_SQUARE, Topology.CYLINDER, 2, 3),
+            # m = 2 lays one period around the trace; its rowwise width-2
+            # sweep is too narrow and is not needed
             (Family.TRUNCATED_SQUARE, Topology.TORUS, 2, 3),
         ],
     )
-    def test_minimum_instances_accepted(self, family, topology, m, n):
-        inst = LatticeInstance(family, topology, m, n)
-        assert inst.vertices >= 4
+    def test_instances_exist_exactly_from_the_minima(self, family, topology, lo_m, lo_n):
+        # the minima as reference data: an instance exists iff both of its
+        # sizes reach them
+        assert _minima(family, topology) == (lo_m, lo_n)
+        assert LatticeInstance(family, topology, lo_m, lo_n).vertices >= 4
+        for m in range(-2, 60):
+            for n in range(-2, 60):
+                if m >= lo_m and n >= lo_n:
+                    LatticeInstance(family, topology, m, n)
+                else:
+                    with pytest.raises(ValueError, match=f"needs m >= {lo_m} and n >= {lo_n}"):
+                        LatticeInstance(family, topology, m, n)
+
+    @pytest.mark.parametrize("m, n", [(2.5, 3), (3.0, 4), (3, "4"), (None, 4)])
+    def test_non_integer_sizes_refused(self, m, n):
+        # refused where the instance is made, not deep inside its count
+        with pytest.raises(TypeError):
+            LatticeInstance(Family.QUADRATIC, Topology.PLANE, m, n)
+
+    @pytest.mark.parametrize("size", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_sizes_accepted(self, size):
+        inst = LatticeInstance(Family.QUADRATIC, Topology.PLANE, size, 4)
+        assert type(inst.m) is int and inst == LatticeInstance(Family.QUADRATIC, Topology.PLANE, 3, 4)
+        assert count_lattice(inst) == 6743
 
 
 # Both cylinder routes are compared here and in the oracle sweeps, since
@@ -474,7 +476,7 @@ class TestOneSweep:
 
         for name in ("count_open", "count_cyclic"):
             monkeypatch.setattr(chain_module, name, logged(name))
-        lo_m, lo_n = _VALIDITY[(family, topology)]
+        lo_m, lo_n = _minima(family, topology)
         for m in range(lo_m, lo_m + 3):
             for n in range(lo_n, lo_n + 3):
                 calls.clear()
@@ -533,7 +535,7 @@ class TestOneSweep:
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("topology", [Topology.PLANE, Topology.TORUS])
     def test_planes_and_tori_sweep_as_before(self, family, topology):
-        lo_m, lo_n = _VALIDITY[(family, topology)]
+        lo_m, lo_n = _minima(family, topology)
         for m in range(lo_m, 41):
             for n in range(lo_n, 41):
                 inst = LatticeInstance(family, topology, m, n)

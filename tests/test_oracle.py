@@ -182,6 +182,14 @@ class TestVerification:
         assert res.ok
         assert res.transfer == res.brute
 
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_truncated_square_torus_at_m_2_past_the_cap(self, n, monkeypatch):
+        # the one minimum below a rowwise width its slices need: one period
+        # around the trace, 36 to 44 vertices, checked with the cap lifted
+        monkeypatch.setattr(oracle, "MAX_BRUTE_VERTICES", 44)
+        res = verify_instance(LatticeInstance(Family.TRUNCATED_SQUARE, Topology.TORUS, 2, n))
+        assert res.ok and res.transfer == res.brute
+
     def test_sweep_covers_every_family_and_topology(self):
         results = list(sweep(MAX_BRUTE_VERTICES))
         assert len(results) == 349
