@@ -37,17 +37,17 @@ next[k] = cur[k & ~bit_i] + (cur[k] if k has bit i else 0).  Its table
 plan holds all 2**L keys, O(L * 2**L) per vector against rows * cols.
 Its keys plan holds only the reachable ones, a prefix of some row's
 ~f(u) joined to a suffix of some column's g(v), and takes each level in
-two gathers: a path or ring slice of L sites has about F(L+2) states, so
-its levels hold a few per cent of the table ("The 1-vertex transfer
-matrix and accurate estimation of channel capacity", Friedland, Lundow,
-Markstroem, 2010).  A relation's plan follows the kind of slice its
-sites lie in (``_KEYS_PLAN_KINDS``): the keys plan on path and ring
-slices, the table on free and paired ones, where nearly every key is
-reachable.
+two gathers, the second for the keys with site i alone: a path or ring
+slice of L sites has about F(L+2) states, so its levels hold a few per
+cent of the table ("The 1-vertex transfer matrix and accurate
+estimation of channel capacity", Friedland, Lundow, Markstroem, 2010).
+A relation's plan follows the kind of slice its sites lie in
+(``_KEYS_PLAN_KINDS``): the keys plan on path and ring slices, the
+table on free and paired ones, where nearly every key is reachable.
 
 Every step commutes with the symmetry of its slices (``_orbits``):
 turning a wrapped slice by one site, or one pair on a paired slice, and
-mirroring an open slice over its own length.  Power iteration and open
+mirroring an open slice over its own length.  Lanczos iteration and open
 counts push only vectors fixed by it, so they keep one entry per orbit
 and push orbit relations (``orbit_steps``): each relation at its orbit
 representatives' rows, taking a vector on its column orbits.  Such a
@@ -325,10 +325,10 @@ class Relation:
             cur[: len(y)] = y
             cur[len(y)] = 0  # the last key is a zero
             for a, b in levels[:-1]:
-                n = len(a)
+                n, m = len(a), len(b)
                 np.take(cur, a, axis=0, out=nxt[:n], mode="clip")
-                np.take(cur, b, axis=0, out=other[:n], mode="clip")
-                nxt[:n] += other[:n]
+                np.take(cur, b, axis=0, out=other[:m], mode="clip")
+                nxt[n - m:n] += other[:m]
                 nxt[n] = 0
                 cur, nxt = nxt, cur
             a, b = levels[-1]
@@ -368,31 +368,40 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 def _key_gathers(queries: np.ndarray, sites: np.ndarray, bits: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The keys plan: two gathers per site that take its level before the
-    site to the next, next = cur[a] + cur[b].
+    site to the next, next = cur[a], then cur[b] added to next's tail.
 
     The level before site i holds the keys (p, s) of every distinct
     query ~f(u) on the sites below i, p, and every distinct site set
     g(v) on the sites from i up, shifted down by i, s.  It lays them out
-    suffix-major, key (p, s) at s * len(P) + p, and ends with one zero,
+    prefix-major, key (p, s) at p * len(S) + s, and ends with one zero,
     where every key missing from it reads.  New key (p', s') at site i
     reads (p' below i, s' * 2) and, if p' has bit i, (p' below i,
-    s' * 2 + 1).  The last level's prefixes are the queries themselves,
-    in row order, so its gathers read the rows.
+    s' * 2 + 1).  Prefixes are sorted, so the keys whose p' has bit i are
+    the level's tail, and b reads for them alone.  The last level's
+    prefixes are the queries themselves, in row order, so its gathers
+    read the rows, and its b reads for every row: the zero where the
+    query lacks bit i.
     """
     gathers = []
     prefixes, suffixes = np.zeros(1, dtype=np.int64), sites
     for i in range(bits):
-        new_prefixes = queries if i == bits - 1 else _distinct(queries & ((2 << i) - 1))
+        last = i == bits - 1
+        new_prefixes = queries if last else _distinct(queries & ((2 << i) - 1))
         new_suffixes = _distinct(sites >> (i + 1))
         zero = len(prefixes) * len(suffixes)
-        p = np.searchsorted(prefixes, new_prefixes & ((1 << i) - 1))
-        high = (new_prefixes >> i & 1).astype(bool)
+        p = np.searchsorted(prefixes, new_prefixes & ((1 << i) - 1))[:, None] * len(suffixes)
+        high = (new_prefixes >> i & 1).astype(bool)[:, None]
         pair = []
-        for bit, keep in ((0, True), (1, high)):
+        for bit in (0, 1):
             t = new_suffixes << 1 | bit
             s = np.minimum(np.searchsorted(suffixes, t), len(suffixes) - 1)
-            found = (suffixes[s] == t)[:, None] & keep
-            pair.append(np.where(found, s[:, None] * len(prefixes) + p, zero).ravel())
+            found = suffixes[s] == t
+            if bit:
+                if last:
+                    found = found & high
+                else:  # the tail of prefixes with bit i
+                    p = p[len(p) - np.count_nonzero(high):]
+            pair.append(np.where(found, p + s, zero).ravel())
         gathers.append(tuple(pair))
         prefixes, suffixes = new_prefixes, new_suffixes
     return gathers

@@ -309,8 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=_FAMILIES, required=True)
     p.add_argument("--direction", choices=_DIRECTIONS, required=True)
     p.add_argument("--width", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iterations", type=int, default=50000)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="max-norm residual to meet, relative to the root (at least 2**-52)")
+    p.add_argument("--max-iterations", type=int, default=50000,
+                   help="most pushes through the chain, checking pushes included")
     _add_format(p)
     p.set_defaults(func=_cmd_eig)
 

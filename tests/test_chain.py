@@ -784,13 +784,17 @@ def test_cylinder_trace_pushes_one_vector_per_mirror_orbit(family, width, orbits
 
 
 def test_ring_eig_pushes_one_row_per_rotation_orbit(monkeypatch):
-    # 31 orbits in, 31 out: the folded step, not 31 rows of all 322 columns
+    # 31 orbits in, 31 out: the folded step, not 31 rows of all 322 columns;
+    # a one-link chain pushes its link once per composite push counted
     chain = transfer_chain(Family.QUADRATIC, Direction.ROWWISE, 12, Boundary.CYCLIC)
     pushes = record_pushes(monkeypatch)
     result = dominant_eigenvalue(chain)
     assert len(pushes) == result.iterations
     assert {(push.cols, push.rows, push.kernel) for push in pushes} == {(31, 31, "fold")}
     assert len(result.vector) == 322
+    values, vectors = np.linalg.eigh(chain.links[0].built.array.astype(np.float64))
+    assert abs(result.value - values[-1]) <= 1e-13 * values[-1]
+    assert np.max(np.abs(result.vector - np.abs(vectors[:, -1]))) <= 1e-12
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -862,6 +866,35 @@ def test_relation_push_matches_the_built_step(family, direction, width, monkeypa
                 out = rel.push(stack)
                 assert out.shape == (len(rel.rows), layers, vectors) and np.array_equal(out, step.push(stack))
             assert zeta_plan(rel) == plan
+
+
+@pytest.mark.parametrize(
+    "family, direction, width",
+    [(f, d, w) for f in Family for d in Direction for w in range(_MIN_WIDTH[(f, d)], 13)],
+)
+def test_keys_plan_matches_the_table_and_the_built_step(family, direction, width, monkeypatch):
+    # The zeta push of every relation, whole and at its orbit rows, by
+    # the keys plan and by the table, on integer vectors whose sums stay
+    # below 2**53: exactly equal, and equal to the built step's push
+    # where that step holds at most 2**22 entries.
+    rng = np.random.default_rng(width)
+    for rel in relations(family, direction, width):
+        pushed = []
+        for kinds in (ZETA_PLANS["keys"], ZETA_PLANS["table"]):
+            monkeypatch.setattr(chain_module, "_KEYS_PLAN_KINDS", kinds)
+            fresh = dataclasses.replace(rel)
+            rng = np.random.default_rng(width)
+            for stack in ((), (3,)):
+                block = rng.integers(0, 2**30, size=(len(rel.cols),) + stack).astype(np.float64)
+                pushed.append(fresh._zeta(block))
+        keys, table = pushed[:2], pushed[2:]
+        assert all(np.array_equal(k, t) for k, t in zip(keys, table))
+        if len(rel.rows) * len(rel.cols) <= 2**22:
+            rng = np.random.default_rng(width)
+            step = build_step(rel.rows, rel.cols, rel.f, rel.g)
+            for stack, out in zip(((), (3,)), keys):
+                block = rng.integers(0, 2**30, size=(len(rel.cols),) + stack).astype(np.float64)
+                assert np.array_equal(out, step.push(block))
 
 
 @pytest.mark.parametrize(
@@ -1074,8 +1107,22 @@ def test_zeta_relations_pick_their_plan(family, direction, width, plan):
 def test_key_gathers_take_one_pair_per_site(family, direction):
     for rel in relations(family, direction, _MIN_WIDTH[(family, direction)] + 5):
         gathers = _key_gathers(rel._gather, rel._scatter[0], rel.bits)
-        assert len(gathers) == rel.bits and len(gathers[-1][0]) == len(rel.rows)
-        assert all(len(a) == len(b) for a, b in gathers)
+        assert len(gathers) == rel.bits and len(gathers[-1][0]) == len(gathers[-1][1]) == len(rel.rows)
+        # below the last site the second gather reads for its level's tail alone
+        assert all(len(b) <= len(a) for a, b in gathers)
+
+
+def test_second_key_gathers_read_only_prefixes_with_the_bit():
+    # the quadratic w=15 orbit link, the widest keys plan spectral-bounds
+    # pushes: its levels hold 44,668 keys in all, and its second gathers
+    # read 28,409 of them, 10,680 at the zero (26,744 of 44,668 when
+    # they read for every key)
+    steps, _, _ = orbit_steps(transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 15).links)
+    _, levels = steps[0]._zeta_plan
+    held = [len(steps[0]._scatter[0])] + [len(a) for a, _ in levels[:-1]]
+    assert sum(len(a) for a, _ in levels) == 44668
+    assert sum(len(b) for _, b in levels) == 28409
+    assert sum(int(np.count_nonzero(b == zero)) for (_, b), zero in zip(levels, held)) == 10680
 
 
 def test_quadratic_w19_eig_allocates_no_table(monkeypatch):

@@ -254,6 +254,17 @@ class TestEig:
         assert "max_iterations must be at least 1" in err
 
 
+    def test_unreachable_tolerance_refused(self, capsys):
+        # below 2**-52 the request is refused before any push: the width-19
+        # strip at 1e-16 once ran 50,000 iterations, 72 s, before failing
+        code, out, err = run(
+            capsys, "eig", "--family", "quadratic", "--direction", "columnwise", "--width", "19",
+            "--tol", "1e-16",
+        )
+        assert code == 1 and out == ""
+        assert "tol must be at least 2**-52" in err
+
+
 class TestBounds:
     def test_json_payload(self, capsys):
         code, out, _ = run(
@@ -265,6 +276,13 @@ class TestBounds:
         assert payload["lower"] < payload["upper"]
         assert payload["per_vertex_exponent"] == "1/2"
         assert [s["role"] for s in payload["samples"]] == ["strip", "strip", "ring"]
+
+    @pytest.mark.parametrize("command", ["bounds", "table"])
+    def test_unreachable_tolerance_refused(self, capsys, command):
+        widths = ["-q", "6", "-k", "6"] if command == "bounds" else ["--k-min", "5", "--k-max", "6"]
+        code, out, err = run(capsys, command, "--family", "quadratic", "-p", "2", *widths, "--tol", "1e-17")
+        assert code == 1 and out == ""
+        assert "tol must be at least 2**-52" in err
 
     def test_text_mentions_both_sides(self, capsys):
         _, out, _ = run(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latticegas import chain as chain_module
+from latticegas import spectral
 from latticegas.chain import (
     _MIN_WIDTH,
     Boundary,
@@ -21,7 +22,7 @@ import golden_data as gold
 
 
 def chain_of(links):
-    """A chain of these relations; power iteration reads only its links."""
+    """A chain of these relations; the iteration reads only its links."""
     return TransferChain(Family.QUADRATIC, Direction.COLUMNWISE, Boundary.OPEN, 1, tuple(links))
 
 
@@ -69,44 +70,42 @@ class TestKnownRoots:
         assert a.value == pytest.approx(b, rel=1e-12)
 
 
-def full_space_root(steps, tol=1e-12, max_iterations=50000):
-    """Power iteration with dominant_eigenvalue's start and stopping rule,
-    pushing every state through each step's whole array."""
-    v = np.ones(len(steps[-1].cols)) / np.sqrt(len(steps[-1].cols))
-    lam = 0.0
-    for it in range(1, max_iterations + 1):
-        w = v
-        for step in reversed(steps):
-            w = step.array @ w
-        lam_new, norm = float(v @ w), float(np.linalg.norm(w))
-        residual = float(np.max(np.abs(w - lam_new * v))) / (lam_new * float(np.max(np.abs(v))))
-        v = w / norm
-        if it > 1 and abs(lam_new - lam) <= tol * lam_new and residual <= tol:
-            return lam_new, v, it
-        lam = lam_new
-    raise AssertionError("reference did not converge")
+def composite_pair(chain):
+    """The top eigenpair of the chain's composite by LAPACK's symmetric
+    solver, with nothing of the chain's pushes: the float64 product of
+    its built 0/1 steps, exact at these sizes, and ``np.linalg.eigh``.
+    The vector has unit norm and is positive."""
+    composite = chain.steps[0].array.astype(np.float64)
+    for step in chain.steps[1:]:
+        composite = composite @ step.array.astype(np.float64)
+    assert np.array_equal(composite, composite.T)
+    values, vectors = np.linalg.eigh(composite)
+    vector = vectors[:, -1]
+    return float(values[-1]), vector if vector.sum() > 0 else -vector
+
+
+def assert_is_pair(res, value, vector):
+    """Value within 1e-13 relative, vector within 1e-12 entrywise."""
+    assert abs(res.value - value) <= 1e-13 * value
+    assert res.vector.shape == vector.shape
+    assert np.max(np.abs(res.vector - vector)) <= 1e-12
 
 
 class TestOrbitIteration:
     """A chain from transfer_chain is iterated on the orbits of its slice
-    symmetry; the iterates are still those over every state."""
+    symmetry; its root and vector are those of the whole composite."""
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("direction", list(Direction))
     @pytest.mark.parametrize("extra", range(4))
-    def test_matches_the_full_space_iteration(self, family, direction, extra):
+    def test_matches_the_composite_eigenpair(self, family, direction, extra):
         chain = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + extra)
-        value, vector, iterations = full_space_root(chain.steps)
-        res = dominant_eigenvalue(chain)
-        assert res.iterations == iterations
-        assert abs(res.value - value) <= 1e-14 * value
-        assert res.vector.shape == vector.shape
-        assert np.max(np.abs(res.vector - vector)) <= 1e-14
+        assert_is_pair(dominant_eigenvalue(chain), *composite_pair(chain))
 
 
 class TestZetaIteration:
-    """Power iteration through relations (the zeta push, by either plan)
-    gives the iterates of power iteration through built steps."""
+    """Iteration through relations (the zeta push, by either plan) takes
+    the pushes of iteration through built steps, to the same eigenpair."""
 
     @pytest.mark.parametrize(
         "family, direction, width",
@@ -122,15 +121,60 @@ class TestZetaIteration:
     def test_matches_the_built_steps(self, family, direction, width, monkeypatch):
         chain = transfer_chain(family, direction, width)
         monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (0.0, 1.0))
-        built = dominant_eigenvalue(chain)
+        results = [dominant_eigenvalue(chain)]
         monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))
         # the slice kinds that take the keys plan: none, then all, forcing each plan in turn
         for kinds in (frozenset(), frozenset(StateKind)):
             monkeypatch.setattr(chain_module, "_KEYS_PLAN_KINDS", kinds)
-            zeta = dominant_eigenvalue(chain)
-            assert zeta.iterations == built.iterations
-            assert abs(zeta.value - built.value) <= 1e-14 * built.value
-            assert np.max(np.abs(zeta.vector - built.vector)) <= 1e-14 * np.max(built.vector)
+            results.append(dominant_eigenvalue(chain))
+        assert len({res.iterations for res in results}) == 1
+        # the composite's eigh up to 1024 states; past that, the built steps' pair
+        if len(chain.entry_space) <= 1024:
+            value, vector = composite_pair(chain)
+        else:
+            value, vector = results[0].value, results[0].vector
+        for res in results:
+            assert_is_pair(res, value, vector)
+
+
+def lanczos_tridiagonal(matrix, steps):
+    """(alpha, beta) of Lanczos with full reorthogonalization on a
+    symmetric matrix from the all-ones vector, in numpy and LAPACK-free."""
+    q = np.ones(len(matrix)) / math.sqrt(len(matrix))
+    basis, alpha, beta = [q], [], [0.0]
+    for k in range(steps):
+        w = matrix @ basis[-1]
+        alpha.append(float(basis[-1] @ w))
+        for _ in range(2):
+            w -= np.array(basis).T @ (np.array(basis) @ w)
+        if k < steps - 1:
+            beta.append(float(np.linalg.norm(w)))
+            basis.append(w / beta[-1])
+    return alpha, beta
+
+
+class TestRitz:
+    """The top eigenpair of a Lanczos tridiagonal, without LAPACK, against
+    np.linalg.eigh of the tridiagonal."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("steps", [1, 2, 5, 12, 30])
+    def test_matches_eigh(self, seed, steps):
+        rng = np.random.default_rng(seed)
+        # a nonnegative symmetric matrix with a spread of magnitudes, as
+        # the composites have
+        half = rng.random((40, 40)) ** (1 + 4 * seed)
+        alpha, beta = lanczos_tridiagonal(half + half.T, steps)
+        tri = np.diag(alpha) + np.diag(beta[1:], 1) + np.diag(beta[1:], -1)
+        values, vectors = np.linalg.eigh(tri)
+        top = np.abs(vectors[:, -1])  # one sign throughout, as off-diagonals are positive
+        bound = max(abs(a) + 2 * max(beta) for a in alpha)
+        # from the Gershgorin bound, and from a guess below the root
+        for guess in (bound, values[-1] / 2):
+            value, vector = spectral._ritz(alpha, beta, guess, bound)
+            assert abs(value - values[-1]) <= 1e-13 * values[-1]
+            vector = np.array(vector) / np.linalg.norm(vector)
+            assert np.max(np.abs(vector - top)) <= 1e-10
 
 
 class TestResultContract:
@@ -146,6 +190,16 @@ class TestResultContract:
         assert res.residual <= 1e-13
         assert res.iterations >= 2
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_restarts_from_its_ritz_vector(self, family, monkeypatch):
+        # four vectors at most: each run that fills them checks its Ritz
+        # vector, and one that fails starts the next run from it
+        monkeypatch.setattr(spectral, "BASIS", 4)
+        chain = transfer_chain(family, Direction.COLUMNWISE, 6)
+        res = dominant_eigenvalue(chain)
+        assert res.iterations > 5 and res.residual <= 1e-12
+        assert_is_pair(res, *composite_pair(chain))
+
     def test_tighter_tolerance_takes_more_iterations(self):
         chain = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 4)
         loose = dominant_eigenvalue(chain, tol=1e-6)
@@ -155,14 +209,15 @@ class TestResultContract:
 
 
 class TestFailureModes:
-    def test_periodic_matrix_never_converges(self):
+    def test_bipartite_matrix_gives_its_positive_root(self):
         # the 3-vertex path's adjacency: eigenvalues +/- sqrt(2) tie in
-        # modulus, so the iterate orbits; each mask is its own mirror orbit
+        # modulus, where power iteration's iterate orbits; the start's
+        # Krylov space holds both, and the top one is sqrt(2)
         three = free_space(1, 2, 5)
         bipartite = Relation(three, three, None, None, False)
         assert bipartite.built.array.astype(int).tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-        with pytest.raises(ConvergenceError):
-            dominant_eigenvalue(chain_of([bipartite]), max_iterations=500)
+        res = dominant_eigenvalue(chain_of([bipartite]), max_iterations=500)
+        assert_is_pair(res, math.sqrt(2.0), np.array([0.5, math.sqrt(0.5), 0.5]))
 
     def test_iteration_budget_enforced(self):
         chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 2)
@@ -189,6 +244,39 @@ class TestFailureModes:
         for tol in (0.0, -1e-12, math.nan, math.inf):
             with pytest.raises(ValueError, match="tol"):
                 dominant_eigenvalue(chain, tol=tol)
+
+    @pytest.mark.parametrize("tol", [2.0**-53, 1e-16, 1e-17])
+    def test_rejects_unreachable_tolerance_before_pushing(self, tol, monkeypatch):
+        # below float64's rounding no residual can be certain to reach tol
+        def refused(self, block):
+            raise AssertionError("pushed a vector")
+
+        monkeypatch.setattr(Relation, "push", refused)
+        chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 19)
+        with pytest.raises(ValueError, match=r"tol must be at least 2\*\*-52"):
+            dominant_eigenvalue(chain, tol=tol)
+
+    def test_smallest_tolerance_accepted(self):
+        chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 1)
+        assert dominant_eigenvalue(chain, tol=2.0**-52).residual <= 2.0**-52
+
+    def test_stalled_residual_raises_early(self, monkeypatch):
+        # a tol no float64 residual reaches: the iteration stops after two
+        # checking pushes in a row fail to lower the residual, far inside
+        # its budget of pushes
+        monkeypatch.setattr(spectral, "MIN_TOL", 0.0)
+        pushes = []
+        push = Relation.push
+
+        def counted(self, block):
+            pushes.append(self)
+            return push(self, block)
+
+        monkeypatch.setattr(Relation, "push", counted)
+        chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 12)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            dominant_eigenvalue(chain, tol=1e-30)
+        assert 0 < len(pushes) < 100
 
     def test_nilpotent_matrix_reported_degenerate(self):
         # the one mask meets itself: the step is [[0]]
