@@ -64,10 +64,18 @@ Chinese remainder theorem.  Each contraction takes primes as wide as
 its widest slice space leaves exact in float64, and as few as its
 count's bound needs (``_moduli``).  It reduces its residues by exact
 float division (``_reduce``), and only when the next push could carry
-an entry past 2**52; a small count reduces once, at the end.  A trace
-runs over the period's smallest slice space: tr(ABC) = tr(BCA).  It
-pushes one basis vector per orbit of that space and weights its
-diagonal entry by the orbit's size.
+an entry past 2**52.  A trace runs over the period's smallest slice
+space: tr(ABC) = tr(BCA).  It pushes one basis vector per orbit of that
+space and weights its diagonal entry by the orbit's size.
+A count meets in the middle where its period reads the same backwards
+(``_palindrome``), link i the transpose of link n-1-i, as S, A A^T and
+B C B^T do: for a symmetric T, 1^T T^2k 1 = |T^k 1|^2 (Calkin and Wilf,
+"The number of independent sets in a grid graph", 1998).  Its run of
+N = links * periods links then pushes only ceil(N/2) of them, and the
+two halves are joined by an exact dot mod each prime (``_dot``).  A
+truncated-square trace starts at a plain space, where its order is
+C B^T B, which reads otherwise; it and any hand-built period that is no
+palindrome push all N links.
 Each instance is counted once, by whichever of its two sweeps
 ``_sweep`` prices lowest, at the kernels and stacks its pushes take.
 """
@@ -80,11 +88,11 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .compat import Spread, StepMatrix, blocked_product, build_step, compatible
+from .compat import BLOCK_ENTRIES, Spread, StepMatrix, blocked_product, build_step, compatible
 from .statespace import MAX_ENUM_LENGTH, StateKind, StateSpace, enumerate_states, state_count
 
 __all__ = [
@@ -622,9 +630,12 @@ def _orbit_count(kind: StateKind, length: int, wrap: bool) -> int:
     return sum(ring(math.gcd(j, n)) for j in range(n)) // n
 
 
+@lru_cache(maxsize=None)
 def _spread(family: Family, wrap: bool, length: int) -> Spread | None:
     """Map a mask of the period's first slice (``length`` sites) to the
-    sites it touches in the next slice; None means the identity.
+    sites it touches in the next slice; None means the identity.  One
+    map is kept per (family, wrap, length), so ``_symmetric`` tests each
+    once.
 
     Site i touches site i for quadratic; i-1, i and i+1 for crossed;
     i and i+1 for aztec (i-1 and i wrapped); and for truncated-square
@@ -669,16 +680,73 @@ def transfer_chain(
     truncated-square tiling (whose paired slices then have 2(width-1)
     sites).
     """
+    return TransferChain(family, direction, boundary, width, _period_links(family, direction, width, enumerate_states))
+
+
+def _period_links(
+    family: Family, direction: Direction, width: int, space: Callable[[StateKind, int], StateSpace]
+) -> tuple[Relation, ...]:
+    """The links of one period, over the space ``space(kind, length)``
+    gives each slice: one step from the first slice to itself, spread by
+    f; or from the first slice to the last, spread by f, once more from
+    the last to itself on a three-slice period, and back to the first,
+    its columns spread by the same f."""
     slices = _period_slices(family, direction, width)
-    first, last = enumerate_states(*slices[0]), enumerate_states(*slices[-1])
+    first, last = space(*slices[0]), space(*slices[-1])
     wrap = direction is Direction.ROWWISE
     f = _spread(family, wrap, first.length)
     if len(slices) == 1:
-        links = (Relation(first, first, f, None, wrap),)
-    else:
-        middle = (Relation(last, last, None, None, wrap),) if len(slices) == 3 else ()
-        links = (Relation(first, last, f, None, wrap), *middle, Relation(last, first, None, f, wrap))
-    return TransferChain(family, direction, boundary, width, links)
+        return (Relation(first, first, f, None, wrap),)
+    middle = (Relation(last, last, None, None, wrap),) if len(slices) == 3 else ()
+    return (Relation(first, last, f, None, wrap), *middle, Relation(last, first, None, f, wrap))
+
+
+@lru_cache(maxsize=None)
+def _stand_in(kind: StateKind, length: int) -> StateSpace:
+    """A space of this kind and length that holds no state, one per
+    (kind, length) as ``enumerate_states`` gives, for reading a period's
+    layout (``_period_links``) without enumerating it."""
+    return StateSpace(kind, length, np.empty(0, dtype=np.int64))
+
+
+@lru_cache(maxsize=64)
+def _symmetric(spread: Spread, length: int) -> bool:
+    """Whether f(u) & v == 0 exactly when u & f(v) == 0, for masks u, v
+    of ``length`` sites: whether site j is in the image of site i exactly
+    when i is in that of j.  A spread maps a mask to the union of its
+    sites' images, so the sites' images settle it."""
+    images = spread(np.int64(1) << np.arange(length, dtype=np.int64))
+    touches = images[:, None] >> np.arange(length) & 1
+    return np.array_equal(touches, touches.T)
+
+
+def _palindrome(links: Sequence[Relation]) -> bool:
+    """Whether a period reads the same backwards: link i is the transpose
+    of link n-1-i, so that every run of whole periods does too.  A link's
+    transpose swaps its rows and columns and its two spreads; a lone
+    middle link is its own transpose when it spreads neither side, or
+    one side by a symmetric spread (``_symmetric``)."""
+    for link, back in zip(links, reversed(links)):
+        if back.rows is not link.cols or back.cols is not link.rows:
+            return False
+        if not (back.f is link.g and back.g is link.f or back is link and _symmetric(link.f or link.g, link.bits)):
+            return False
+    return True
+
+
+def _smallest(rows: Sequence[int]) -> int:
+    """Where a trace starts its period: the first link of fewest rows."""
+    return min(range(len(rows)), key=rows.__getitem__)
+
+
+def _halves(links: int, periods: int, palindrome: bool) -> tuple[int, int]:
+    """(pushes, half) of a contraction over ``periods`` of a ``links``-link
+    period: it pushes a block through the last ``pushes`` of the N links,
+    and takes its left side after ``half`` of them.  A palindrome pushes
+    ceil(N/2) and takes the left side at floor(N/2); any other pushes N
+    and its left side is the start."""
+    n = links * periods
+    return ((n + 1) // 2, n // 2) if palindrome else (n, 0)
 
 
 def chain_dimensions(family: Family, direction: Direction, width: int) -> tuple[tuple[int, int], ...]:
@@ -896,61 +964,120 @@ def _trace_block(primes: int, dims: Sequence[tuple[int, int]]) -> int:
     return max(1, STACK_ENTRIES // (primes * max(r for r, _ in dims)))
 
 
+def _dot(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None, mods: np.ndarray, top: int) -> np.ndarray:
+    """The sum over rows u of weights[u] * x[u] * y[u] mod each prime, as
+    int64 primes x columns below the primes, for blocks of float64
+    integers below 2**53 (rows x primes x columns, ``mods`` primes x 1)
+    and int64 weights (None weighs every row 1) that sum to at most the
+    widest slice space.  ``top`` bounds the weighted sum itself.
+
+    Where ``top`` is below 2**53, every product and partial sum is an
+    exact float64 integer, and the sum is taken as it is.  Else it reduces
+    both blocks below their primes (``_reduce``), the one block once
+    where x is y.  A product of two residues reaches p**2, about 2**94 at
+    47-bit primes, past float64 and int64.  Its float64 quotient
+    q = floor(x * y / p) is within 1 of the exact one: x * y / p < 2**47
+    is off by at most 2**-52 of itself.  So x * y - q * p lies in
+    [-p, 2p), and int64 arithmetic, which wraps mod 2**64, gives it
+    exactly.  ``_moduli`` keeps p times the widest space below 2**48, so
+    each weighted sum stays in int64.  It works on BLOCK_ENTRIES entries
+    of the blocks at a time, so each of its temporaries stays in cache.
+    """
+    shape = x.shape[1:]  # prime layers and columns run along one axis
+    mods = np.repeat(mods[:, 0], shape[1])
+    p = mods.astype(np.int64)
+    if top < 2 * _EXACT:
+        products = np.multiply(x, y, dtype=np.float64).reshape(len(x), -1)
+        total = (products.sum(axis=0) if weights is None else weights @ products).astype(np.int64)
+        return (total % p).reshape(shape)
+    total = 0
+    k = max(1, BLOCK_ENTRIES // len(p))
+    for s in range(0, len(x), k):
+        a = _reduce(x[s:s + k].reshape(-1, len(p)), mods)
+        b = a if x is y else _reduce(y[s:s + k].reshape(-1, len(p)), mods)
+        q = a * b
+        q /= mods
+        np.floor(q, out=q)
+        r = np.multiply(a, b, dtype=np.int64, casting="unsafe")
+        r -= np.multiply(q, p, dtype=np.int64, casting="unsafe")
+        total = total + (r.sum(axis=0) if weights is None else weights[s:s + k] @ r)
+    return (total % p).reshape(shape)
+
+
 def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     """1^T M^periods 1, or tr(M^periods) if trace, for the composite M.
 
     Every step commutes with the symmetry of its slices, so both are
     sums over orbits.  An open count pushes the all-ones vector, which
-    is constant on orbits, through ``orbit_steps`` and weights each
-    orbit by its size.  A trace runs over the period's smallest slice
-    space: every state of an orbit has the same diagonal entry, so tr =
-    sum over orbit representatives r of |orbit r| * M_rr, and it pushes
-    one basis vector per orbit through the whole links, in blocks of
-    STACK_ENTRIES at the widest space the stack fans out to; each link's
-    ``push`` picks its kernel for them.
+    is constant on orbits, through ``orbit_steps``.  A trace runs over
+    the period's smallest slice space: every state of an orbit has the
+    same diagonal entry, so tr = sum over orbit representatives r of
+    |orbit r| * M_rr, and it pushes one basis vector per orbit through
+    the whole links, in blocks of STACK_ENTRIES at the widest space the
+    stack fans out to; each link's ``push`` picks its kernel for them.
+
+    Where the period reads the same backwards (``_palindrome``), so does
+    its run of N = links * periods links, S_0 ... S_(N-1) with S_i the
+    transpose of S_(N-1-i).  Then, with m = floor(N/2),
+    u^T S_0 ... S_(N-1) v = x . y for x = S_(N-m) ... S_(N-1) u and
+    y = S_m ... S_(N-1) v, which one run of pushes gives, x after m of
+    them and y after ceil(N/2) (Calkin and Wilf's 1^T T^2k 1 = |T^k 1|^2,
+    "The number of independent sets in a grid graph", 1998).  An open
+    count sums |o| * x_o * y_o over the orbits o of the space where the
+    halves meet; a trace sums |r| * (x_r . y_r) over its basis vectors r.
+    Any other period, such as a truncated-square trace, which starts at
+    a plain space where its order is C B^T B, pushes all N links and
+    takes its start as x.
 
     The stack has one layer per prime of ``_count_moduli``.  A push
     sums at most len(cols) entries, so ``top`` bounds every entry: it
     grows by that factor each push, and the block is reduced, back to
     below the largest prime, only before a push that could carry it past
-    ``_EXACT``, and before the weighted sum if that could.  The residues
-    of each sum are reduced as they accumulate, and the CRT joins them.
+    ``_EXACT``.  The exact dot of the halves (``_dot``) reduces them
+    below their primes first where its sum could pass 2**53, and the CRT
+    joins its residues.
     """
     links = chain.links
     if trace:  # tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
-        i = min(range(len(links)), key=lambda i: len(links[i].rows))
+        i = _smallest([len(link.rows) for link in links])
         links = links[i:] + links[:i]
     dims = [(len(link.rows), len(link.cols)) for link in links]
-    size = dims[0][0]
     primes = _count_moduli(dims, periods, trace)
     mods = np.array(primes, dtype=np.float64)[:, None]
-    # pick[u, j] weights entry u of pushed column j at the end, and its
-    # nonzero entries are where the column starts
+    pushes, half = _halves(len(links), periods, _palindrome(links))
+    meet = links[half % len(links)].rows  # the halves meet in this space
+    # blocks of (start, columns): start[u, j] is 1 where column j starts,
+    # and columns[j] weighs column j's dot; weights[u] weighs its row u
     if trace:  # a basis vector is not symmetric: push it through whole links
-        plan = links
+        plan, weights = links, None
         _, reps, sizes = _orbits(links[0].rows, links[0].wrap)
         k = _trace_block(len(primes), dims)
-        picks = (np.equal.outer(np.arange(size), reps[s:s + k]) * sizes[s:s + k] for s in range(0, len(reps), k))
+        states = np.arange(dims[0][0])
+        blocks = ((np.equal.outer(states, reps[s:s + k]), sizes[s:s + k]) for s in range(0, len(reps), k))
     else:
         plan, _, sizes = orbit_steps(links)
-        picks = (sizes[:, None],)
-    pushes = [(step, len(step.cols)) for step in reversed(plan)]
-    residues = np.zeros(len(primes))
-    for pick in picks:
-        block = np.broadcast_to((pick > 0)[:, None], (len(pick), len(primes), pick.shape[1]))
+        weights = _orbits(meet, links[0].wrap)[2]
+        blocks = ((np.ones((len(sizes), 1), dtype=bool), np.ones(1, dtype=np.int64)),)
+    steps = [(step, len(step.cols)) for step in reversed(plan)]
+    moduli = np.array(primes, dtype=np.int64)
+    residues = np.zeros(len(primes), dtype=np.int64)
+    for start, columns in blocks:
+        block = np.broadcast_to(start[:, None], (len(start), len(primes), start.shape[1]))
         top = 1  # no entry of block exceeds top
-        for _ in range(periods):
-            for step, cols in pushes:  # a push sums at most cols entries, on orbits too
-                if top * cols >= _EXACT:
-                    block, top = _reduce(block, mods), primes[0] - 1  # primes[0] is the largest
-                block = step.push(block)
-                top *= cols
-        if top * size >= _EXACT:  # the weights of pick sum to at most size
-            block = _reduce(block, mods)
-        residues = _reduce(residues + (block * pick[:, None]).sum(axis=(0, 2)), mods[:, 0])
+        left = block, top
+        for t in range(pushes):
+            step, cols = steps[t % len(steps)]  # a push sums at most cols entries, on orbits too
+            if top * cols >= _EXACT:
+                block, top = _reduce(block, mods), primes[0] - 1  # primes[0] is the largest
+            block = step.push(block)
+            top *= cols
+            if t + 1 == half:
+                left = block, top
+        bound = left[1] * top * len(meet)  # the weights of a dot sum to len(meet)
+        residues = (residues + _dot(left[0], block, weights, mods, bound) @ columns) % moduli
     count, modulus = 0, 1
-    for r, p in zip(residues, primes):
-        count += modulus * ((int(r) - count) * pow(modulus, -1, p) % p)
+    for r, p in zip(residues.tolist(), primes):
+        count += modulus * ((r - count) * pow(modulus, -1, p) % p)
         modulus *= p
     return count
 
@@ -974,47 +1101,59 @@ def count_cyclic(chain: TransferChain, periods: int) -> int:
 @lru_cache(maxsize=256)
 def _sweep_links(
     family: Family, direction: Direction, width: int, trace: bool
-) -> tuple[tuple[tuple[int, int], ...], int, tuple[tuple[int, int, int | None], ...], int] | None:
+) -> tuple[tuple[tuple[int, int], ...], int, tuple[tuple[int, int, int | None], ...], int, bool] | None:
     """What ``_sweep`` prices a sweep's pushes by, or None where a slice
     passes MAX_ENUM_LENGTH sites: the (rows, cols) of every step, the
     sites every relation lies in (the last slice's), (rows, cols, column
-    orbits) of every link a period pushes, and the vectors it pushes.
+    orbits) of every link a period pushes, in the order ``_contract``
+    takes them, the vectors it pushes, and whether the period is a
+    palindrome (``_palindrome``, read from the links of stand-in spaces).
     An open sweep pushes one vector through orbit relations; a trace
-    pushes whole links (no column orbits), one basis vector per orbit of
-    its smallest slice space."""
+    starts at its smallest slice space and pushes whole links (no column
+    orbits), one basis vector per orbit of that space."""
     slices = _period_slices(family, direction, width)
     if max(length for _, length in slices) > MAX_ENUM_LENGTH:
         return None
     dims = _shapes(slices)
     orbits = [_orbit_count(kind, length, direction is Direction.ROWWISE) for kind, length in slices]
     if trace:
-        links = tuple((r, c, None) for r, c in dims)
-        vectors = orbits[min(range(len(dims)), key=lambda i: dims[i][0])]
+        links = [(r, c, None) for r, c in dims]
+        vectors = orbits[_smallest([r for r, _ in dims])]
     else:
-        links = tuple((orbits[i], c, orbits[(i + 1) % len(dims)]) for i, (_, c) in enumerate(dims))
+        links = [(orbits[i], c, orbits[(i + 1) % len(dims)]) for i, (_, c) in enumerate(dims)]
         vectors = 1
-    return dims, slices[-1][1], links, vectors
+    period = _period_links(family, direction, width, _stand_in)
+    i = _smallest([r for r, _ in dims]) if trace else 0
+    return dims, slices[-1][1], tuple(links[i:] + links[:i]), vectors, _palindrome(period[i:] + period[:i])
 
 
 # Nanoseconds per entry of the rows x cols step a kernel fills, once
-# per contraction: built, and folded from masks (2-vCPU x86-64 VM).  The
-# zeta push builds no step; its plan is left unpriced.
+# per contraction: built, and folded from masks (2-vCPU x86-64 VM).  A
+# fold costs about 2.2 ns an entry and 12 us an image of its columns'
+# symmetry; fitted to one figure an entry it is 3.1.  The zeta push
+# builds no step; its plan is left unpriced.
 _SETUP_NS = {"built": 1.0, "fold": 3.0, "zeta": 0.0}
+
+# Nanoseconds of the two halves' reductions and their exact dot
+# (``_dot``), per call and per entry of a block (2-vCPU x86-64 VM).
+_DOT_NS = (25000.0, 10.0)
 
 
 def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     """(direction, width, periods, trace) of the sweep that counts an instance.
 
     Of its ``_sweeps`` whose slices fit in MAX_ENUM_LENGTH sites, the
-    first with the lowest price wins: periods times the price of a
-    period, the push ``_kernel`` picks for each link at the stack
-    ``_contract`` pushes, one layer per prime of ``_count_moduli``.  An
-    open sweep pushes each link once, at its orbit rows and on its
-    column orbits; a trace pushes each whole link once per block of
-    ``_trace_block`` basis vectors, one per orbit of its smallest slice
-    space.  Each link's kernel adds its one-time build (``_SETUP_NS``).
-    Orbits are counted by ``_orbit_count``, so pricing enumerates
-    nothing.
+    first with the lowest price wins: the pushes ``_contract`` makes, at
+    the push ``_kernel`` picks for each link at the stack it pushes, one
+    layer per prime of ``_count_moduli``, and the dot that joins each
+    block's halves (``_DOT_NS``).  An open sweep pushes one vector, at
+    each link's orbit rows and on its column orbits; a trace pushes whole
+    links, one block of ``_trace_block`` basis vectors at a time, one
+    vector per orbit of its smallest slice space.  Each block runs
+    through ceil(N/2) of a palindrome's N = links * periods links
+    (``_halves``), else all N.  Each link pushed adds its kernel's
+    one-time build (``_SETUP_NS``).  Orbits are counted by
+    ``_orbit_count``, so pricing enumerates nothing.
     """
     fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
     fits = []
@@ -1024,14 +1163,18 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
         shape = _sweep_links(fam, direction, width, trace)
         if shape is None:
             continue
-        dims, bits, links, vectors = shape
+        dims, bits, links, vectors, palindrome = shape
         primes = len(_count_moduli(dims, periods, trace))
         k = _trace_block(primes, dims) if trace else 1
         blocks = [(w, times) for w, times in ((k, vectors // k), (vectors % k, 1)) if w]  # (width, how many)
-        cost = 0.0
-        for r, c, o in links:
-            picks = [(times, *_kernel(r, c, bits, primes * w, o)) for w, times in blocks]
-            cost += periods * sum(times * price for times, price, _ in picks) + r * c * _SETUP_NS[picks[0][2]]
+        pushes, half = _halves(len(links), periods, palindrome)
+        meet = links[half % len(links)][0]  # rows of the space the halves meet at
+        cost = sum(times * (_DOT_NS[0] + _DOT_NS[1] * meet * primes * w) for w, times in blocks)
+        for j, (r, c, o) in enumerate(reversed(links)):  # push j of a period takes link j from the end
+            runs = pushes // len(links) + (j < pushes % len(links))
+            if runs:
+                picks = [(times, *_kernel(r, c, bits, primes * w, o)) for w, times in blocks]
+                cost += runs * sum(times * price for times, price, _ in picks) + r * c * _SETUP_NS[picks[0][2]]
         fits.append((cost, (direction, width, periods, trace)))
     if not fits:
         raise ValueError(

@@ -311,29 +311,25 @@ def test_cylinder_contractions_agree(family, data):
 # Exactness against a Python-int reference contraction
 
 
-def reference_sweep(chain, vec, periods):
-    """Push Python ints through the chain's 0/1 steps, periods times over,
-    adding each entry of vec into every column its row reaches."""
-    reach = [[np.flatnonzero(row).tolist() for row in step.array] for step in chain.steps]
+def reference_sweep(chain, vecs, periods):
+    """Push Python-int vectors through the chain's 0/1 steps, periods
+    times over: entry v of a push sums the entries of a vector at the
+    rows that reach column v."""
+    reach = [[np.flatnonzero(col).tolist() for col in step.array.T] for step in chain.steps]
     for _ in range(periods):
-        for step, rows in zip(chain.steps, reach):
-            out = [0] * len(step.cols)
-            for x, cols in zip(vec, rows):
-                if x:
-                    for j in cols:
-                        out[j] += x
-            vec = out
-    return vec
+        for rows in reach:
+            vecs = [[sum(map(vec.__getitem__, r)) for r in rows] for vec in vecs]
+    return vecs
 
 
 def reference_open(chain, periods):
-    return sum(reference_sweep(chain, [1] * len(chain.entry_space), periods))
+    return sum(reference_sweep(chain, [[1] * len(chain.entry_space)], periods)[0])
 
 
 def reference_cyclic(chain, periods):
     size = len(chain.entry_space)
-    basis = ([int(i == s) for i in range(size)] for s in range(size))
-    return sum(reference_sweep(chain, vec, periods)[s] for s, vec in enumerate(basis))
+    basis = [[int(i == s) for i in range(size)] for s in range(size)]
+    return sum(vec[s] for s, vec in enumerate(reference_sweep(chain, basis, periods)))
 
 
 class TestExactness:
@@ -487,11 +483,11 @@ class TestOneSweep:
     @pytest.mark.parametrize(
         "m, n, direction",
         [
-            # priced in estimated nanoseconds
-            (3, 3, Direction.ROWWISE),  # 27 open against 227 traced
-            (13, 3, Direction.ROWWISE),  # 37 against about 1.5e8
-            (5, 10, Direction.ROWWISE),  # 5861 against 8379
-            (5, 11, Direction.COLUMNWISE),  # 9173 traced against 11866 open
+            # priced in estimated nanoseconds, each with one 25 us dot
+            (3, 3, Direction.ROWWISE),  # 25,046 open against 25,573 traced
+            (13, 3, Direction.ROWWISE),  # 25,051 against about 1.1e8
+            (5, 10, Direction.ROWWISE),  # 31,031 against 34,450
+            (5, 11, Direction.COLUMNWISE),  # 35,244 traced against 37,037 open
             (2, 30, Direction.COLUMNWISE),  # a 30-site ring does not fit
         ],
     )
@@ -753,12 +749,13 @@ def test_orbit_steps_rows_are_the_representatives(family, direction):
         assert step.cols is link.cols and step.on_orbits and not link.on_orbits
 
 
-def basis_vectors(pushes, chain, periods):
-    """Basis vectors a trace pushed: every one goes through each step of
-    every period, so the block widths sum to that many times the count."""
+def basis_vectors(pushes, links):
+    """Basis vectors a trace pushed: every one goes through ``links`` of
+    the period's links, so the block widths sum to that many times the
+    count."""
     total = sum(push.width for push in pushes)
-    assert total % (periods * len(chain.steps)) == 0
-    return total // (periods * len(chain.steps))
+    assert total % links == 0
+    return total // links
 
 
 def test_torus_trace_pushes_one_vector_per_orbit(monkeypatch):
@@ -766,21 +763,23 @@ def test_torus_trace_pushes_one_vector_per_orbit(monkeypatch):
     pushes = record_pushes(monkeypatch)
     count_cyclic(chain, 12)
     assert len(chain.entry_space) == 322
-    assert basis_vectors(pushes, chain, 12) == 31
+    assert basis_vectors(pushes, 6) == 31  # half of 12 periods of one link
 
 
 @pytest.mark.parametrize(
-    "family, width, orbits",
-    # PATH(7): 34 states, 8 of them palindromes; FREE(3): 8 states, 4
-    [(Family.QUADRATIC, 6, 21), (Family.TRUNCATED_SQUARE, 3, 6)],
+    "family, width, orbits, links",
+    # PATH(7): 34 states, 8 of them palindromes; FREE(3): 8 states, 4.
+    # Five periods: 3 of 5 links pushed, or all 15 of a truncated-square
+    # period that starts at its plain space.
+    [(Family.QUADRATIC, 6, 21, 3), (Family.TRUNCATED_SQUARE, 3, 6, 15)],
 )
-def test_cylinder_trace_pushes_one_vector_per_mirror_orbit(family, width, orbits, monkeypatch):
+def test_cylinder_trace_pushes_one_vector_per_mirror_orbit(family, width, orbits, links, monkeypatch):
     chain = transfer_chain(family, Direction.COLUMNWISE, width, Boundary.CYCLIC)
     start = min((step.rows for step in chain.steps), key=len)
     assert len({min(mask, mirror(mask, start)) for mask in start.masks}) == orbits
     pushes = record_pushes(monkeypatch)
     count_cyclic(chain, 5)
-    assert basis_vectors(pushes, chain, 5) == orbits
+    assert basis_vectors(pushes, links) == orbits
 
 
 def test_ring_eig_pushes_one_row_per_rotation_orbit(monkeypatch):
@@ -1271,11 +1270,12 @@ def test_moduli_are_the_fewest_whose_product_exceeds_the_bound():
 
 
 def test_quadratic_plane_12x100_pushes_at_most_26_layers(monkeypatch):
-    # one entry per mirror orbit (322 of 610) in and out
+    # one entry per mirror orbit (322 of 610) in and out, through half
+    # of the 100 links: the halves meet in the middle
     chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 12)
     pushes = record_pushes(monkeypatch)
     count_open(chain, 100)
-    assert len(pushes) == 100
+    assert len(pushes) == 50
     assert max(push.layers for push in pushes) <= 26
     assert {(push.cols, push.rows) for push in pushes} == {(322, 322)}
 
@@ -1318,25 +1318,26 @@ def record_reductions(monkeypatch, pushes=()):
     return log
 
 
-def test_one_prime_count_reduces_once(monkeypatch):
-    # 7 states and 4 periods: no entry passes 7**4, nor the weighted sum
-    # 7**5, so only the residue accumulator is reduced
+def test_one_prime_count_never_reduces(monkeypatch):
+    # 7 states and 4 periods, pushed through 2: no entry passes 7**2, and
+    # the dot of the halves, at most 7**5, is taken as it is
     reductions = record_reductions(monkeypatch)
     assert count(Family.QUADRATIC, Topology.TORUS, 4, 4) == 743
-    assert [r.shape for r in reductions] == [(1,)]
+    assert reductions == []
 
 
 def test_quadratic_plane_12x100_reduces_before_all_but_five_pushes(monkeypatch):
     # 610**5 < 2**52 <= 610**6, so the first five pushes run unreduced.
     # A reduced entry is below a 38-bit prime, and two pushes of 610 would
-    # carry it past 2**52, so each of the other 95 pushes is preceded by a
-    # reduction; then the weighted sum's block, and the accumulator.
+    # carry it past 2**52, so each of the other 45 of the 50 pushes is
+    # preceded by a reduction; then the dot reduces the block where the
+    # halves meet, once, since both halves are that block.
     chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 12)
     reductions = record_reductions(monkeypatch)
     count_open(chain, 100)
     shapes = [r.shape for r in reductions]
-    assert len(shapes) == 97
-    assert set(shapes[:-1]) == {(322, 25, 1)} and shapes[-1] == (25,)
+    assert len(shapes) == 46
+    assert set(shapes[:-1]) == {(322, 25, 1)} and shapes[-1] == (322, 25)
 
 
 @settings(deadline=None, max_examples=40)
@@ -1353,3 +1354,156 @@ def test_counts_match_reference(family, direction, data):
     cyclic_periods = data.draw(st.integers(min_value=1, max_value=6))
     assert count_open(chain, open_periods) == reference_open(chain, open_periods)
     assert count_cyclic(chain, cyclic_periods) == reference_cyclic(chain, cyclic_periods)
+
+
+# ---------------------------------------------------------------------------
+# Meeting in the middle: a palindromic period pushes half its links
+
+
+def reference_counts(chain, most):
+    """reference_open over 0..most periods and reference_cyclic over
+    1..most, one period of the reference sweep at a time."""
+    size = len(chain.entry_space)
+    vecs = [[1] * size] + [[int(i == s) for i in range(size)] for s in range(size)]
+    opens, traces = [size], []
+    for _ in range(most):
+        vecs = reference_sweep(chain, vecs, 1)
+        opens.append(sum(vecs[0]))
+        traces.append(sum(vec[s] for s, vec in enumerate(vecs[1:])))
+    return opens, traces
+
+
+# Every family and direction from its least width to 8, but the
+# truncated-square tiling only to 6: at 8 its paired space holds 2187
+# states, and the Python-int reference would push each through links of
+# 46,368 entries.
+SPLIT_WIDTHS = [
+    (family, direction, width)
+    for family in Family
+    for direction in Direction
+    for width in range(_MIN_WIDTH[(family, direction)], (6 if family is Family.TRUNCATED_SQUARE else 8) + 1)
+]
+
+
+@pytest.mark.parametrize("family, direction, width", SPLIT_WIDTHS)
+def test_split_counts_match_the_references(family, direction, width):
+    # open over 0..7 periods and traced over 1..7, from every rotation of
+    # the links, so N = links * periods is odd and even wherever the
+    # period has an odd number of links, and rotations that read the
+    # same backwards split where the others take whole pushes
+    chain = transfer_chain(family, direction, width)
+    for r in range(len(chain.links)):
+        rotated = dataclasses.replace(chain, links=chain.links[r:] + chain.links[:r])
+        opens, traces = reference_counts(rotated, 7)
+        assert [count_open(rotated, periods) for periods in range(8)] == opens
+        assert [count_cyclic(rotated, periods) for periods in range(1, 8)] == traces
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("direction", list(Direction))
+def test_every_period_but_the_truncated_square_trace_reads_the_same_backwards(family, direction):
+    # the contraction and the sweep's price read it from the same links;
+    # a truncated-square trace starts at a plain space, as C B^T B
+    width = _MIN_WIDTH[(family, direction)] + 2
+    chain = transfer_chain(family, direction, width)
+    smallest = chain_module._smallest([len(link.rows) for link in chain.links])
+    traced = chain.links[smallest:] + chain.links[:smallest]
+    assert chain_module._palindrome(chain.links)
+    assert chain_module._palindrome(traced) is (family is not Family.TRUNCATED_SQUARE)
+    for trace in (False, True):
+        assert chain_module._sweep_links(family, direction, width, trace)[4] is (not trace or family is not Family.TRUNCATED_SQUARE)
+
+
+def test_a_lone_link_reads_the_same_backwards_when_its_spread_is_symmetric():
+    space = enumerate_states(StateKind.CYCLE, 6)
+    for spread, symmetric in (
+        (None, True),
+        (_spread(Family.CROSSED, True, 6), True),  # site i touches i - 1, i and i + 1
+        (lambda u: u | chain_module._rot(u, 6, 1), False),  # i touches i and i + 1 only
+    ):
+        assert chain_module._palindrome((Relation(space, space, spread, None, True),)) is symmetric
+        assert chain_module._palindrome((Relation(space, space, None, spread, True),)) is symmetric
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("direction", list(Direction))
+def test_palindromes_push_half_their_links(family, direction, monkeypatch):
+    # one block of ceil(N/2) relation pushes, N = links * periods; a
+    # truncated-square trace pushes all N
+    width = _MIN_WIDTH[(family, direction)] + 2
+    chain = transfer_chain(family, direction, width, Boundary.CYCLIC)
+    start = min((link.rows for link in chain.links), key=len)
+    vectors = len(_orbits(start, chain.links[0].wrap)[1])
+    pushes = record_pushes(monkeypatch)
+    for periods in range(1, 8):
+        n = len(chain.links) * periods
+        pushes.clear()
+        count_open(chain, periods)
+        assert len(pushes) == (n + 1) // 2
+        pushes.clear()
+        count_cyclic(chain, periods)
+        links = n if family is Family.TRUNCATED_SQUARE else (n + 1) // 2
+        assert len(pushes) == links and {push.width for push in pushes} == {vectors}
+
+
+def test_a_period_that_is_no_palindrome_takes_whole_pushes(monkeypatch):
+    # u | u << 1 turned around a ring of 6: site i touches i and i + 1, so
+    # the one link is not its own transpose.  It commutes with turning the
+    # ring, so open counts may still push orbits.
+    space = enumerate_states(StateKind.CYCLE, 6)
+    link = Relation(space, space, lambda u: u | chain_module._rot(u, 6, 1), None, True)
+    chain = TransferChain(Family.QUADRATIC, Direction.ROWWISE, Boundary.CYCLIC, 6, (link,))
+    assert not chain_module._palindrome(chain.links)
+    opens, traces = reference_counts(chain, 7)
+    pushes = record_pushes(monkeypatch)
+    for periods in range(1, 8):
+        pushes.clear()
+        assert count_open(chain, periods) == opens[periods]
+        assert len(pushes) == periods
+        pushes.clear()
+        assert count_cyclic(chain, periods) == traces[periods - 1]
+        assert len(pushes) == periods
+
+
+# The widest primes _moduli picks: 47 bits, for a widest space of 1.
+WIDEST_PRIMES = _moduli(1, 2**470)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    rows=st.integers(1, 12),
+    columns=st.integers(1, 3),
+    weighted=st.booleans(),
+    data=st.data(),
+)
+def test_dot_is_exact_at_the_widest_primes(rows, columns, weighted, data):
+    # residues at 0, at p - 1 and anywhere between, in the rows x primes x
+    # columns layout of a block, against Python ints; and entries below
+    # 2**20, whose weighted sums stay exact in float64 and are taken as
+    # they are
+    assert {p.bit_length() for p in WIDEST_PRIMES} == {47}
+    layers = data.draw(st.integers(1, len(WIDEST_PRIMES)))
+    primes = WIDEST_PRIMES[:layers]
+    # -1 is p - 1 and 0 is 0 under every prime
+    entry = st.one_of(st.just(0), st.just(-1), st.integers(0, 2**47 - 1))
+
+    def block(modulus):
+        drawn = iter(data.draw(st.lists(entry, min_size=rows * layers * columns, max_size=rows * layers * columns)))
+        return [[[next(drawn) % modulus(p) for _ in range(columns)] for p in primes] for _ in range(rows)]
+
+    weights = data.draw(st.lists(st.integers(1, 22), min_size=rows, max_size=rows)) if weighted else [1] * rows
+    mods = np.array(primes, dtype=np.float64)[:, None]
+    for modulus, top in ((lambda p: p, sum(weights) * max(primes) ** 2), (lambda p: 2**20, sum(weights) * 2**40)):
+        x, y = block(modulus), block(modulus)
+        expect = [
+            [sum(w * a[i][j] * b[i][j] for w, a, b in zip(weights, x, y)) % p for j in range(columns)]
+            for i, p in enumerate(primes)
+        ]
+        got = chain_module._dot(
+            np.array(x, dtype=np.float64), np.array(y, dtype=np.float64),
+            np.array(weights, dtype=np.int64) if weighted else None, mods, top,
+        )
+        assert got.dtype == np.int64 and got.tolist() == expect
+        xs = np.array(x, dtype=np.float64)  # one block as both halves
+        same = chain_module._dot(xs, xs, None, mods, rows * max(primes) ** 2)
+        assert same.tolist() == [[sum(a[i][j] ** 2 for a in x) % p for j in range(columns)] for i, p in enumerate(primes)]
