@@ -59,20 +59,22 @@ STACK_ENTRIES entries or price higher, by the zeta push on the vector
 unfolded to every column; never by its built step.  Traces push basis
 vectors through whole relations, by the built step or the zeta push.
 
-Counts are exact integers: float64 pushes mod primes, joined by the
-Chinese remainder theorem.  Each contraction takes primes as wide as
-its widest slice space leaves exact in float64, and as few as its
-count's bound needs (``_moduli``).  It reduces its residues by exact
-float division (``_reduce``), and only when the next push could carry
-an entry past 2**52.  A trace runs over the period's smallest slice
-space: tr(ABC) = tr(BCA).  It pushes one basis vector per orbit of that
-space and weights its diagonal entry by the orbit's size.
+Counts are exact integers, each held as float64 digits in radix 2**b,
+b as wide as the widest slice space leaves exact (``_radix``): a block
+is rows x limbs x vectors, and a push takes every limb at once.  Only
+before a push that could carry a digit past 2**53 does the block take
+one parallel carry step (``_carry``), and only there does it add limbs,
+as many as the bound on its values needs (``_carries``).  A trace
+runs over the period's smallest slice space: tr(ABC) = tr(BCA).  It
+pushes one basis vector per orbit of that space and weights its
+diagonal entry by the orbit's size.
 A count meets in the middle where its period reads the same backwards
 (``_palindrome``), link i the transpose of link n-1-i, as S, A A^T and
 B C B^T do: for a symmetric T, 1^T T^2k 1 = |T^k 1|^2 (Calkin and Wilf,
 "The number of independent sets in a grid graph", 1998).  Its run of
 N = links * periods links then pushes only ceil(N/2) of them, and the
-two halves are joined by an exact dot mod each prime (``_dot``).  A
+two halves are joined by an exact dot (``_dot``), in float64 while
+its sum stays below 2**53, else in int64 pieces of b/2 bits.  A
 truncated-square trace starts at a plain space, where its order is
 C B^T B, which reads otherwise; it and any hand-built period that is no
 palindrome push all N links.
@@ -85,6 +87,7 @@ import itertools
 import math
 import operator
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -148,7 +151,7 @@ _MIN_WIDTH = {
 
 
 # float64 entries of a trace's stack of basis vectors at its widest
-# slice space, times its primes, of a zeta push's table, and at most of
+# slice space, times its limbs, of a zeta push's table, and at most of
 # a folded step: 2**19 entries is 4 MiB.
 STACK_ENTRIES = 1 << 19
 
@@ -242,17 +245,21 @@ class Relation:
         if kernel is None:
             rows, cols, bits = self._dims
             orbits = cols if self.on_orbits else None
-            kernel = self._picks[stack] = _kernel(rows, len(self.cols), bits, stack, orbits)[1]
+            kernel = self._picks[stack] = _kernel(rows, len(self.cols), bits, stack, orbits, self.keys)[1]
         return kernel
+
+    @property
+    def keys(self) -> bool:
+        """Whether the zeta push takes the keys plan: where the side left
+        unspread, whose ``bits`` sites hold every mask, is a path or ring."""
+        return (self.cols if self.g is None else self.rows).kind in _KEYS_PLAN_KINDS
 
     @cached_property
     def _zeta_plan(self) -> tuple[int, list[tuple[np.ndarray, np.ndarray]] | None]:
         """(entries per vector of the widest level the zeta push holds, the
-        keys plan's gathers or None for the table): the keys plan where
-        the side left unspread, whose ``bits`` sites hold every mask, is
-        of a kind in ``_KEYS_PLAN_KINDS``."""
+        keys plan's gathers, or None for the table)."""
         sites, bits = self._scatter[0], self.bits
-        if (self.cols if self.g is None else self.rows).kind not in _KEYS_PLAN_KINDS:
+        if not self.keys:
             return 1 << bits, None
         gathers = _key_gathers(self._gather, sites, bits)
         return max([len(sites)] + [len(a) for a, _ in gathers[:-1]]) + 1, gathers
@@ -312,7 +319,7 @@ class Relation:
         g(v) inside ~f(u).  Scatter x onto the data sites y[g(v)], take the
         subset sums of y one site at a time, and read them at ~f(u).  Each
         sum adds at most len(cols) entries of x, as the step's product
-        does, so residues below ``_moduli``'s primes stay exact.
+        does, so digits that ``_carries`` keeps exact stay exact.
 
         After site i, the entry at key k sums y[T] over the T that agree
         with k on the sites from i up and lie inside k below i, so site i
@@ -415,7 +422,9 @@ def _key_gathers(queries: np.ndarray, sites: np.ndarray, bits: int) -> list[tupl
     return gathers
 
 
-def _push_costs(rows: int, cols: int, bits: int, stack: int, orbits: int | None = None) -> tuple[float, float]:
+def _push_costs(
+    rows: int, cols: int, bits: int, stack: int, orbits: int | None = None, keys: bool = False
+) -> tuple[float, float]:
     """Estimated nanoseconds of one push of a stack ``stack`` vectors
     wide through a rows x cols relation on ``bits`` sites: (product,
     zeta push).  The product is the built step's, or, given the column
@@ -432,16 +441,22 @@ def _push_costs(rows: int, cols: int, bits: int, stack: int, orbits: int | None 
     faster ones.  The folded ones are fitted to timings of the folded
     and zeta pushes of 150 orbit relations of all four families at
     stacks 1 to 40 (same VM, numpy's default threads), where the picks
-    take 0.3% longer than the faster pushes.  The zeta term is the table
-    plan's, so it is an upper bound where a relation takes the keys plan
-    (``_KEYS_PLAN_KINDS``).
+    take 0.3% longer than the faster pushes.  At an exact count's limbs,
+    two vectors or more, the table plan costs about 5.4 ns an entry of
+    the half table a site whatever the stack (refitted to 1,100 timings);
+    a lone vector keeps its fit, as does a relation on the keys plan
+    (``keys``), to which the table's price is an upper bound.
     """
     if orbits is None:
         dense = rows * cols * (0.6 + 0.05 * stack)
     else:
         dense = rows * orbits * (0.2 + 0.045 * stack)
     half = bits * 2 ** (bits - 1)
-    zeta = half * (0.1 + stack) + 3 * (rows + cols + 2**bits) * stack + 3000 * bits + 5000
+    touched = rows + cols + 2**bits
+    if stack == 1 or keys:
+        zeta = half * (0.1 + stack) + 3 * touched * stack + 3000 * bits + 5000
+    else:
+        zeta = half * (5.4 + 0.86 * stack) + 0.83 * touched * stack + 3900 * bits + 1300
     return dense, zeta
 
 
@@ -450,7 +465,9 @@ def _push_costs(rows: int, cols: int, bits: int, stack: int, orbits: int | None 
 FOLD_ENTRIES = 1 << 17
 
 
-def _kernel(rows: int, cols: int, bits: int, stack: int, orbits: int | None = None) -> tuple[float, str]:
+def _kernel(
+    rows: int, cols: int, bits: int, stack: int, orbits: int | None = None, keys: bool = False
+) -> tuple[float, str]:
     """(estimated nanoseconds, kernel) of the push a relation takes for a
     stack this wide, from ``_push_costs``: a whole relation's built step
     or zeta push; a relation on ``orbits`` column orbits takes its folded
@@ -462,7 +479,7 @@ def _kernel(rows: int, cols: int, bits: int, stack: int, orbits: int | None = No
     orbits: on a ring of L sites 8/L of the bool step's bytes, on a
     mirrored slice 4 times them (truncated-square strip 8's 136 x 1107
     fold would hold 1.2 MB for a 0.3 MB step)."""
-    dense, zeta = _push_costs(rows, cols, bits, stack, orbits)
+    dense, zeta = _push_costs(rows, cols, bits, stack, orbits, keys)
     if orbits is None:
         return (dense, "built") if dense <= zeta else (zeta, "zeta")
     room = min(STACK_ENTRIES, max(FOLD_ENTRIES, rows * cols // 8))
@@ -842,87 +859,58 @@ def _minima(family: Family, topology: Topology) -> tuple[int, int]:
     return lo_m, next(n for n in range(1, k + 1) if _exists(family, topology, k, n))
 
 
-# Miller-Rabin with these witnesses is exact for every n below 3.3e24.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_EXACT = 2**53  # float64 holds every integer up to 2**53
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact below 3.3e24."""
-    if n < 2:
-        return False
-    for a in _WITNESSES:
-        if n % a == 0:
-            return n == a
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s, d odd
-    d = (n - 1) >> s
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _radix(widest: int) -> int:
+    """Bits of a limb: the widest even b (``_dot`` halves a digit) whose
+    carried digits stay exact summed ``widest`` at a time: 42 for 610
+    states (quadratic strip 12), 30 for 2**22 (a 22-site free slice)."""
+    return max(b for b in range(2, 52, 2) if _carried(2**53, b) * widest <= _EXACT)
 
 
-# The primes found so far below 2**bits, largest first, per bits.
-_PRIMES: dict[int, tuple[int, ...]] = {}
+def _limbs(value: int, radix: int) -> int:
+    """The fewest limbs of ``radix`` bits that hold every integer up to value."""
+    return max(1, -(-value.bit_length() // radix))
 
 
-def _primes(count: int, bits: int) -> tuple[int, ...]:
-    """The count largest primes below 2**bits, largest first; each lies
-    above 2**(bits-1).  One list per width is kept and extended on demand."""
-    found = _PRIMES.get(bits, ())
-    if len(found) < count:
-        more = list(found)
-        n = (found[-1] if found else 2**bits + 1) - 2
-        while len(more) < count:
-            if n <= 2 ** (bits - 1):
-                raise ValueError(f"fewer than {count} primes of {bits} bits")
-            if _is_prime(n):
-                more.append(n)
-            n -= 2
-        found = _PRIMES[bits] = tuple(more)
-    return found[:count]
+def _carried(top: int, radix: int) -> int:
+    """The bound a carry step leaves on digits at most top: a residue below
+    2**radix plus the carry of the limb below."""
+    return (1 << radix) - 1 + (top >> radix)
 
 
-def _moduli(widest: int, bound: int) -> tuple[int, ...]:
-    """The fewest primes whose product exceeds bound, each so narrow that
-    widest residues mod it sum below 2**48.
-
-    A push sums at most widest entries, so the first push after
-    ``_contract`` reduces a block stays well inside float64's exact
-    range; the headroom up to ``_EXACT`` lets later pushes skip the
-    reduction.
-    """
-    bits = 48 - widest.bit_length()
-    primes, product, n = _PRIMES.get(bits, ()), 1, 0
-    while product <= bound:
-        if n == len(primes):
-            primes = _primes(n + 1, bits)
-        product *= primes[n]
-        n += 1
-    return primes[:n]
-
-
-# float64 holds every integer below 2**53.  Every entry of a block of
-# residue sums stays below half that, so adding a residue keeps it exact.
-_EXACT = 2**52
+def _carries(cols: Sequence[int], radix: int) -> list[tuple[bool, int, int, int]]:
+    """(carry, limbs, top, value) of each push of a 0/1 block in one limb
+    through steps of these column counts: whether a carry step (``_carry``)
+    precedes it, its limbs, and bounds after it on digits and values.  A
+    push sums at most cols digits of every limb at once, exact while
+    top * cols <= 2**53; before one that could pass that, the block is
+    carried onto the limbs its value needs, below 2**(radix * limbs), so
+    the top limb carries nothing out."""
+    top = value = limbs = 1
+    out = []
+    for c in cols:
+        carry = top * c > _EXACT
+        if carry:
+            limbs, top = _limbs(value, radix), _carried(top, radix)
+        top, value = top * c, value * c
+        out.append((carry, limbs, top, value))
+    return out
 
 
-def _reduce(block: np.ndarray, mods: np.ndarray) -> np.ndarray:
-    """block mod mods, for float64 integers 0 <= x < 2**53, bit for bit
-    what np.fmod gives.  floor(x / p) is the exact quotient q: x / p lies
-    at least 1/p below q + 1, and rounding moves it by at most
-    x / p * 2**-53 < 1/p.  So q * p <= x is exact, and so is x - q * p.
-    It takes one temporary the size of block and leaves block as it was."""
-    q = np.divide(block, mods)
-    np.floor(q, out=q)
-    q *= mods
-    return np.subtract(block, q, out=q)
+def _carry(block: np.ndarray, limbs: int, radix: int) -> np.ndarray:
+    """One parallel carry step on float64 digits, rows x limbs x vectors,
+    widened to ``limbs``: c = floor(d / 2**radix), d -= c * 2**radix,
+    d[j+1] += c[j], exact up to 2**53 as 2**radix is a power of two."""
+    c = block * 2.0**-radix
+    np.floor(c, out=c)
+    held, out = block.shape[1], np.zeros((len(block), limbs) + block.shape[2:])
+    np.multiply(c, -2.0**radix, out=out[:, :held])
+    out[:, :held] += block
+    out[:, 1:held + 1] += c[:, :limbs - 1]
+    return out
 
 
 def orbit_steps(links: tuple[Relation, ...]) -> tuple[list[Relation], np.ndarray, np.ndarray]:
@@ -945,63 +933,65 @@ def orbit_steps(links: tuple[Relation, ...]) -> tuple[list[Relation], np.ndarray
     return plan, of, sizes
 
 
-def _count_moduli(dims: Sequence[tuple[int, int]], periods: int, trace: bool) -> tuple[int, ...]:
-    """``_moduli`` of a contraction over steps of these (rows, cols) in
-    period order, started at the first (open) or the smallest (trace).
-
-    A 0/1 step S has |Sx|_max <= len(S.cols) * |x|_max, so either count
-    is at most size * (product of the cols over a period)**periods,
-    summed over the size start states or diagonal entries.
-    """
-    size = min(r for r, _ in dims) if trace else dims[0][0]
-    widest = max(r for r, _ in dims)
-    return _moduli(widest, size * math.prod(c for _, c in dims) ** periods)
-
-
-def _trace_block(primes: int, dims: Sequence[tuple[int, int]]) -> int:
+def _trace_block(limbs: int, dims: Sequence[tuple[int, int]]) -> int:
     """Basis vectors per block of a trace: its stack holds STACK_ENTRIES
-    entries, one layer per prime, at the widest slice space of ``dims``."""
-    return max(1, STACK_ENTRIES // (primes * max(r for r, _ in dims)))
+    entries at the most limbs it carries (``_carries``) and the widest
+    slice space of ``dims``."""
+    return max(1, STACK_ENTRIES // (limbs * max(r for r, _ in dims)))
 
 
-def _dot(x: np.ndarray, y: np.ndarray, weights: np.ndarray | None, mods: np.ndarray, top: int) -> np.ndarray:
-    """The sum over rows u of weights[u] * x[u] * y[u] mod each prime, as
-    int64 primes x columns below the primes, for blocks of float64
-    integers below 2**53 (rows x primes x columns, ``mods`` primes x 1)
-    and int64 weights (None weighs every row 1) that sum to at most the
-    widest slice space.  ``top`` bounds the weighted sum itself.
+def _pieces(block: np.ndarray, top: int, value: int, radix: int) -> np.ndarray:
+    """A block's digits as int64 pieces of radix/2 bits, pieces x (rows *
+    vectors), piece i weighing 2**(radix/2 * i); carried first, onto as
+    many limbs as ``value`` needs, where top reaches 2**radix."""
+    if top >> radix:
+        block = _carry(block, max(_limbs(value, radix), block.shape[1]), radix)
+    half, digits = radix // 2, block.transpose(1, 0, 2)
+    out = np.empty((len(digits), 2) + digits.shape[1:], dtype=np.int64)
+    upper = np.floor(digits * 2.0**-half)
+    out[:, 0] = digits - upper * 2.0**half
+    out[:, 1] = upper
+    return out.reshape(2 * len(digits), -1)
 
-    Where ``top`` is below 2**53, every product and partial sum is an
-    exact float64 integer, and the sum is taken as it is.  Else it reduces
-    both blocks below their primes (``_reduce``), the one block once
-    where x is y.  A product of two residues reaches p**2, about 2**94 at
-    47-bit primes, past float64 and int64.  Its float64 quotient
-    q = floor(x * y / p) is within 1 of the exact one: x * y / p < 2**47
-    is off by at most 2**-52 of itself.  So x * y - q * p lies in
-    [-p, 2p), and int64 arithmetic, which wraps mod 2**64, gives it
-    exactly.  ``_moduli`` keeps p times the widest space below 2**48, so
-    each weighted sum stays in int64.  It works on BLOCK_ENTRIES entries
-    of the blocks at a time, so each of its temporaries stays in cache.
-    """
-    shape = x.shape[1:]  # prime layers and columns run along one axis
-    mods = np.repeat(mods[:, 0], shape[1])
-    p = mods.astype(np.int64)
-    if top < 2 * _EXACT:
-        products = np.multiply(x, y, dtype=np.float64).reshape(len(x), -1)
-        total = (products.sum(axis=0) if weights is None else weights @ products).astype(np.int64)
-        return (total % p).reshape(shape)
-    total = 0
-    k = max(1, BLOCK_ENTRIES // len(p))
-    for s in range(0, len(x), k):
-        a = _reduce(x[s:s + k].reshape(-1, len(p)), mods)
-        b = a if x is y else _reduce(y[s:s + k].reshape(-1, len(p)), mods)
-        q = a * b
-        q /= mods
-        np.floor(q, out=q)
-        r = np.multiply(a, b, dtype=np.int64, casting="unsafe")
-        r -= np.multiply(q, p, dtype=np.int64, casting="unsafe")
-        total = total + (r.sum(axis=0) if weights is None else weights[s:s + k] @ r)
-    return (total % p).reshape(shape)
+
+def _dot(x: tuple[np.ndarray, int, int], y: tuple[np.ndarray, int, int], weights: np.ndarray | None,
+         columns: np.ndarray, radix: int) -> int:
+    """sum over rows u, vectors v of weights[u] columns[v] X[u, v] Y[u, v],
+    a Python int, for halves held as (block, top, value): float64 digits,
+    rows x limbs x vectors, at most top, of entries at most value.  The
+    largest int64 weight (None weighs rows 1) times the int64 columns'
+    sum is at most the widest slice space, whose ``_radix`` this is.
+
+    In float64 where both halves hold one limb and each vector's sum stays
+    within 2**53.  Else C[i, k] = sum of weights columns p_i q_k over the
+    halves' pieces (``_pieces``) is a small int64 product; its int64
+    anti-diagonal sums, times 2**(radix/2 (i + k)), fold into a Python
+    int.  Rows go in chunks whose weights times the pieces' bounds and the
+    longest anti-diagonal stay below 2**63 (a trace on 2**22 states takes
+    about 2**10 rows), and whose pieces stay in cache."""
+    (a, ta, va), (b, tb, vb) = x, y
+    rows, vectors, half, total = len(a), a.shape[2], radix // 2, 0
+    w = np.ones(rows, dtype=np.int64) if weights is None else weights
+    if a.shape[1] == b.shape[1] == 1 and ta * tb * int(w.sum()) <= _EXACT:
+        sums = w @ (a[:, 0] * b[:, 0])  # exact float64 integers, one per vector
+        return sum(map(operator.mul, sums.astype(np.int64).tolist(), columns.tolist()))
+    weight = np.multiply.outer(w, columns).ravel()  # of (u, v), in the pieces' order
+    p, q = (2 * max(_limbs(v, radix), h.shape[1]) for v, h in ((va, a), (vb, b)))
+    bound = int(w.max()) * int(columns.sum()) * min(p, q)
+    for top in (ta, tb):  # the largest piece of a digit, carried where _pieces carries it
+        top = _carried(top, radix) if top >> radix else top
+        bound *= max(min(top, (1 << half) - 1), top >> half)
+    k = max(1, min(BLOCK_ENTRIES // (max(p, q) * vectors), (2**63 - 1) // bound))
+    for s in range(0, rows, k):
+        pa = _pieces(a[s:s + k], ta, va, radix)
+        pb = pa if b is a else _pieces(b[s:s + k], tb, vb, radix)
+        c = np.einsum("ij,kj->ik", pa * weight[s * vectors:(s + k) * vectors], pb)
+        n, m = c.shape  # row i shifted i places right: each column sums an anti-diagonal
+        shifted = np.zeros(n * (n + m), dtype=np.int64)
+        shifted.reshape(n, n + m)[:, :m] = c
+        sums = shifted[:n * (n + m - 1)].reshape(n, n + m - 1).sum(axis=0)
+        total += sum(d << half * i for i, d in enumerate(sums.tolist()))
+    return total
 
 
 def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
@@ -1029,56 +1019,46 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     a plain space where its order is C B^T B, pushes all N links and
     takes its start as x.
 
-    The stack has one layer per prime of ``_count_moduli``.  A push
-    sums at most len(cols) entries, so ``top`` bounds every entry: it
-    grows by that factor each push, and the block is reduced, back to
-    below the largest prime, only before a push that could carry it past
-    ``_EXACT``.  The exact dot of the halves (``_dot``) reduces them
-    below their primes first where its sum could pass 2**53, and the CRT
-    joins its residues.
+    Entries are float64 digits in radix 2**``_radix``, rows x limbs x
+    vectors, carried and widened only where ``_carries`` says; ``_dot``
+    joins the halves exactly.
     """
     links = chain.links
     if trace:  # tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
         i = _smallest([len(link.rows) for link in links])
         links = links[i:] + links[:i]
     dims = [(len(link.rows), len(link.cols)) for link in links]
-    primes = _count_moduli(dims, periods, trace)
-    mods = np.array(primes, dtype=np.float64)[:, None]
+    radix = _radix(max(r for r, _ in dims))
     pushes, half = _halves(len(links), periods, _palindrome(links))
     meet = links[half % len(links)].rows  # the halves meet in this space
-    # blocks of (start, columns): start[u, j] is 1 where column j starts,
-    # and columns[j] weighs column j's dot; weights[u] weighs its row u
     if trace:  # a basis vector is not symmetric: push it through whole links
         plan, weights = links, None
         _, reps, sizes = _orbits(links[0].rows, links[0].wrap)
-        k = _trace_block(len(primes), dims)
-        states = np.arange(dims[0][0])
-        blocks = ((np.equal.outer(states, reps[s:s + k]), sizes[s:s + k]) for s in range(0, len(reps), k))
     else:
         plan, _, sizes = orbit_steps(links)
         weights = _orbits(meet, links[0].wrap)[2]
+    steps = plan[::-1]
+    carries = _carries([len(steps[t % len(steps)].cols) for t in range(pushes)], radix)  # cols, on orbits too
+    # blocks of (start, columns): start[u, j] is 1 where column j starts,
+    # and columns[j] weighs column j's dot; weights[u] weighs its row u
+    if trace:
+        k = _trace_block(max((limbs for _, limbs, _, _ in carries), default=1), dims)
+        states = np.arange(dims[0][0])
+        blocks = ((np.equal.outer(states, reps[s:s + k]), sizes[s:s + k]) for s in range(0, len(reps), k))
+    else:
         blocks = ((np.ones((len(sizes), 1), dtype=bool), np.ones(1, dtype=np.int64)),)
-    steps = [(step, len(step.cols)) for step in reversed(plan)]
-    moduli = np.array(primes, dtype=np.int64)
-    residues = np.zeros(len(primes), dtype=np.int64)
+    count = 0
     for start, columns in blocks:
-        block = np.broadcast_to(start[:, None], (len(start), len(primes), start.shape[1]))
-        top = 1  # no entry of block exceeds top
-        left = block, top
-        for t in range(pushes):
-            step, cols = steps[t % len(steps)]  # a push sums at most cols entries, on orbits too
-            if top * cols >= _EXACT:
-                block, top = _reduce(block, mods), primes[0] - 1  # primes[0] is the largest
-            block = step.push(block)
-            top *= cols
+        block = start[:, None]  # one limb
+        left = right = block, 1, 1  # (block, top, value)
+        for t, (carry, limbs, top, value) in enumerate(carries):
+            if carry:
+                block = _carry(block, limbs, radix)
+            block = steps[t % len(steps)].push(block)
+            right = block, top, value
             if t + 1 == half:
-                left = block, top
-        bound = left[1] * top * len(meet)  # the weights of a dot sum to len(meet)
-        residues = (residues + _dot(left[0], block, weights, mods, bound) @ columns) % moduli
-    count, modulus = 0, 1
-    for r, p in zip(residues.tolist(), primes):
-        count += modulus * ((r - count) * pow(modulus, -1, p) % p)
-        modulus *= p
+                left = right
+        count += _dot(left, right, weights, columns, radix)
     return count
 
 
@@ -1101,10 +1081,12 @@ def count_cyclic(chain: TransferChain, periods: int) -> int:
 @lru_cache(maxsize=256)
 def _sweep_links(
     family: Family, direction: Direction, width: int, trace: bool
-) -> tuple[tuple[tuple[int, int], ...], int, tuple[tuple[int, int, int | None], ...], int, bool] | None:
+) -> tuple[
+    tuple[tuple[int, int], ...], tuple[StateKind, int], tuple[tuple[int, int, int | None], ...], int, bool
+] | None:
     """What ``_sweep`` prices a sweep's pushes by, or None where a slice
     passes MAX_ENUM_LENGTH sites: the (rows, cols) of every step, the
-    sites every relation lies in (the last slice's), (rows, cols, column
+    (kind, sites) of the slice every relation lies in (the last), (rows, cols, column
     orbits) of every link a period pushes, in the order ``_contract``
     takes them, the vectors it pushes, and whether the period is a
     palindrome (``_palindrome``, read from the links of stand-in spaces).
@@ -1124,36 +1106,35 @@ def _sweep_links(
         vectors = 1
     period = _period_links(family, direction, width, _stand_in)
     i = _smallest([r for r, _ in dims]) if trace else 0
-    return dims, slices[-1][1], tuple(links[i:] + links[:i]), vectors, _palindrome(period[i:] + period[:i])
+    return dims, slices[-1], tuple(links[i:] + links[:i]), vectors, _palindrome(period[i:] + period[:i])
 
 
-# Nanoseconds per entry of the rows x cols step a kernel fills, once
-# per contraction: built, and folded from masks (2-vCPU x86-64 VM).  A
-# fold costs about 2.2 ns an entry and 12 us an image of its columns'
-# symmetry; fitted to one figure an entry it is 3.1.  The zeta push
-# builds no step; its plan is left unpriced.
-_SETUP_NS = {"built": 1.0, "fold": 3.0, "zeta": 0.0}
+# Nanoseconds of a kernel's one-time build of a rows x cols link per call,
+# entry and row or column (2-vCPU x86-64 VM): a built step; a folded one
+# (2.2 ns an entry and 12 us an image of its columns' symmetry, fitted as
+# 3.1 an entry); the zeta push's scatter and gather (keys plan: ~10x).
+_SETUP_NS = {"built": (0.0, 1.0, 0.0), "fold": (0.0, 3.0, 0.0), "zeta": (16700.0, 0.0, 1.4)}
 
-# Nanoseconds of the two halves' reductions and their exact dot
-# (``_dot``), per call and per entry of a block (2-vCPU x86-64 VM).
-_DOT_NS = (25000.0, 10.0)
+# Nanoseconds of a carry step per call and entry; of a dot (``_dot``) per
+# call and entry in float64, and in int64 per call, entry and limb of a
+# half, and entry and pair of limbs of the halves (2-vCPU x86-64 VM).
+_CARRY_NS = (6600.0, 2.9)
+_DOT_NS = (5600.0, 0.9, 45000.0, 6.3, 1.9)
 
 
 def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     """(direction, width, periods, trace) of the sweep that counts an instance.
 
     Of its ``_sweeps`` whose slices fit in MAX_ENUM_LENGTH sites, the
-    first with the lowest price wins: the pushes ``_contract`` makes, at
-    the push ``_kernel`` picks for each link at the stack it pushes, one
-    layer per prime of ``_count_moduli``, and the dot that joins each
-    block's halves (``_DOT_NS``).  An open sweep pushes one vector, at
-    each link's orbit rows and on its column orbits; a trace pushes whole
-    links, one block of ``_trace_block`` basis vectors at a time, one
-    vector per orbit of its smallest slice space.  Each block runs
-    through ceil(N/2) of a palindrome's N = links * periods links
-    (``_halves``), else all N.  Each link pushed adds its kernel's
-    one-time build (``_SETUP_NS``).  Orbits are counted by
-    ``_orbit_count``, so pricing enumerates nothing.
+    first with the lowest price wins: each push ``_contract`` makes, by
+    the kernel ``_kernel`` picks at its limbs (``_carries``) times a
+    block's vectors, and its carry; each block's dot, as ``_dot`` takes
+    it; each kernel's one-time build per link (``_SETUP_NS``).  An open
+    sweep pushes one vector through orbit relations; a trace pushes whole
+    links, blocks of ``_trace_block`` basis vectors, one per orbit of its
+    smallest slice space.  A block runs through ceil(N/2) of a
+    palindrome's N = links * periods links (``_halves``), else all N.
+    Pricing enumerates nothing: ``_orbit_count`` counts orbits.
     """
     fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
     fits = []
@@ -1163,18 +1144,32 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
         shape = _sweep_links(fam, direction, width, trace)
         if shape is None:
             continue
-        dims, bits, links, vectors, palindrome = shape
-        primes = len(_count_moduli(dims, periods, trace))
-        k = _trace_block(primes, dims) if trace else 1
-        blocks = [(w, times) for w, times in ((k, vectors // k), (vectors % k, 1)) if w]  # (width, how many)
+        dims, (kind, bits), links, vectors, palindrome = shape
+        radix = _radix(max(r for r, _ in dims))
         pushes, half = _halves(len(links), periods, palindrome)
-        meet = links[half % len(links)][0]  # rows of the space the halves meet at
-        cost = sum(times * (_DOT_NS[0] + _DOT_NS[1] * meet * primes * w) for w, times in blocks)
-        for j, (r, c, o) in enumerate(reversed(links)):  # push j of a period takes link j from the end
-            runs = pushes // len(links) + (j < pushes % len(links))
-            if runs:
-                picks = [(times, *_kernel(r, c, bits, primes * w, o)) for w, times in blocks]
-                cost += runs * sum(times * price for times, price, _ in picks) + r * c * _SETUP_NS[picks[0][2]]
+        order = links[::-1]  # push t takes link t from the end of the period
+        carries = _carries([order[t % len(order)][1] for t in range(pushes)], radix)
+        k = _trace_block(max((limbs for _, limbs, _, _ in carries), default=1), dims) if trace else 1
+        blocks = [(w, times) for w, times in ((k, vectors // k), (vectors % k, 1)) if w]  # (width, how many)
+        (ta, va), (tb, vb) = [carries[t - 1][2:] if t else (1, 1) for t in (half, pushes)]  # the halves' bounds
+        la, lb, meet = _limbs(va, radix), _limbs(vb, radix), half % len(links)  # the halves meet at link meet
+        if la == lb == 1 and ta * tb * (links if trace else dims)[meet][0] <= _EXACT:  # its states weigh the dot
+            call, entry = _DOT_NS[:2]
+        else:
+            call, entry = _DOT_NS[2], _DOT_NS[3] * (la + lb) + _DOT_NS[4] * la * lb
+        cost = sum(times * (call + entry * links[meet][0] * w) for w, times in blocks)
+        kernels = set()  # (link, kernel) of every push made
+        for (j, carry, limbs), runs in Counter((t % len(order), *c[:2]) for t, c in enumerate(carries)).items():
+            r, c, o = order[j]
+            for w, times in blocks:
+                price, kernel = _kernel(r, c, bits, limbs * w, o, kind in _KEYS_PLAN_KINDS)
+                if carry:  # on the block the push takes, one entry per column or column orbit
+                    price += _CARRY_NS[0] + _CARRY_NS[1] * (o or c) * limbs * w
+                cost += runs * times * price
+                kernels.add((j, kernel))
+        for j, kernel in kernels:
+            (call, entry, side), (r, c, _) = _SETUP_NS[kernel], order[j]
+            cost += call + entry * r * c + side * (r + c)
         fits.append((cost, (direction, width, periods, trace)))
     if not fits:
         raise ValueError(

@@ -3,7 +3,8 @@
 Subcommands: count, matrix, eig, bounds, verify, table.  Output goes
 to stdout as json (default), csv or text; json payloads follow the
 schemas shipped in latticegas/schemas/.  Exact counts are emitted as
-decimal strings so no consumer is tempted to round them.
+decimal strings so no consumer is tempted to round them, however many
+digits they have (``_decimal``).
 """
 from __future__ import annotations
 
@@ -64,6 +65,20 @@ def _emit_rows(fmt: str, header: list[str], rows: list[list]) -> None:
             print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, however many digits it has: the interpreter's limit on
+    int-to-str conversion (4300 digits by default, where it has one) is
+    lifted for this one conversion and then restored."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # ---------------------------------------------------------------------------
 # count
 
@@ -72,9 +87,9 @@ def _cmd_count(args) -> int:
     instance = LatticeInstance(
         Family(args.family), Topology(args.topology), args.m, args.n
     )
-    total = count_lattice(instance)
+    total = _decimal(count_lattice(instance))
     if args.format == "json":
-        print(json.dumps({"count": str(total)}))
+        print(json.dumps({"count": total}))
     elif args.format == "csv":
         print("count")
         print(total)
@@ -229,8 +244,8 @@ def _cmd_verify(args) -> int:
             "m": r.instance.m,
             "n": r.instance.n,
             "vertices": r.instance.vertices,
-            "transfer": str(r.transfer),
-            "brute": str(r.brute),
+            "transfer": _decimal(r.transfer),
+            "brute": _decimal(r.brute),
             "match": r.ok,
         }
         for r in results

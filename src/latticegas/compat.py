@@ -6,10 +6,10 @@ configurations can sit next to each other and 0 when some occupied
 pair of sites would touch.  A step is stored once, as that numpy bool
 array, so it is 0/1 by type.  ``StepMatrix.push`` is a built step's
 product: it works in float64 a block of rows at a time, and exact
-counts push residues mod primes below 2**48 / (widest slice space)
-(see ``chain._moduli``).  Their sums stay exact float64 integers
-because ``chain._contract`` reduces a block before any push that
-could carry an entry past 2**52.
+counts push float64 digits, one limb of each count per column (see
+``chain._carries``).  Their sums stay exact float64 integers because
+``chain._contract`` carries a block before any push that could take a
+digit past 2**53.
 A chain pushes ``chain.Relation`` links, which build a step only where
 this product is the cheaper kernel; ``chain``'s module docstring
 describes the kernels.

@@ -19,16 +19,12 @@ from latticegas.chain import (
     Topology,
     TransferChain,
     _MIN_WIDTH,
-    _is_prime,
     _key_gathers,
     _minima,
-    _moduli,
     _orbit_count,
     _orbits,
     _period_slices,
     _periods,
-    _primes,
-    _reduce,
     _spread,
     _sweep,
     _sweeps,
@@ -333,7 +329,7 @@ def reference_cyclic(chain, periods):
 
 
 class TestExactness:
-    """Counts that need several primes match the Python-int reference."""
+    """Counts that need several limbs match the Python-int reference."""
 
     def test_quadratic_plane_12x100(self):
         chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 12)
@@ -341,17 +337,18 @@ class TestExactness:
         assert type(got) is int and got.bit_length() == 784
         assert got == reference_open(chain, 100)
 
-    def test_truncated_square_plane_reduces_mid_period(self, monkeypatch):
+    def test_truncated_square_plane_carries_mid_period(self, monkeypatch):
         # Pushes sum 243, 64 and 64 columns in turn, held as their 126, 36
-        # and 36 mirror orbits, so no entry passes 2**52 before the 8th
-        # push, the second of the third period: the block is first reduced
-        # between two links of one period.
+        # and 36 mirror orbits, so no digit could pass 2**53 before the 8th
+        # push, the second of the third period: the block first takes a
+        # carry between two links of one period, onto a second 44-bit limb.
         chain = transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 6)
         pushes = record_pushes(monkeypatch)
-        reductions = record_reductions(monkeypatch, pushes)
+        carries = record_carries(monkeypatch, pushes)
         got = count_open(chain, 6)
         assert [push.cols for push in pushes[:3]] == [126, 36, 36]
-        assert pushes[0].layers == 4 and reductions[0].after == 7
+        assert [push.layers for push in pushes] == [1] * 7 + [2] * 2
+        assert carries[0] == Carry((36, 1, 1), 2, 7)
         assert got == reference_open(chain, 6)
 
     @pytest.mark.parametrize(
@@ -443,9 +440,9 @@ class TestOneSweep:
         priced = []
         kernel = chain_module._kernel
 
-        def logged(rows, cols, bits, stack, orbits=None):
-            found = kernel(rows, cols, bits, stack, orbits)
-            priced.append((rows, cols, stack, orbits, found[1]))
+        def logged(rows, cols, bits, stack, orbits=None, keys=False):
+            found = kernel(rows, cols, bits, stack, orbits, keys)
+            priced.append((rows, cols, stack, orbits, keys, found[1]))
             return found
 
         monkeypatch.setattr(chain_module, "_kernel", logged)
@@ -483,11 +480,13 @@ class TestOneSweep:
     @pytest.mark.parametrize(
         "m, n, direction",
         [
-            # priced in estimated nanoseconds, each with one 25 us dot
-            (3, 3, Direction.ROWWISE),  # 25,046 open against 25,573 traced
-            (13, 3, Direction.ROWWISE),  # 25,051 against about 1.1e8
-            (5, 10, Direction.ROWWISE),  # 31,031 against 34,450
-            (5, 11, Direction.COLUMNWISE),  # 35,244 traced against 37,037 open
+            # priced in estimated nanoseconds, each with one dot of 5.6 us
+            (3, 3, Direction.ROWWISE),  # 5,628 open against 5,809 traced
+            (13, 3, Direction.ROWWISE),  # 5,633 against about 5.2e7
+            # one limb where the open sweep took two primes: 8,914 traced
+            # against 11,314 open, and timed at 76 against 131 us
+            (5, 10, Direction.COLUMNWISE),
+            (5, 11, Direction.COLUMNWISE),  # 9,443 traced against 17,225 open
             (2, 30, Direction.COLUMNWISE),  # a 30-site ring does not fit
         ],
     )
@@ -545,7 +544,7 @@ class TestOneSweep:
 
 
 # One push: len(block), the larger of the in and out sizes, the block
-# width (the length of its last axis), the prime layers (the length of the
+# width (the length of its last axis), the limbs (the length of the
 # middle axis of a 3-D stack, else 1), the rows of the output, and the
 # kernel that took it, "built", "fold" or "zeta".
 Push = collections.namedtuple("Push", "cols size width layers rows kernel")
@@ -606,8 +605,9 @@ def test_trace_starts_at_the_smallest_slice_space(family, direction, extra, monk
 
 def test_trace_stack_stays_within_a_block(monkeypatch):
     # 729 paired states against 128 plain ones: the trace starts from the
-    # plain space, but its stack of 72 basis vectors in 3 primes fans out
-    # to the paired one.  A budget of 5 such vectors splits it in blocks.
+    # plain space, but its stack of 72 basis vectors, in up to 3 limbs,
+    # fans out to the paired one.  A budget of 5 such vectors splits it in
+    # blocks.
     chain = transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 7, Boundary.CYCLIC)
     assert sorted({len(step.rows) for step in chain.steps}) == [128, 729]
     pushes = record_pushes(monkeypatch)
@@ -617,7 +617,7 @@ def test_trace_stack_stays_within_a_block(monkeypatch):
         pushes.clear()
         assert count_cyclic(chain, 4) == whole
         assert max(push.size for push in pushes) <= budget
-        assert {push.layers for push in pushes} == {3}
+        assert {push.layers for push in pushes} == {1, 2, 3}
         assert max(push.width for push in pushes) == width
 
 
@@ -816,8 +816,12 @@ def test_eig_and_open_counts_build_no_whole_step(family, direction, monkeypatch)
     count_open(chain, 3)
     assert built == []
     count_cyclic(chain, 3)
-    assert [rows_built(link) for link in chain.links] == [[len(link.rows)] for link in chain.links]
-    # matrix reads the steps the trace built
+    # a trace builds the links it pushes by their built step, each once;
+    # the truncated-square ring's wide links take the zeta push instead
+    traced = [rows_built(link) for link in chain.links]
+    assert traced == [[len(link.rows)] if "built" in link._picks.values() else [] for link in chain.links]
+    assert any(traced)
+    # matrix reads the steps the trace built, and builds the others once
     assert all(step is link.built for step, link in zip(chain.steps, chain.links))
     assert len(built) == len(chain.links)
 
@@ -859,11 +863,13 @@ def test_relation_push_matches_the_built_step(family, direction, width, monkeypa
             vector = rng.integers(0, 2**30, size=len(rel.cols)).astype(np.float64)
             out = rel.push(vector)
             assert out.shape == (len(rel.rows),) and np.array_equal(out, step.push(vector))
-            primes = np.array(_moduli(max(len(rel.rows), len(rel.cols)), 2**200))[:, None]
-            for layers, vectors in ((len(primes), 3), (1, 1)):  # one layer takes the lone-vector route
-                stack = rng.integers(0, primes[:layers], size=(len(rel.cols), layers, vectors)).astype(np.float64)
+            # digits at most the bound a carry leaves, whose sums stay exact
+            top = carried_top(max(len(rel.rows), len(rel.cols)))
+            for limbs, vectors in ((4, 3), (1, 1)):  # one limb of one vector takes the lone-vector route
+                stack = rng.integers(0, top, size=(len(rel.cols), limbs, vectors), endpoint=True).astype(np.float64)
+                stack[0] = top
                 out = rel.push(stack)
-                assert out.shape == (len(rel.rows), layers, vectors) and np.array_equal(out, step.push(stack))
+                assert out.shape == (len(rel.rows), limbs, vectors) and np.array_equal(out, step.push(stack))
             assert zeta_plan(rel) == plan
 
 
@@ -902,7 +908,7 @@ def test_keys_plan_matches_the_table_and_the_built_step(family, direction, width
 )
 def test_folded_push_matches_the_unfolded_one(family, direction, width):
     # The folded step times x on orbits, against the step at the orbit
-    # rows times x unfolded to every column: residues exactly, floats to
+    # rows times x unfolded to every column: carried digits exactly, floats to
     # within the rounding of a sum of at most len(cols) nonnegative terms.
     # The folded step itself is the step summed over each column orbit,
     # as exact integers.
@@ -915,10 +921,11 @@ def test_folded_push_matches_the_unfolded_one(family, direction, width):
         starts = np.flatnonzero(np.r_[True, of[order][1:] != of[order][:-1]])
         sums = np.add.reduceat(step.array[:, order].astype(np.int64), starts, axis=1)
         assert sums.shape == rel._folded.shape and np.array_equal(rel._folded.astype(np.int64), sums)
-        prime = _moduli(len(rel.cols), 2**200)[0]
+        top = carried_top(len(rel.cols))
         for stack in (1, 25):
-            residues = rng.integers(0, prime, size=(len(reps), stack)).astype(np.float64)
-            assert np.array_equal(rel._fold(residues), step.push(residues[of]))
+            digits = rng.integers(0, top, size=(len(reps), stack), endpoint=True).astype(np.float64)
+            digits[0] = top
+            assert np.array_equal(rel._fold(digits), step.push(digits[of]))
             x = rng.random((len(reps), stack))
             folded, unfolded = rel._fold(x), step.push(x[of])
             assert np.all(np.abs(folded - unfolded) <= len(rel.cols) * 2.0**-52 * unfolded)
@@ -931,7 +938,7 @@ def test_folded_push_matches_the_unfolded_one(family, direction, width):
 )
 def test_no_fold_passes_the_budget(family, direction, width, monkeypatch):
     # eig at the two widest quadratic slices, and a 14x200 plane count at
-    # 59 primes: each folded step fits STACK_ENTRIES, or the relation takes
+    # up to 26 limbs: each folded step fits STACK_ENTRIES, or the relation takes
     # the zeta push, and no orbit relation pushes its built step
     folds = []
     fold = Relation._fold
@@ -994,10 +1001,12 @@ class TestPushPicks:
         assert {(push.cols, push.rows, push.kernel) for push in pushes} == set(links)
 
     def test_quadratic_plane_12x100(self, monkeypatch):
-        # 322 x 322 folded from 322 x 610 on 13 sites, at a stack of 25 primes
+        # 322 x 322 folded from 322 x 610 on 13 sites, at stacks of 1 to 11 limbs
         pushes = record_pushes(monkeypatch)
         count(Family.QUADRATIC, Topology.PLANE, 12, 100)
-        assert {(push.cols, push.rows, push.layers, push.kernel) for push in pushes} == {(322, 322, 25, "fold")}
+        assert {(push.cols, push.rows, push.layers, push.kernel) for push in pushes} == {
+            (322, 322, limbs, "fold") for limbs in range(1, 12)
+        }
 
 
 @pytest.mark.parametrize(
@@ -1147,7 +1156,7 @@ def test_relation_prices_each_stack_width_once(monkeypatch):
     # priced built for even stacks and zeta for odd ones
     priced = []
 
-    def costs(rows, cols, bits, stack, orbits=None):
+    def costs(rows, cols, bits, stack, orbits=None, keys=False):
         priced.append((rows, cols, bits, stack))
         return (0.0, 1.0) if stack % 2 == 0 else (1.0, 0.0)
 
@@ -1180,164 +1189,253 @@ def test_paired_spread_matches_pair_by_pair():
 
 
 # ---------------------------------------------------------------------------
-# Primes: as wide as float64 allows, as few as the count's bound needs
+# Limbs: exact integers as float64 digits, carried only where a push needs it
 
 
 def all_true_chain(length):
     """One all-ones step over every mask of `length` free sites (every
-    row spreads to no site): its open count is size**(periods + 1), which
-    is exactly _contract's bound."""
+    row spreads to no site): after t pushes every entry is size**t, the
+    value bound ``_carries`` keeps, and its open count is
+    size**(periods + 1)."""
     space = enumerate_states(StateKind.FREE, length)
     step = Relation(space, space, np.zeros_like, None, False)
     return TransferChain(Family.QUADRATIC, Direction.COLUMNWISE, Boundary.OPEN, length, (step,))
 
 
-# (free sites L, periods): the primes have 47 - L bits and the bound
-# 2**(L * (periods + 1)).  The first rows put the bound's exponent on or
-# just past a multiple of 46 - L; the last rows on the prime products:
-# just below n * (47 - L), or exactly (n - 1) * (47 - L), which the n - 1
-# largest primes miss by a hair.
-@pytest.mark.parametrize(
-    "length, periods",
-    [(2, 43), (4, 20), (6, 19), (8, 18), (8, 37), (3, 28), (5, 32), (7, 27)]
-    + [(1, 44), (5, 24), (7, 16), (8, 33), (1, 45), (2, 44), (3, 43), (5, 41), (8, 38)],
-)
-def test_prime_count_has_no_slack(length, periods):
+def carried_top(widest):
+    """The largest digit a carry step leaves in the radix of a chain whose
+    widest slice space is this: 2**b - 1 + 2**(53 - b)."""
+    radix = chain_module._radix(widest)
+    return (1 << radix) - 1 + (1 << 53 - radix)
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_limb_count_has_no_slack(length):
+    # Every entry of a block is a power of two, 2**(length * t), and so
+    # exactly its value bound.  Where a carry meets one of 2**(radix * k),
+    # it needs k + 1 limbs, the top one holding 1; with one fewer its carry
+    # would leave the block.  Up to 120 periods every length past 1 meets
+    # such a carry, and every count is exact.
     chain = all_true_chain(length)
     size = len(chain.entry_space)
-    primes = _moduli(size, size ** (periods + 1))
-    assert math.prod(primes[:-1]) <= size ** (periods + 1) < math.prod(primes)
-    assert count_open(chain, periods) == size ** (periods + 1)
+    radix = chain_module._radix(size)
+    edges = 0
+    for periods in range(121):
+        assert count_open(chain, periods) == size ** (periods + 1)
+        carries = chain_module._carries([size] * ((periods + 1) // 2), radix)
+        before = [1] + [value for _, _, _, value in carries]  # each entry's value before push t
+        edges += any(carry and before[t].bit_length() % radix == 1 for t, (carry, _, _, _) in enumerate(carries))
+    assert (edges > 0) is (length > 1)
 
 
-def test_primality_agrees_with_trial_division():
-    sieve = np.ones(1 << 16, dtype=bool)
-    sieve[:2] = False
-    for d in range(2, 1 << 8):
-        sieve[d * d::d] = False
-    assert [_is_prime(n) for n in range(1 << 16)] == sieve.tolist()
+def test_radix_leaves_one_push_after_a_carry():
+    # the widest even radix whose carried digits, summed over the widest
+    # space, stay within 2**53; a 22-site free space takes the narrowest
+    for widest, radix in ((1, 50), (7, 50), (610, 42), (1597, 42), (3**11, 34), (2**22, 30)):
+        assert chain_module._radix(widest) == radix
+        assert carried_top(widest) * widest <= 2**53
+        wider = radix + 2
+        assert ((1 << wider) - 1 + (1 << 53 - wider)) * widest > 2**53 or wider > 50
 
 
-@pytest.mark.parametrize(
-    "n",
-    [561, 41041, 3215031751, 3825123056546413051],  # Carmichael, strong pseudoprimes
-)
-def test_primality_rejects_pseudoprimes(n):
-    assert not _is_prime(n)
-
-
-@pytest.mark.parametrize("bits", [4, 8, 16, 25, 38, 47])
-def test_primes_are_distinct_descending_and_of_their_width(bits):
-    count = min(40, (1 << bits - 1) // (bits * 2))
-    primes = _primes(count, bits)
-    assert len(primes) == count
-    assert all(a > b for a, b in zip(primes, primes[1:]))
-    assert 2 ** (bits - 1) < primes[-1] and primes[0] < 2**bits
-    assert all(map(_is_prime, primes))
-    if bits <= 16:  # none skipped: every prime between them is listed
-        assert sum(map(_is_prime, range(primes[-1], 2**bits))) == count
-
-
-def test_primes_refuse_more_than_their_width_holds():
-    assert _primes(2, 4) == (13, 11)
-    with pytest.raises(ValueError, match="fewer than 3 primes of 4 bits"):
-        _primes(3, 4)
-
-
-def test_prime_sums_stay_exact_in_float64():
-    # the push right after a reduction sums at most `widest` residues,
-    # which must leave room below 2**53 for the pushes after it
-    for widest in sorted({w for j in range(23) for w in (2**j - 1, 2**j)} - {0}):
-        assert widest * 32 * max(_moduli(widest, 2**200)) <= 2**53
-
-
-def test_primes_extend_one_list_per_width(monkeypatch):
-    # the list of a width grows only as far as a count asks, and every
-    # shorter ask reads its head
-    monkeypatch.setattr(chain_module, "_PRIMES", {})
-    primes = _moduli(610, 610**101)
-    assert chain_module._PRIMES == {38: primes}
-    assert _primes(3, 38) == primes[:3] and chain_module._PRIMES == {38: primes}
-    more = _primes(len(primes) + 4, 38)
-    assert more[: len(primes)] == primes and chain_module._PRIMES[38] == more
-
-
-def test_moduli_are_the_fewest_whose_product_exceeds_the_bound():
-    for widest in (1, 610, 2**22):
-        for bound in (1, 2**37, 2**38, 610**101, 3**500):
-            primes = _moduli(widest, bound)
-            assert math.prod(primes[:-1]) <= bound < math.prod(primes)
-
-
-def test_quadratic_plane_12x100_pushes_at_most_26_layers(monkeypatch):
-    # one entry per mirror orbit (322 of 610) in and out, through half
-    # of the 100 links: the halves meet in the middle
+def test_quadratic_plane_12x100_pushes_its_limbs(monkeypatch):
+    # One entry per mirror orbit (322 of 610) in and out, through half of
+    # the 100 links: the halves meet in the middle.  610**5 < 2**53, so the
+    # first five pushes take one limb and no carry; each of the other 45
+    # takes a carry first, onto as many 42-bit limbs as 610**t needs, and
+    # the dot carries the block where the halves meet, once, since both
+    # halves are that block.  295 limb columns in all, where 25 primes
+    # took 1250.
     chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 12)
     pushes = record_pushes(monkeypatch)
+    carries = record_carries(monkeypatch, pushes)
     count_open(chain, 100)
-    assert len(pushes) == 50
-    assert max(push.layers for push in pushes) <= 26
     assert {(push.cols, push.rows) for push in pushes} == {(322, 322)}
+    runs = [(1, 5), (2, 5), (3, 4), (4, 5), (5, 4), (6, 5), (7, 4), (8, 5), (9, 4), (10, 5), (11, 4)]
+    assert [push.layers for push in pushes] == [limbs for limbs, times in runs for _ in range(times)]
+    assert sum(push.layers for push in pushes) == 295
+    assert [c.after for c in carries] == list(range(5, 51))
+    assert carries[-1] == Carry((322, 11, 1), 12, 50)
 
 
-# Residues are reduced by exact division; the widest space any chain
-# can enumerate bounds the widths the primes are taken for.
-WIDEST = max(state_count(kind, MAX_ENUM_LENGTH) for kind in StateKind)
+# One carry step: the shape of the block it takes, the limbs it gives,
+# and how many pushes the log passed to record_carries held then.
+Carry = collections.namedtuple("Carry", "shape limbs after")
 
 
-@settings(deadline=None, max_examples=200)
-@given(widest=st.integers(1, WIDEST), bound=st.integers(1, 2**2000), data=st.data())
-def test_reduce_is_fmod(widest, bound, data):
-    # random float64 integers and the edges k*p - 1, k*p, k*p + 1 of every
-    # prime of the count, in the (rows, primes, 1) layout of a residue stack
-    primes = _moduli(widest, bound)
-    k = data.draw(st.integers(1, widest))
-    drawn = data.draw(st.lists(st.integers(0, 2**53 - 1), min_size=len(primes), max_size=len(primes)))
-    rows = [drawn, [2**52 - 1] * len(primes)] + [[k * p + d for p in primes] for d in (-1, 0, 1)]
-    block = np.array(rows, dtype=np.float64)[:, :, None]
-    mods = np.array(primes, dtype=np.float64)[:, None]
-    assert np.array_equal(_reduce(block, mods), np.fmod(block, mods))
-    assert np.array_equal(_reduce(block[:, :, 0], mods[:, 0]), np.fmod(block[:, :, 0], mods[:, 0]))
-
-
-# One reduction: the shape of the reduced block, and how many pushes the
-# log passed to record_reductions held when it was made.
-Reduction = collections.namedtuple("Reduction", "shape after")
-
-
-def record_reductions(monkeypatch, pushes=()):
-    """Patch chain._reduce to log a Reduction for every call."""
+def record_carries(monkeypatch, pushes=()):
+    """Patch chain._carry to log a Carry for every call."""
     log = []
-    reduce = chain_module._reduce
+    carry = chain_module._carry
 
-    def logged(block, mods):
-        log.append(Reduction(np.shape(block), len(pushes)))
-        return reduce(block, mods)
+    def logged(block, limbs, radix):
+        log.append(Carry(np.shape(block), limbs, len(pushes)))
+        return carry(block, limbs, radix)
 
-    monkeypatch.setattr(chain_module, "_reduce", logged)
+    monkeypatch.setattr(chain_module, "_carry", logged)
     return log
 
 
-def test_one_prime_count_never_reduces(monkeypatch):
+def test_one_limb_count_never_carries(monkeypatch):
     # 7 states and 4 periods, pushed through 2: no entry passes 7**2, and
-    # the dot of the halves, at most 7**5, is taken as it is
-    reductions = record_reductions(monkeypatch)
+    # the dot of the halves, at most 7**5, is taken in float64 as it is
+    carries = record_carries(monkeypatch)
     assert count(Family.QUADRATIC, Topology.TORUS, 4, 4) == 743
-    assert reductions == []
+    assert carries == []
 
 
-def test_quadratic_plane_12x100_reduces_before_all_but_five_pushes(monkeypatch):
-    # 610**5 < 2**52 <= 610**6, so the first five pushes run unreduced.
-    # A reduced entry is below a 38-bit prime, and two pushes of 610 would
-    # carry it past 2**52, so each of the other 45 of the 50 pushes is
-    # preceded by a reduction; then the dot reduces the block where the
-    # halves meet, once, since both halves are that block.
-    chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 12)
-    reductions = record_reductions(monkeypatch)
-    count_open(chain, 100)
-    shapes = [r.shape for r in reductions]
-    assert len(shapes) == 46
-    assert set(shapes[:-1]) == {(322, 25, 1)} and shapes[-1] == (322, 25)
+# The radixes of the widest spaces of one, two and 12 sites, of the
+# 12-wide quadratic strip, of a 22-site paired space and of a 22-site
+# free one, the narrowest; each with that widest space.
+RADIXES = [(chain_module._radix(w), w) for w in (1, 3, 4096, 610, 3**11, 2**22)]
+
+
+def digits_at(top):
+    """Digits up to top, often at 0 or top."""
+    return st.one_of(st.just(0), st.just(top), st.integers(0, top))
+
+
+def block_of(values, rows, limbs, vectors):
+    return np.array(values, dtype=np.float64).reshape(rows, limbs, vectors)
+
+
+def value_of(block, radix, u, v):
+    """The integer entry (u, v) of a block of digits, in Python ints."""
+    return sum(int(d) << radix * j for j, d in enumerate(block[u, :, v]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    radix_widest=st.sampled_from(RADIXES),
+    rows=st.integers(1, 5),
+    limbs=st.integers(1, 4),
+    vectors=st.integers(1, 3),
+    extra=st.integers(0, 1),
+    data=st.data(),
+)
+def test_carry_keeps_every_value_and_bounds_every_digit(radix_widest, rows, limbs, vectors, extra, data):
+    # digits anywhere up to 2**53, the most a push leaves, in the rows x
+    # limbs x vectors layout of an open block (one vector) or a trace's;
+    # widened to the limbs every value needs, and maybe one more
+    radix, _ = radix_widest
+    n = rows * limbs * vectors
+    values = data.draw(st.lists(digits_at(2**53), min_size=n, max_size=n))
+    block = block_of(values, rows, limbs, vectors)
+    before = block.copy()
+    entries = [[value_of(block, radix, u, v) for v in range(vectors)] for u in range(rows)]
+    wide = chain_module._limbs(max(max(row) for row in entries), radix) + extra
+    wide = max(wide, limbs)
+    out = chain_module._carry(block, wide, radix)
+    assert np.array_equal(block, before)
+    assert out.shape == (rows, wide, vectors) and out.dtype == np.float64
+    assert np.array_equal(out, np.floor(out))
+    top = int(block.max())
+    assert out.max() <= chain_module._carried(top, radix) == (1 << radix) - 1 + (top >> radix)
+    assert [[value_of(out, radix, u, v) for v in range(vectors)] for u in range(rows)] == entries
+
+
+@pytest.mark.parametrize("radix, widest", RADIXES)
+def test_carry_meets_its_bound(radix, widest):
+    # 2**53 carries 2**(53 - radix) into a limb left at 2**radix - 1 by
+    # 2**53 - 1: the largest digit a carry can leave, which the radix
+    # keeps exact summed over the widest space
+    block = np.array([[[2.0**53], [2.0**53 - 1], [0.0]]])
+    out = chain_module._carry(block, 3, radix)
+    assert out.max() == chain_module._carried(2**53, radix) == carried_top(widest)
+    assert out.max() * widest <= 2**53
+
+
+def reference_dot(x, y, weights, columns, radix):
+    rows, _, vectors = x.shape
+    return sum(
+        weights[u] * columns[v] * value_of(x, radix, u, v) * value_of(y, radix, u, v)
+        for u in range(rows)
+        for v in range(vectors)
+    )
+
+
+def split(total, parts, data):
+    """parts positive ints summing to total: all but one small, the last the rest."""
+    small = data.draw(st.lists(st.integers(1, 22), min_size=parts - 1, max_size=parts - 1))
+    return small + [total - sum(small)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    radix_widest=st.sampled_from(RADIXES),
+    rows=st.integers(1, 8),
+    limbs=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    trace=st.booleans(),
+    same=st.booleans(),
+    data=st.data(),
+)
+def test_dot_is_exact_at_its_bounds(radix_widest, rows, limbs, trace, same, data):
+    # two halves of digits up to a drawn top, at 2**53 (a push's most), at
+    # what a carry leaves, or below 2**20; in an open count's shape, rows
+    # weighted to sum to the widest space and one column, or a trace's,
+    # rows weighed 1 and basis vectors weighted to sum to it; against
+    # Python ints, one block as both halves too
+    radix, widest = radix_widest
+    vectors = data.draw(st.integers(1, 3)) if trace else 1
+    if trace:
+        weights, columns = None, split(widest, vectors, data) if widest > 22 * vectors else [1] * vectors
+    else:
+        weights, columns = split(widest, rows, data) if widest > 22 * rows else [1] * rows, [1]
+    halves = []
+    for limb in limbs:
+        top = data.draw(st.sampled_from([2**53, (1 << radix) - 1 + (1 << 53 - radix), 2**20]))
+        n = rows * limb * vectors
+        block = block_of(data.draw(st.lists(digits_at(top), min_size=n, max_size=n)), rows, limb, vectors)
+        value = max(value_of(block, radix, u, v) for u in range(rows) for v in range(vectors))
+        halves.append((block, top, value))
+    if same:
+        halves[1] = halves[0]
+    w = None if weights is None else np.array(weights, dtype=np.int64)
+    got = chain_module._dot(halves[0], halves[1], w, np.array(columns, dtype=np.int64), radix)
+    assert type(got) is int
+    ones = [1] * rows if weights is None else weights
+    assert got == reference_dot(halves[0][0], halves[1][0], ones, columns, radix)
+
+
+def test_dot_takes_rows_in_chunks_below_int64(monkeypatch):
+    # a trace's shape at the narrowest radix, digits of 2**53 - 1, which
+    # carry to the largest pieces, and three basis vectors weighted to
+    # the whole 2**22-state space: the pieces' products would pass 2**63
+    # summed over the 1,365 rows whose pieces fit in cache, so the dot
+    # takes them in chunks of 252, each exact
+    radix, widest = chain_module._radix(2**22), 2**22
+    rng = np.random.default_rng(1)
+    halves = []
+    for limbs in (3, 4):
+        block = np.full((3000, limbs, 3), 2.0**53 - 1)
+        block[::7] = rng.integers(0, 2**53, size=block[::7].shape)
+        halves.append((block, 2**53, sum(2**53 << radix * j for j in range(limbs))))
+    columns = np.array([1, 2, widest - 3], dtype=np.int64)
+    einsums = []
+    einsum = np.einsum
+
+    def logged(spec, a, b):
+        einsums.append(a.shape[1] // 3)
+        return einsum(spec, a, b)
+
+    monkeypatch.setattr(np, "einsum", logged)
+    got = chain_module._dot(halves[0], halves[1], None, columns, radix)
+    assert max(einsums) == 252 and sum(einsums) == 3000
+    assert got == reference_dot(halves[0][0], halves[1][0], [1] * 3000, columns.tolist(), radix)
+
+
+def test_dot_takes_float64_only_while_exact():
+    # one limb each, weighted to nearly the whole 2**22-state space: an
+    # odd sum past 2**53, which float64 would round, so the dot takes its
+    # int64 pieces; and digits small enough that float64 holds the sum
+    radix, one = chain_module._radix(2**22), np.ones(1, dtype=np.int64)
+    weights = np.array([2**22 - 2, 1], dtype=np.int64)
+    x = (np.array([2.0**20 - 1, 1.0])[:, None, None], 2**20, 2**20)
+    assert chain_module._dot(x, x, weights, one, radix) == (2**22 - 2) * (2**20 - 1) ** 2 + 1
+    small = (np.array([2.0**15 - 1, 1.0])[:, None, None], 2**15, 2**15)
+    assert chain_module._dot(small, small, weights, one, radix) == (2**22 - 2) * (2**15 - 1) ** 2 + 1
+
+
 
 
 @settings(deadline=None, max_examples=40)
@@ -1463,47 +1561,3 @@ def test_a_period_that_is_no_palindrome_takes_whole_pushes(monkeypatch):
         pushes.clear()
         assert count_cyclic(chain, periods) == traces[periods - 1]
         assert len(pushes) == periods
-
-
-# The widest primes _moduli picks: 47 bits, for a widest space of 1.
-WIDEST_PRIMES = _moduli(1, 2**470)
-
-
-@settings(deadline=None, max_examples=100)
-@given(
-    rows=st.integers(1, 12),
-    columns=st.integers(1, 3),
-    weighted=st.booleans(),
-    data=st.data(),
-)
-def test_dot_is_exact_at_the_widest_primes(rows, columns, weighted, data):
-    # residues at 0, at p - 1 and anywhere between, in the rows x primes x
-    # columns layout of a block, against Python ints; and entries below
-    # 2**20, whose weighted sums stay exact in float64 and are taken as
-    # they are
-    assert {p.bit_length() for p in WIDEST_PRIMES} == {47}
-    layers = data.draw(st.integers(1, len(WIDEST_PRIMES)))
-    primes = WIDEST_PRIMES[:layers]
-    # -1 is p - 1 and 0 is 0 under every prime
-    entry = st.one_of(st.just(0), st.just(-1), st.integers(0, 2**47 - 1))
-
-    def block(modulus):
-        drawn = iter(data.draw(st.lists(entry, min_size=rows * layers * columns, max_size=rows * layers * columns)))
-        return [[[next(drawn) % modulus(p) for _ in range(columns)] for p in primes] for _ in range(rows)]
-
-    weights = data.draw(st.lists(st.integers(1, 22), min_size=rows, max_size=rows)) if weighted else [1] * rows
-    mods = np.array(primes, dtype=np.float64)[:, None]
-    for modulus, top in ((lambda p: p, sum(weights) * max(primes) ** 2), (lambda p: 2**20, sum(weights) * 2**40)):
-        x, y = block(modulus), block(modulus)
-        expect = [
-            [sum(w * a[i][j] * b[i][j] for w, a, b in zip(weights, x, y)) % p for j in range(columns)]
-            for i, p in enumerate(primes)
-        ]
-        got = chain_module._dot(
-            np.array(x, dtype=np.float64), np.array(y, dtype=np.float64),
-            np.array(weights, dtype=np.int64) if weighted else None, mods, top,
-        )
-        assert got.dtype == np.int64 and got.tolist() == expect
-        xs = np.array(x, dtype=np.float64)  # one block as both halves
-        same = chain_module._dot(xs, xs, None, mods, rows * max(primes) ** 2)
-        assert same.tolist() == [[sum(a[i][j] ** 2 for a in x) % p for j in range(columns)] for i, p in enumerate(primes)]

@@ -1,4 +1,5 @@
 import json
+import sys
 from importlib import resources
 
 import jsonschema
@@ -76,6 +77,28 @@ class TestCount:
         )
         assert code == 1 and out == ""
         assert err == "error: quadratic cylinder 1000x1000 has no sweep whose slices fit the 22-site cap\n"
+
+    def test_count_past_the_int_to_str_digit_limit(self, capsys):
+        # a 2 x 12001 ladder, a(n+1) = 2 a(n) + a(n-1) from a(0) = 3 and
+        # a(1) = 7, has 4594 digits, past the 4300 that str() takes by
+        # default; main leaves that limit as it found it
+        a, b = 3, 7
+        for _ in range(11999):
+            a, b = b, 2 * b + a
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expect = str(b)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(expect) == 4594 and limit == 4300
+        for fmt, printed in (("json", json.dumps({"count": expect})), ("text", expect)):
+            code, out, err = run(
+                capsys, "count", "--family", "quadratic", "--topology", "plane",
+                "-m", "1", "-n", "12000", "--format", fmt,
+            )
+            assert code == 0 and err == "" and out == printed + "\n"
+            assert sys.get_int_max_str_digits() == limit
 
 
 CROSSED_C, CROSSED_R = gold.CROSSED_COLUMN_W3_STATES, gold.CROSSED_ROW_W4_STATES
