@@ -1436,6 +1436,66 @@ def test_dot_takes_float64_only_while_exact():
     assert chain_module._dot(small, small, weights, one, radix) == (2**22 - 2) * (2**15 - 1) ** 2 + 1
 
 
+@pytest.mark.parametrize("radix, widest", RADIXES)
+def test_limbs_hold_every_value_up_to_their_width(radix, widest):
+    # k limbs hold everything below 2**(radix * k) and nothing from it on
+    assert chain_module._limbs(0, radix) == chain_module._limbs(1, radix) == 1
+    for k in range(1, 6):
+        assert chain_module._limbs((1 << radix * k) - 1, radix) == k
+        assert chain_module._limbs(1 << radix * k, radix) == k + 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(radix_widest=st.sampled_from(RADIXES), data=st.data())
+def test_carries_keep_every_push_exact(radix_widest, data):
+    # pushes through steps of up to the widest space's columns: each value
+    # bound is the product of the columns so far; a carry comes only before
+    # a push that could pass 2**53, onto the limbs that value needs, and
+    # every push after it stays within 2**53
+    radix, widest = radix_widest
+    cols = data.draw(st.lists(st.integers(1, widest), max_size=40))
+    top = value = limbs = 1
+    for c, (carry, held, after_top, after_value) in zip(cols, chain_module._carries(cols, radix), strict=True):
+        assert carry is (top * c > 2**53)
+        if carry:
+            assert held == chain_module._limbs(value, radix) >= limbs
+            top = chain_module._carried(top, radix)
+        else:
+            assert held == limbs
+        top, value, limbs = top * c, value * c, held
+        assert (after_top, after_value) == (top, value)
+        assert top <= 2**53 and value <= widest ** len(cols)
+
+
+# Even radixes narrower than the chosen one, down to the narrowest whose
+# carried digits still sum exactly over a strip's widest space and whose
+# int64 pieces (radix / 2 bits and the carry above them) still multiply
+# within 2**63 for one row: the same counts then take several times the
+# limbs and carries.
+NARROW_RADIXES = (20, 26, 34)
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("direction", list(Direction))
+def test_counts_stay_exact_in_narrower_limbs(family, direction, monkeypatch):
+    # open and traced over every number of periods up to the first whose
+    # open count passes 2**360, at every narrow radix, against the
+    # Python-int reference: each half passes 2**53 and is carried, again
+    # and again, onto up to 9 limbs at radix 20
+    chain = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + 1)
+    widest = max(max(step.array.shape) for step in chain.steps)
+    opens, traces = reference_counts(chain, 300)
+    most = next(p for p, c in enumerate(opens) if c >> 360)
+    carries = record_carries(monkeypatch)
+    for radix in NARROW_RADIXES:
+        top = chain_module._carried(2**53, radix)
+        assert top * widest <= 2**53
+        assert widest * 2 * chain_module._limbs(opens[most], radix) * (top >> radix // 2) ** 2 < 2**63
+        monkeypatch.setattr(chain_module, "_radix", lambda _, radix=radix: radix)
+        carries.clear()
+        assert [count_open(chain, periods) for periods in range(most + 1)] == opens[:most + 1]
+        assert [count_cyclic(chain, periods) for periods in range(1, most + 1)] == traces[:most]
+        assert max(c.limbs for c in carries) >= 180 // radix
 
 
 @settings(deadline=None, max_examples=40)

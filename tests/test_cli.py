@@ -8,6 +8,7 @@ import pytest
 from latticegas import cli
 from latticegas.chain import _MIN_WIDTH, Direction, Family
 from latticegas.cli import main
+from latticegas.oracle import VerifyResult
 
 import golden_data as gold
 
@@ -78,27 +79,49 @@ class TestCount:
         assert code == 1 and out == ""
         assert err == "error: quadratic cylinder 1000x1000 has no sweep whose slices fit the 22-site cap\n"
 
-    def test_count_past_the_int_to_str_digit_limit(self, capsys):
-        # a 2 x 12001 ladder, a(n+1) = 2 a(n) + a(n-1) from a(0) = 3 and
-        # a(1) = 7, has 4594 digits, past the 4300 that str() takes by
-        # default; main leaves that limit as it found it
-        a, b = 3, 7
-        for _ in range(11999):
-            a, b = b, 2 * b + a
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_count_past_the_int_to_str_digit_limit(self, capsys, fmt):
+        # main leaves the interpreter's 4300-digit limit as it found it
+        expect = LONG_LADDER
+        assert len(expect) == 4594 and sys.get_int_max_str_digits() == 4300
+        printed = {"json": json.dumps({"count": expect}), "csv": "count\n" + expect, "text": expect}[fmt]
+        code, out, err = run(
+            capsys, "count", "--family", "quadratic", "--topology", "plane",
+            "-m", "1", "-n", "12000", "--format", fmt,
+        )
+        assert code == 0 and err == "" and out == printed + "\n"
+        assert sys.get_int_max_str_digits() == 4300
+
+    @pytest.mark.parametrize("limit", [640, 4300, 10**5, 0])
+    def test_decimal_restores_the_limit_it_found(self, limit):
+        # 0 lifts the limit, 640 is the least one the interpreter takes
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
         try:
-            expect = str(b)
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert len(expect) == 4594 and limit == 4300
-        for fmt, printed in (("json", json.dumps({"count": expect})), ("text", expect)):
-            code, out, err = run(
-                capsys, "count", "--family", "quadratic", "--topology", "plane",
-                "-m", "1", "-n", "12000", "--format", fmt,
-            )
-            assert code == 0 and err == "" and out == printed + "\n"
+            assert cli._decimal(10**6000 - 1) == "9" * 6000
+            assert cli._decimal(-(10**700)) == "-1" + "0" * 700
+            assert cli._decimal(0) == "0"
             assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(before)
+
+
+def _ladder_past_the_digit_limit():
+    """The independent sets of a 2 x 12001 ladder, and in decimal:
+    a(n+1) = 2 a(n) + a(n-1) from a(0) = 3 and a(1) = 7, 4594 digits,
+    past the 4300 that str() takes by default."""
+    a, b = 3, 7
+    for _ in range(11999):
+        a, b = b, 2 * b + a
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return b, str(b)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+LADDER, LONG_LADDER = _ladder_past_the_digit_limit()
 
 
 CROSSED_C, CROSSED_R = gold.CROSSED_COLUMN_W3_STATES, gold.CROSSED_ROW_W4_STATES
@@ -361,6 +384,28 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--max-vertices", cap)
         assert code == 1 and out == ""
         assert err.startswith("error: no instance")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_counts_past_the_int_to_str_digit_limit(self, capsys, monkeypatch, fmt):
+        # both counts printed in full, however many digits; the brute
+        # count of a 2 x 12001 ladder is stood in by the known one
+        def verified(instance):
+            return VerifyResult(instance, LADDER, LADDER)
+
+        monkeypatch.setattr(cli, "verify_instance", verified)
+        code, out, err = run(
+            capsys, "verify", "--family", "quadratic", "--topology", "plane",
+            "-m", "1", "-n", "12000", "--format", fmt,
+        )
+        assert code == 0 and err == ""
+        if fmt == "json":
+            payload = json.loads(out)
+            check_schema("verify", payload)
+            assert payload["results"][0]["transfer"] == payload["results"][0]["brute"] == LONG_LADDER
+        else:
+            assert out.count(LONG_LADDER) == 2
+            assert out.endswith("OK\n") is (fmt == "text")
+        assert sys.get_int_max_str_digits() == 4300
 
     def test_sweep_json(self, capsys):
         code, out, _ = run(
