@@ -80,6 +80,17 @@ C B^T B, which reads otherwise; it and any hand-built period that is no
 palindrome push all N links.
 Each instance is counted once, by whichever of its two sweeps
 ``_sweep`` prices lowest, at the kernels and stacks its pushes take.
+
+Each period is built once per process while it is in use: a chain from
+``transfer_chain`` wraps the links ``_links`` keeps per (family,
+direction, width), the CHAIN_CACHE_SIZE (4) most recently used, open
+and cyclic chains alike, so counts, eig, bounds and table share them.
+A kept relation keeps what it derives on first use: its built step,
+folded step, zeta plan, the kernel it picked for each stack width, and
+its orbit relation (``orbit_steps``), whose own state it keeps too; the
+arrays are read-only.  The zeta push's scratch room is one per thread,
+shared by every relation (``_scratch``).  ``_price`` keeps the price of
+the PRICE_CACHE_SIZE most recently priced sweeps.
 """
 from __future__ import annotations
 
@@ -169,7 +180,9 @@ class Relation:
     vector as one entry per column orbit, and pushes it by its folded
     step, filled from masks (``_folded``), or the zeta push, never by
     ``built``.  At most one side is spread, so both sides' masks lie in
-    the ``bits`` sites of the side left as is.
+    the ``bits`` sites of the side left as is.  Every chain of a period
+    holds the same relations while ``_links`` keeps them, so each array
+    a relation derives is read-only.
     """
 
     rows: StateSpace
@@ -205,12 +218,16 @@ class Relation:
         order = np.argsort(sites, kind="stable")
         sites = sites[order]
         starts = np.flatnonzero(np.r_[True, sites[1:] != sites[:-1]])
-        return sites[starts], order, starts
+        sites = sites[starts]
+        _frozen(sites, order, starts)
+        return sites, order, starts
 
     @cached_property
     def _gather(self) -> np.ndarray:
         """The sites row u leaves free, ~f(u), as an index into 2**bits."""
-        return ~(self.f(self.rows.masks) if self.f else self.rows.masks) & ((1 << self.bits) - 1)
+        free = ~(self.f(self.rows.masks) if self.f else self.rows.masks) & ((1 << self.bits) - 1)
+        _frozen(free)
+        return free
 
     @cached_property
     def built(self) -> StepMatrix:
@@ -231,7 +248,18 @@ class Relation:
         for n, image in enumerate(_images(self.cols.masks[reps], self.cols, self.wrap), 1):
             out += compatible(fr, self.g(image) if self.g else image).view(np.uint8)
         out //= (n // sizes).astype(np.uint8)
-        return out.astype(np.float64)
+        folded = out.astype(np.float64)
+        _frozen(folded)
+        return folded
+
+    @cached_property
+    def _narrowed(self) -> Relation:
+        """This relation at the rows of its orbit representatives, taking
+        vectors on column orbits (``orbit_steps``): made on first use and
+        kept with it, so a cached chain keeps its orbit plan."""
+        _, reps, _ = _orbits(self.rows, self.wrap)
+        rows = StateSpace(self.rows.kind, self.rows.length, self.rows.masks[reps])
+        return Relation(rows, self.cols, self.f, self.g, self.wrap, on_orbits=True)
 
     @cached_property
     def _picks(self) -> dict[int, str]:
@@ -263,24 +291,6 @@ class Relation:
             return 1 << bits, None
         gathers = _key_gathers(self._gather, sites, bits)
         return max([len(sites)] + [len(a) for a, _ in gathers[:-1]]) + 1, gathers
-
-    @cached_property
-    def _room(self) -> threading.local:
-        """Each thread's float64 room for ``_scratch``."""
-        return threading.local()
-
-    def _scratch(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Room of this shape for the zeta push's table or levels, kept
-        between this thread's pushes and grown to the largest it lent, so
-        that a push allocates only its output: a fresh table per push
-        faults its pages in again wherever the allocator has handed the
-        last one back (aztec w=16 eig, 1 MB tables: 2.1 ms a push where
-        it did, 3.5 ms where it did not)."""
-        size = math.prod(shape)
-        room = getattr(self._room, "floats", None)
-        if room is None or room.size < size:
-            room = self._room.floats = np.empty(size)
-        return room[:size].reshape(shape)
 
     def push(self, block: np.ndarray) -> np.ndarray:
         """The step times block, a vector or a stack of vectors indexed by cols
@@ -336,21 +346,21 @@ class Relation:
         widest, levels = self._zeta_plan
         if levels is not None:
             # three levels, taken in turn: the current, the next, and the second gather
-            cur, nxt, other = self._scratch((3, widest) + y.shape[1:])
+            cur, nxt, other = _scratch((3, widest) + y.shape[1:])
             cur[: len(y)] = y
             cur[len(y)] = 0  # the last key is a zero
             for a, b in levels[:-1]:
                 n, m = len(a), len(b)
-                np.take(cur, a, axis=0, out=nxt[:n], mode="clip")
-                np.take(cur, b, axis=0, out=other[:m], mode="clip")
+                np.take(cur, a.base, axis=0, out=nxt[:n], mode="clip")  # .base: see _read_only
+                np.take(cur, b.base, axis=0, out=other[:m], mode="clip")
                 nxt[n - m:n] += other[:m]
                 nxt[n] = 0
                 cur, nxt = nxt, cur
             a, b = levels[-1]
-            out = np.take(cur, a, axis=0, mode="clip")
-            out += np.take(cur, b, axis=0, mode="clip")
+            out = np.take(cur, a.base, axis=0, mode="clip")
+            out += np.take(cur, b.base, axis=0, mode="clip")
             return out
-        table = self._scratch((1 << self.bits,) + block.shape[1:])
+        table = _scratch((1 << self.bits,) + block.shape[1:])
         table.fill(0)
         table[sites] = y
         flat = table.reshape(len(table), -1)
@@ -363,6 +373,43 @@ class Relation:
         if low:
             flat = flat.reshape(-1, 1 << low) @ _SUBSETS[: 1 << low, : 1 << low]
         return flat.reshape(table.shape)[self._gather]
+
+
+# Each thread's float64 room for ``_scratch``, one for every relation.
+_ROOM = threading.local()
+
+
+def _scratch(shape: tuple[int, ...]) -> np.ndarray:
+    """Room of this shape for a zeta push's table or levels, kept between
+    this thread's pushes through any relation and grown to the largest it
+    lent, so that a push allocates only its output: a fresh table per
+    push faults its pages in again wherever the allocator has handed the
+    last one back (aztec w=16 eig, 1 MB tables: 2.1 ms a push where it
+    did, 3.5 ms where it did not).  A push copies its output out of the
+    room, so no array it returns is a view of it."""
+    size = math.prod(shape)
+    room = getattr(_ROOM, "floats", None)
+    if room is None or room.size < size:
+        room = _ROOM.floats = np.empty(size)
+    return room[:size].reshape(shape)
+
+
+def _frozen(*arrays: np.ndarray) -> None:
+    """Mark arrays read-only: a relation's derived arrays are shared by
+    every chain that holds it (``transfer_chain``)."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _read_only(index: np.ndarray) -> np.ndarray:
+    """A read-only view of a copy of an index array, for a gather of the
+    keys plan.  np.take copies an index array it may not write (about
+    11 us for 40,000 indices, an eighth of the quadratic w=15 eig), so
+    ``Relation._zeta`` hands it the view's ``base``, the copy, which
+    nothing else reads."""
+    view = index.copy().view()
+    _frozen(view)
+    return view
 
 
 # Entry (t, s) is 1 iff t is a subset of s, over the _LOW_SITES lowest sites.
@@ -416,7 +463,7 @@ def _key_gathers(queries: np.ndarray, sites: np.ndarray, bits: int) -> list[tupl
                     found = found & high
                 else:  # the tail of prefixes with bit i
                     p = p[len(p) - np.count_nonzero(high):]
-            pair.append(np.where(found, p + s, zero).ravel())
+            pair.append(_read_only(np.where(found, p + s, zero).ravel()))
         gathers.append(tuple(pair))
         prefixes, suffixes = new_prefixes, new_suffixes
     return gathers
@@ -695,9 +742,24 @@ def transfer_chain(
     quadratic or crossed slice's underlying path/cycle index m or n,
     the short-column length for aztec, and the column index for the
     truncated-square tiling (whose paired slices then have 2(width-1)
-    sites).
+    sites).  The links are shared with every chain of the same family,
+    direction and width while ``_links`` keeps them.
     """
-    return TransferChain(family, direction, boundary, width, _period_links(family, direction, width, enumerate_states))
+    return TransferChain(family, direction, boundary, width, _links(family, direction, width))
+
+
+# Periods of links kept per process, each with every array its relations
+# derive on use: steps, folds, zeta plans and orbit relations.
+CHAIN_CACHE_SIZE = 4
+
+
+@lru_cache(maxsize=CHAIN_CACHE_SIZE)
+def _links(family: Family, direction: Direction, width: int) -> tuple[Relation, ...]:
+    """The links of one period over enumerated spaces, built once while
+    they are among the CHAIN_CACHE_SIZE most recently used.  The boundary
+    is left out: an open and a cyclic chain of one width push the same
+    links."""
+    return _period_links(family, direction, width, enumerate_states)
 
 
 def _period_links(
@@ -924,13 +986,8 @@ def orbit_steps(links: tuple[Relation, ...]) -> tuple[list[Relation], np.ndarray
     gives it on the orbits of the rows.  A period is a cycle, so a link's
     columns are the next link's rows.
     """
-    plan = []
-    for link in links:
-        _, reps, _ = _orbits(link.rows, link.wrap)
-        rows = StateSpace(link.rows.kind, link.rows.length, link.rows.masks[reps])
-        plan.append(Relation(rows, link.cols, link.f, link.g, link.wrap, on_orbits=True))
     of, _, sizes = _orbits(links[0].rows, links[0].wrap)
-    return plan, of, sizes
+    return [link._narrowed for link in links], of, sizes
 
 
 def _trace_block(limbs: int, dims: Sequence[tuple[int, int]]) -> int:
@@ -1125,58 +1182,72 @@ _DOT_NS = (5600.0, 0.9, 45000.0, 6.3, 1.9)
 def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     """(direction, width, periods, trace) of the sweep that counts an instance.
 
-    Of its ``_sweeps`` whose slices fit in MAX_ENUM_LENGTH sites, the
-    first with the lowest price wins: each push ``_contract`` makes, by
-    the kernel ``_kernel`` picks at its limbs (``_carries``) times a
-    block's vectors, and its carry; each block's dot, as ``_dot`` takes
-    it; each kernel's one-time build per link (``_SETUP_NS``).  An open
-    sweep pushes one vector through orbit relations; a trace pushes whole
-    links, blocks of ``_trace_block`` basis vectors, one per orbit of its
-    smallest slice space.  A block runs through ceil(N/2) of a
-    palindrome's N = links * periods links (``_halves``), else all N.
-    Pricing enumerates nothing: ``_orbit_count`` counts orbits.
+    Of its ``_sweeps`` that ``_price`` prices, the first with the lowest
+    price wins.
     """
     fam, topo, m, n = instance.family, instance.topology, instance.m, instance.n
-    fits = []
-    for direction, width, periods, trace in _sweeps(fam, topo, m, n):
-        if width < _MIN_WIDTH[(fam, direction)]:
-            continue
-        shape = _sweep_links(fam, direction, width, trace)
-        if shape is None:
-            continue
-        dims, (kind, bits), links, vectors, palindrome = shape
-        radix = _radix(max(r for r, _ in dims))
-        pushes, half = _halves(len(links), periods, palindrome)
-        order = links[::-1]  # push t takes link t from the end of the period
-        carries = _carries([order[t % len(order)][1] for t in range(pushes)], radix)
-        k = _trace_block(max((limbs for _, limbs, _, _ in carries), default=1), dims) if trace else 1
-        blocks = [(w, times) for w, times in ((k, vectors // k), (vectors % k, 1)) if w]  # (width, how many)
-        (ta, va), (tb, vb) = [carries[t - 1][2:] if t else (1, 1) for t in (half, pushes)]  # the halves' bounds
-        la, lb, meet = _limbs(va, radix), _limbs(vb, radix), half % len(links)  # the halves meet at link meet
-        if la == lb == 1 and ta * tb * (links if trace else dims)[meet][0] <= _EXACT:  # its states weigh the dot
-            call, entry = _DOT_NS[:2]
-        else:
-            call, entry = _DOT_NS[2], _DOT_NS[3] * (la + lb) + _DOT_NS[4] * la * lb
-        cost = sum(times * (call + entry * links[meet][0] * w) for w, times in blocks)
-        kernels = set()  # (link, kernel) of every push made
-        for (j, carry, limbs), runs in Counter((t % len(order), *c[:2]) for t, c in enumerate(carries)).items():
-            r, c, o = order[j]
-            for w, times in blocks:
-                price, kernel = _kernel(r, c, bits, limbs * w, o, kind in _KEYS_PLAN_KINDS)
-                if carry:  # on the block the push takes, one entry per column or column orbit
-                    price += _CARRY_NS[0] + _CARRY_NS[1] * (o or c) * limbs * w
-                cost += runs * times * price
-                kernels.add((j, kernel))
-        for j, kernel in kernels:
-            (call, entry, side), (r, c, _) = _SETUP_NS[kernel], order[j]
-            cost += call + entry * r * c + side * (r + c)
-        fits.append((cost, (direction, width, periods, trace)))
+    fits = [(cost, sweep) for sweep in _sweeps(fam, topo, m, n) if (cost := _price(fam, *sweep)) is not None]
     if not fits:
         raise ValueError(
             f"{fam.value} {topo.value} {m}x{n} has no sweep whose slices fit "
             f"the {MAX_ENUM_LENGTH}-site cap"
         )
     return min(fits, key=lambda fit: fit[0])[1]
+
+
+# Sweep prices kept per process: a float each.
+PRICE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=PRICE_CACHE_SIZE)
+def _price(family: Family, direction: Direction, width: int, periods: int, trace: bool) -> float | None:
+    """Estimated nanoseconds of a sweep's contraction, or None where it is
+    too narrow for its family's slices (``_MIN_WIDTH``) or a slice passes
+    MAX_ENUM_LENGTH sites; a pure function of its arguments, so it is kept
+    for the PRICE_CACHE_SIZE most recently used.
+
+    The price is each push ``_contract`` makes, by the kernel ``_kernel``
+    picks at its limbs (``_carries``) times a block's vectors, and its
+    carry; each block's dot, as ``_dot`` takes it; each kernel's one-time
+    build per link (``_SETUP_NS``).  An open sweep pushes one vector
+    through orbit relations; a trace pushes whole links, blocks of
+    ``_trace_block`` basis vectors, one per orbit of its smallest slice
+    space.  A block runs through ceil(N/2) of a palindrome's N = links *
+    periods links (``_halves``), else all N.  Pricing enumerates nothing:
+    ``_orbit_count`` counts orbits.
+    """
+    if width < _MIN_WIDTH[(family, direction)]:
+        return None
+    shape = _sweep_links(family, direction, width, trace)
+    if shape is None:
+        return None
+    dims, (kind, bits), links, vectors, palindrome = shape
+    radix = _radix(max(r for r, _ in dims))
+    pushes, half = _halves(len(links), periods, palindrome)
+    order = links[::-1]  # push t takes link t from the end of the period
+    carries = _carries([order[t % len(order)][1] for t in range(pushes)], radix)
+    k = _trace_block(max((limbs for _, limbs, _, _ in carries), default=1), dims) if trace else 1
+    blocks = [(w, times) for w, times in ((k, vectors // k), (vectors % k, 1)) if w]  # (width, how many)
+    (ta, va), (tb, vb) = [carries[t - 1][2:] if t else (1, 1) for t in (half, pushes)]  # the halves' bounds
+    la, lb, meet = _limbs(va, radix), _limbs(vb, radix), half % len(links)  # the halves meet at link meet
+    if la == lb == 1 and ta * tb * (links if trace else dims)[meet][0] <= _EXACT:  # its states weigh the dot
+        call, entry = _DOT_NS[:2]
+    else:
+        call, entry = _DOT_NS[2], _DOT_NS[3] * (la + lb) + _DOT_NS[4] * la * lb
+    cost = sum(times * (call + entry * links[meet][0] * w) for w, times in blocks)
+    kernels = set()  # (link, kernel) of every push made
+    for (j, carry, limbs), runs in Counter((t % len(order), *c[:2]) for t, c in enumerate(carries)).items():
+        r, c, o = order[j]
+        for w, times in blocks:
+            price, kernel = _kernel(r, c, bits, limbs * w, o, kind in _KEYS_PLAN_KINDS)
+            if carry:  # on the block the push takes, one entry per column or column orbit
+                price += _CARRY_NS[0] + _CARRY_NS[1] * (o or c) * limbs * w
+            cost += runs * times * price
+            kernels.add((j, kernel))
+    for j, kernel in kernels:
+        (call, entry, side), (r, c, _) = _SETUP_NS[kernel], order[j]
+        cost += call + entry * r * c + side * (r + c)
+    return cost
 
 
 def count_lattice(instance: LatticeInstance) -> int:

@@ -2,6 +2,8 @@ import collections
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -36,6 +38,7 @@ from latticegas.chain import (
     transfer_chain,
 )
 from latticegas.compat import StepMatrix, build_step
+from latticegas.oracle import sweep
 from latticegas.spectral import dominant_eigenvalue
 from latticegas.statespace import MAX_ENUM_LENGTH, StateKind, StateSpace, enumerate_states, state_count
 
@@ -831,11 +834,12 @@ def test_eig_and_open_counts_build_no_whole_step(family, direction, monkeypatch)
 
 
 def relations(family, direction, width):
-    """Every link of the chain, once with its whole rows and once with
-    only its orbit representatives' rows."""
+    """Every link of the chain, made afresh with none of the lazy state
+    the cached link holds, once with its whole rows and once with only
+    its orbit representatives' rows."""
     for link in transfer_chain(family, direction, width).links:
         _, reps, _ = _orbits(link.rows, link.wrap)
-        yield link
+        yield dataclasses.replace(link)
         yield dataclasses.replace(link, rows=StateSpace(link.rows.kind, link.rows.length, link.rows.masks[reps]))
 
 
@@ -1621,3 +1625,110 @@ def test_a_period_that_is_no_palindrome_takes_whole_pushes(monkeypatch):
         pushes.clear()
         assert count_cyclic(chain, periods) == traces[periods - 1]
         assert len(pushes) == periods
+
+
+# ---------------------------------------------------------------------------
+# Chains and prices kept per process
+
+
+def test_sweep_counts_alike_with_caches_cold_and_warm(clear_chains):
+    # warm: the sweep keeps chains and prices from one instance to the next
+    results = list(sweep(32))
+    assert len(results) == 349 and all(result.ok for result in results)
+    for result in results:
+        clear_chains()
+        assert count_lattice(result.instance) == result.brute
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("topology", list(Topology))
+def test_a_sweep_builds_each_chain_once(family, topology, clear_chains, monkeypatch):
+    built = collections.Counter()
+    links = chain_module._period_links
+
+    def logged(family, direction, width, space):
+        if space is chain_module.enumerate_states:
+            built[family, direction, width] += 1
+        return links(family, direction, width, space)
+
+    monkeypatch.setattr(chain_module, "_period_links", logged)
+    clear_chains()
+    assert all(result.ok for result in sweep(26, [family], [topology]))
+    again = {key for key, builds in built.items() if builds > 1}
+    if (family, topology) == (Family.TRUNCATED_SQUARE, Topology.TORUS):
+        # m = 2 traces at every width n from 3 to 7, so width 3 has left
+        # the cache when m = 3 traces at it again
+        assert len(built) > chain_module.CHAIN_CACHE_SIZE
+        assert again == {(family, Direction.ROWWISE, 3)} and built[family, Direction.ROWWISE, 3] == 2
+    else:
+        assert built and not again
+
+
+def test_chain_cache_is_bounded(clear_chains):
+    clear_chains()
+    size = chain_module.CHAIN_CACHE_SIZE
+    oldest = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3).links
+    for width in range(3, 3 + size + 4):
+        chain = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, width)
+        again = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, width, Boundary.CYCLIC)
+        assert again.links is chain.links  # open and cyclic chains share their links
+        assert chain_module._links.cache_info().currsize <= size
+    assert chain_module._links.cache_info().currsize == size
+    assert transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3).links is not oldest  # left the cache
+
+
+def test_cached_chain_keeps_its_orbit_plan(clear_chains):
+    clear_chains()
+    chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 9)
+    plan, _, _ = orbit_steps(chain.links)
+    again, _, _ = orbit_steps(transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 9, Boundary.CYCLIC).links)
+    assert all(a is b for a, b in zip(plan, again))
+
+
+def test_two_threads_count_through_one_chain_alike(clear_chains):
+    # the built, folded and zeta kernels, each thread with its own room
+    specs = [(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 6, 6), (Family.AZTEC, Direction.ROWWISE, 10, 6)]
+    clear_chains()
+    chains = [(transfer_chain(f, d, w, Boundary.CYCLIC), p) for f, d, w, p in specs]
+    expected = []
+    for chain, periods in chains:
+        fresh = dataclasses.replace(chain, links=tuple(dataclasses.replace(link) for link in chain.links))
+        expected.append((count_open(fresh, periods), count_cyclic(fresh, periods)))
+    start = threading.Barrier(2)
+    found = [None, None]
+
+    def run(i):
+        start.wait()
+        found[i] = [(count_open(chain, periods), count_cyclic(chain, periods)) for _ in range(5) for chain, periods in chains]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == [expected * 5, expected * 5]
+
+
+@pytest.mark.parametrize(
+    "family, direction",
+    # the table and keys plans, spread rows and spread columns
+    [(Family.AZTEC, Direction.COLUMNWISE), (Family.QUADRATIC, Direction.ROWWISE), (Family.CROSSED, Direction.COLUMNWISE)],
+)
+def test_shared_relations_keep_their_arrays_read_only(family, direction):
+    chain = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + 4)
+    for link in chain.links:
+        for rel in (link, link._narrowed):
+            arrays = [a for a in rel._scatter if a is not None] + [rel._gather]
+            arrays += [a for pair in rel._zeta_plan[1] or () for a in pair]
+            if rel.on_orbits:
+                arrays.append(rel._folded)
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[:1] = 0
+    assert any(link._zeta_plan[1] is not None for link in chain.links) is (family is not Family.AZTEC)
