@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chain import Boundary, Direction, Family, TransferChain, _period_sites, transfer_chain
+from .chain import Boundary, Direction, Family, TransferChain, _period_links, _period_sites
 from .spectral import EigenResult, dominant_eigenvalue
+from .statespace import enumerate_states
 
 __all__ = [
     "PER_VERTEX_EXPONENT",
@@ -66,12 +67,19 @@ class SpectralSample:
     residual: float
 
 
+def _chain(family: Family, direction: Direction, width: int, boundary: Boundary) -> TransferChain:
+    """The chain ``transfer_chain`` gives, on links built for this root
+    alone: a root is kept (strip_root, ring_root), so the links that
+    made it need not stay in the chain cache once it is found."""
+    return TransferChain(family, direction, boundary, width, _period_links(family, direction, width, enumerate_states))
+
+
 def _strip_chain(family: Family, width: int) -> TransferChain:
-    return transfer_chain(family, Direction.COLUMNWISE, width, Boundary.OPEN)
+    return _chain(family, Direction.COLUMNWISE, width, Boundary.OPEN)
 
 
 def _ring_chain(family: Family, width: int) -> TransferChain:
-    return transfer_chain(family, Direction.ROWWISE, width, Boundary.CYCLIC)
+    return _chain(family, Direction.ROWWISE, width, Boundary.CYCLIC)
 
 
 @lru_cache(maxsize=ROOT_CACHE_SIZE)

@@ -84,13 +84,18 @@ Each instance is counted once, by whichever of its two sweeps
 Each period is built once per process while it is in use: a chain from
 ``transfer_chain`` wraps the links ``_links`` keeps per (family,
 direction, width), the CHAIN_CACHE_SIZE (4) most recently used, open
-and cyclic chains alike, so counts, eig, bounds and table share them.
+and cyclic chains alike, so counts and eig share them.  Only periods
+of at most CHAIN_CACHE_ENTRIES step entries are kept; a wider one is
+built for each chain, and ``bounds``, which keeps its roots instead,
+builds the links of each root afresh.
 A kept relation keeps what it derives on first use: its built step,
 folded step, zeta plan, the kernel it picked for each stack width, and
 its orbit relation (``orbit_steps``), whose own state it keeps too; the
-arrays are read-only.  The zeta push's scratch room is one per thread,
-shared by every relation (``_scratch``).  ``_price`` keeps the price of
-the PRICE_CACHE_SIZE most recently priced sweeps.
+arrays are read-only, but for the keys plan's gathers, which only the
+relation reads.  The zeta push's scratch room is one per thread,
+shared by every relation (``_scratch``) and given back when a count or
+an iteration ends (``_lends_room``).  ``_price`` keeps the price of
+every sweep it has priced.
 """
 from __future__ import annotations
 
@@ -101,8 +106,8 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Sequence
+from functools import cached_property, lru_cache, wraps
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -182,7 +187,7 @@ class Relation:
     ``built``.  At most one side is spread, so both sides' masks lie in
     the ``bits`` sites of the side left as is.  Every chain of a period
     holds the same relations while ``_links`` keeps them, so each array
-    a relation derives is read-only.
+    a relation derives is read-only, but for the keys plan's gathers.
     """
 
     rows: StateSpace
@@ -285,7 +290,10 @@ class Relation:
     @cached_property
     def _zeta_plan(self) -> tuple[int, list[tuple[np.ndarray, np.ndarray]] | None]:
         """(entries per vector of the widest level the zeta push holds, the
-        keys plan's gathers, or None for the table)."""
+        keys plan's gathers, or None for the table).  The gathers stay
+        writable, read by ``_zeta`` alone: np.take copies an index array
+        it may not write, about 11 us for 40,000 indices, an eighth of
+        the quadratic w=15 eig."""
         sites, bits = self._scatter[0], self.bits
         if not self.keys:
             return 1 << bits, None
@@ -351,14 +359,14 @@ class Relation:
             cur[len(y)] = 0  # the last key is a zero
             for a, b in levels[:-1]:
                 n, m = len(a), len(b)
-                np.take(cur, a.base, axis=0, out=nxt[:n], mode="clip")  # .base: see _read_only
-                np.take(cur, b.base, axis=0, out=other[:m], mode="clip")
+                np.take(cur, a, axis=0, out=nxt[:n], mode="clip")
+                np.take(cur, b, axis=0, out=other[:m], mode="clip")
                 nxt[n - m:n] += other[:m]
                 nxt[n] = 0
                 cur, nxt = nxt, cur
             a, b = levels[-1]
-            out = np.take(cur, a.base, axis=0, mode="clip")
-            out += np.take(cur, b.base, axis=0, mode="clip")
+            out = np.take(cur, a, axis=0, mode="clip")
+            out += np.take(cur, b, axis=0, mode="clip")
             return out
         table = _scratch((1 << self.bits,) + block.shape[1:])
         table.fill(0)
@@ -377,16 +385,18 @@ class Relation:
 
 # Each thread's float64 room for ``_scratch``, one for every relation.
 _ROOM = threading.local()
+T = TypeVar("T")
 
 
 def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     """Room of this shape for a zeta push's table or levels, kept between
-    this thread's pushes through any relation and grown to the largest it
-    lent, so that a push allocates only its output: a fresh table per
-    push faults its pages in again wherever the allocator has handed the
-    last one back (aztec w=16 eig, 1 MB tables: 2.1 ms a push where it
-    did, 3.5 ms where it did not).  A push copies its output out of the
-    room, so no array it returns is a view of it."""
+    this thread's pushes through any relation until ``_lends_room`` gives
+    it back, and grown to the largest it lent, so that a push allocates
+    only its output: a fresh table per push faults its pages in again
+    wherever the allocator has handed the last one back (aztec w=16 eig,
+    1 MB tables: 2.1 ms a push where it did, 3.5 ms where it did not).
+    A push copies its output out of the room, so no array it returns is
+    a view of it."""
     size = math.prod(shape)
     room = getattr(_ROOM, "floats", None)
     if room is None or room.size < size:
@@ -394,22 +404,26 @@ def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     return room[:size].reshape(shape)
 
 
+def _lends_room(run: Callable[..., T]) -> Callable[..., T]:
+    """run, giving this thread's ``_scratch`` room back when it returns:
+    a count or an iteration keeps its room between its own pushes, and
+    no table outlives it (up to 32 MiB, at 2**22 sites)."""
+
+    @wraps(run)
+    def lent(*args, **kwargs) -> T:
+        try:
+            return run(*args, **kwargs)
+        finally:
+            _ROOM.floats = None
+
+    return lent
+
+
 def _frozen(*arrays: np.ndarray) -> None:
     """Mark arrays read-only: a relation's derived arrays are shared by
     every chain that holds it (``transfer_chain``)."""
     for a in arrays:
         a.flags.writeable = False
-
-
-def _read_only(index: np.ndarray) -> np.ndarray:
-    """A read-only view of a copy of an index array, for a gather of the
-    keys plan.  np.take copies an index array it may not write (about
-    11 us for 40,000 indices, an eighth of the quadratic w=15 eig), so
-    ``Relation._zeta`` hands it the view's ``base``, the copy, which
-    nothing else reads."""
-    view = index.copy().view()
-    _frozen(view)
-    return view
 
 
 # Entry (t, s) is 1 iff t is a subset of s, over the _LOW_SITES lowest sites.
@@ -463,7 +477,7 @@ def _key_gathers(queries: np.ndarray, sites: np.ndarray, bits: int) -> list[tupl
                     found = found & high
                 else:  # the tail of prefixes with bit i
                     p = p[len(p) - np.count_nonzero(high):]
-            pair.append(_read_only(np.where(found, p + s, zero).ravel()))
+            pair.append(np.where(found, p + s, zero).ravel())
         gathers.append(tuple(pair))
         prefixes, suffixes = new_prefixes, new_suffixes
     return gathers
@@ -743,14 +757,26 @@ def transfer_chain(
     the short-column length for aztec, and the column index for the
     truncated-square tiling (whose paired slices then have 2(width-1)
     sites).  The links are shared with every chain of the same family,
-    direction and width while ``_links`` keeps them.
+    direction and width while ``_links`` keeps them; a period whose
+    steps hold more than CHAIN_CACHE_ENTRIES entries in all is built for
+    this chain alone.
     """
-    return TransferChain(family, direction, boundary, width, _links(family, direction, width))
+    if sum(r * c for r, c in chain_dimensions(family, direction, width)) > CHAIN_CACHE_ENTRIES:
+        links = _period_links(family, direction, width, enumerate_states)
+    else:
+        links = _links(family, direction, width)
+    return TransferChain(family, direction, boundary, width, links)
 
 
 # Periods of links kept per process, each with every array its relations
-# derive on use: steps, folds, zeta plans and orbit relations.
+# derive on use: steps, folds, zeta plans and orbit relations.  Only a
+# period whose steps hold at most CHAIN_CACHE_ENTRIES entries in all is
+# kept, at most about 0.2 MB with all it derives (aztec strip 7, 65,536
+# entries, the most of any: 0.22 MB after an open and a traced count),
+# so the kept periods hold about 1 MB at most; a wider one is built for
+# each chain that asks for it.
 CHAIN_CACHE_SIZE = 4
+CHAIN_CACHE_ENTRIES = 1 << 17
 
 
 @lru_cache(maxsize=CHAIN_CACHE_SIZE)
@@ -1051,6 +1077,7 @@ def _dot(x: tuple[np.ndarray, int, int], y: tuple[np.ndarray, int, int], weights
     return total
 
 
+@_lends_room
 def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     """1^T M^periods 1, or tr(M^periods) if trace, for the composite M.
 
@@ -1195,16 +1222,11 @@ def _sweep(instance: LatticeInstance) -> tuple[Direction, int, int, bool]:
     return min(fits, key=lambda fit: fit[0])[1]
 
 
-# Sweep prices kept per process: a float each.
-PRICE_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=PRICE_CACHE_SIZE)
+@lru_cache(maxsize=None)
 def _price(family: Family, direction: Direction, width: int, periods: int, trace: bool) -> float | None:
     """Estimated nanoseconds of a sweep's contraction, or None where it is
     too narrow for its family's slices (``_MIN_WIDTH``) or a slice passes
-    MAX_ENUM_LENGTH sites; a pure function of its arguments, so it is kept
-    for the PRICE_CACHE_SIZE most recently used.
+    MAX_ENUM_LENGTH sites; a pure function of its arguments, so it is kept.
 
     The price is each push ``_contract`` makes, by the kernel ``_kernel``
     picks at its limbs (``_carries``) times a block's vectors, and its

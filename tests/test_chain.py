@@ -1667,14 +1667,25 @@ def test_a_sweep_builds_each_chain_once(family, topology, clear_chains, monkeypa
 def test_chain_cache_is_bounded(clear_chains):
     clear_chains()
     size = chain_module.CHAIN_CACHE_SIZE
-    oldest = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3).links
-    for width in range(3, 3 + size + 4):
-        chain = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, width)
-        again = transfer_chain(Family.AZTEC, Direction.COLUMNWISE, width, Boundary.CYCLIC)
+    oldest = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 1).links
+    for width in range(1, 1 + size + 4):
+        chain = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, width)
+        again = transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, width, Boundary.CYCLIC)
         assert again.links is chain.links  # open and cyclic chains share their links
         assert chain_module._links.cache_info().currsize <= size
     assert chain_module._links.cache_info().currsize == size
-    assert transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3).links is not oldest  # left the cache
+    assert transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 1).links is not oldest  # left the cache
+
+
+@pytest.mark.parametrize("family, direction", [(f, d) for f in Family for d in Direction])
+def test_chain_cache_keeps_no_wide_period(family, direction, clear_chains):
+    clear_chains()
+    widths = itertools.count(_MIN_WIDTH[(family, direction)])
+    entries = {w: sum(r * c for r, c in chain_dimensions(family, direction, w)) for w in itertools.islice(widths, 12)}
+    kept = max(w for w, e in entries.items() if e <= chain_module.CHAIN_CACHE_ENTRIES)
+    assert transfer_chain(family, direction, kept).links is transfer_chain(family, direction, kept).links
+    assert transfer_chain(family, direction, kept + 1).links is not transfer_chain(family, direction, kept + 1).links
+    assert chain_module._links.cache_info().currsize == 1
 
 
 def test_cached_chain_keeps_its_orbit_plan(clear_chains):
@@ -1721,14 +1732,14 @@ def test_two_threads_count_through_one_chain_alike(clear_chains):
     [(Family.AZTEC, Direction.COLUMNWISE), (Family.QUADRATIC, Direction.ROWWISE), (Family.CROSSED, Direction.COLUMNWISE)],
 )
 def test_shared_relations_keep_their_arrays_read_only(family, direction):
+    # the keys plan's gathers stay writable: np.take, their only reader,
+    # copies an index array it may not write
     chain = transfer_chain(family, direction, _MIN_WIDTH[(family, direction)] + 4)
     for link in chain.links:
         for rel in (link, link._narrowed):
             arrays = [a for a in rel._scatter if a is not None] + [rel._gather]
-            arrays += [a for pair in rel._zeta_plan[1] or () for a in pair]
             if rel.on_orbits:
                 arrays.append(rel._folded)
             for a in arrays:
                 with pytest.raises(ValueError, match="read-only"):
                     a[:1] = 0
-    assert any(link._zeta_plan[1] is not None for link in chain.links) is (family is not Family.AZTEC)

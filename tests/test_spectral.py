@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -120,13 +121,26 @@ class TestZetaIteration:
     )
     def test_matches_the_built_steps(self, family, direction, width, monkeypatch):
         chain = transfer_chain(family, direction, width)
+        results = []
+
+        def iterate():
+            # on links made afresh, since a link keeps the kernels and
+            # plans its orbit relation took (orbit_steps)
+            fresh = dataclasses.replace(chain, links=tuple(dataclasses.replace(link) for link in chain.links))
+            results.append(dominant_eigenvalue(fresh))
+            plan, _, _ = chain_module.orbit_steps(fresh.links)
+            kernels = {kernel for step in plan for kernel in step._picks.values()}
+            plans = {step._zeta_plan[1] is None for step in plan if "zeta" in step._picks.values()}
+            return kernels, plans
+
         monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (0.0, 1.0))
-        results = [dominant_eigenvalue(chain)]
+        kernels, _ = iterate()
+        assert kernels <= {"fold", "zeta"}  # the folded step where it fits
         monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))
         # the slice kinds that take the keys plan: none, then all, forcing each plan in turn
-        for kinds in (frozenset(), frozenset(StateKind)):
+        for kinds, table in ((frozenset(), True), (frozenset(StateKind), False)):
             monkeypatch.setattr(chain_module, "_KEYS_PLAN_KINDS", kinds)
-            results.append(dominant_eigenvalue(chain))
+            assert iterate() == ({"zeta"}, {table})
         assert len({res.iterations for res in results}) == 1
         # the composite's eigh up to 1024 states; past that, the built steps' pair
         if len(chain.entry_space) <= 1024:
