@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chain import Boundary, Direction, Family, TransferChain, _period_links, _period_sites
+from .chain import Boundary, Direction, Family, _period_sites, transfer_chain
 from .spectral import EigenResult, dominant_eigenvalue
-from .statespace import enumerate_states
 
 __all__ = [
     "PER_VERTEX_EXPONENT",
@@ -67,39 +66,26 @@ class SpectralSample:
     residual: float
 
 
-def _chain(family: Family, direction: Direction, width: int, boundary: Boundary) -> TransferChain:
-    """The chain ``transfer_chain`` gives, on links built for this root
-    alone: a root is kept (strip_root, ring_root), so the links that
-    made it need not stay in the chain cache once it is found."""
-    return TransferChain(family, direction, boundary, width, _period_links(family, direction, width, enumerate_states))
-
-
-def _strip_chain(family: Family, width: int) -> TransferChain:
-    return _chain(family, Direction.COLUMNWISE, width, Boundary.OPEN)
-
-
-def _ring_chain(family: Family, width: int) -> TransferChain:
-    return _chain(family, Direction.ROWWISE, width, Boundary.CYCLIC)
-
-
 @lru_cache(maxsize=ROOT_CACHE_SIZE)
 def strip_root(family: Family, width: int, tol: float = 1e-12) -> EigenResult:
-    """lambda_w: dominant eigenvalue of the open chain at width w.
+    """lambda_w: dominant eigenvalue of the open chain at width w, on
+    the links ``transfer_chain`` gives, as counts and eig take them.
 
     The ROOT_CACHE_SIZE latest results are cached per (family, width,
     tol); sweeping p, q and k re-uses roots instead of re-iterating.
     Treat the cached result's vector as read-only.
     """
-    return dominant_eigenvalue(_strip_chain(family, width), tol=tol)
+    return dominant_eigenvalue(transfer_chain(family, Direction.COLUMNWISE, width), tol=tol)
 
 
 @lru_cache(maxsize=ROOT_CACHE_SIZE)
 def ring_root(family: Family, width: int, tol: float = 1e-12) -> EigenResult:
-    """xi_w: dominant eigenvalue of the wrapped chain at width w.
+    """xi_w: dominant eigenvalue of the wrapped chain at width w, on the
+    links ``transfer_chain`` gives.
 
     Cached the same way as strip_root.
     """
-    return dominant_eigenvalue(_ring_chain(family, width), tol=tol)
+    return dominant_eigenvalue(transfer_chain(family, Direction.ROWWISE, width, Boundary.CYCLIC), tol=tol)
 
 
 @dataclass(frozen=True)

@@ -79,15 +79,16 @@ truncated-square trace starts at a plain space, where its order is
 C B^T B, which reads otherwise; it and any hand-built period that is no
 palindrome push all N links.
 Each instance is counted once, by whichever of its two sweeps
-``_sweep`` prices lowest, at the kernels and stacks its pushes take.
+``_sweep`` prices lowest, at the kernels and stacks its pushes take:
+``_schedule`` states a contraction's plan once, from the sizes of its
+slice spaces, and ``_price`` prices the plan ``_contract`` runs.
 
 Each period is built once per process while it is in use: a chain from
 ``transfer_chain`` wraps the links ``_links`` keeps per (family,
 direction, width), the CHAIN_CACHE_SIZE (4) most recently used, open
-and cyclic chains alike, so counts and eig share them.  Only periods
-of at most CHAIN_CACHE_ENTRIES step entries are kept; a wider one is
-built for each chain, and ``bounds``, which keeps its roots instead,
-builds the links of each root afresh.
+and cyclic chains alike, so counts, eig and the roots of ``bounds``
+share them.  Only periods of at most CHAIN_CACHE_ENTRIES step entries
+are kept; a wider one is built for each chain.
 A kept relation keeps what it derives on first use: its built step,
 folded step, zeta plan, the kernel it picked for each stack width, and
 its orbit relation (``orbit_steps``), whose own state it keeps too; the
@@ -844,27 +845,13 @@ def _smallest(rows: Sequence[int]) -> int:
     return min(range(len(rows)), key=rows.__getitem__)
 
 
-def _halves(links: int, periods: int, palindrome: bool) -> tuple[int, int]:
-    """(pushes, half) of a contraction over ``periods`` of a ``links``-link
-    period: it pushes a block through the last ``pushes`` of the N links,
-    and takes its left side after ``half`` of them.  A palindrome pushes
-    ceil(N/2) and takes the left side at floor(N/2); any other pushes N
-    and its left side is the start."""
-    n = links * periods
-    return ((n + 1) // 2, n // 2) if palindrome else (n, 0)
-
-
 def chain_dimensions(family: Family, direction: Direction, width: int) -> tuple[tuple[int, int], ...]:
     """Step shapes of a would-be chain, from closed-form state counts.
 
     Lets a caller size up a request before paying for enumeration or
     matrix construction.
     """
-    return _shapes(_period_slices(family, direction, width))
-
-
-def _shapes(slices: Sequence[tuple[StateKind, int]]) -> tuple[tuple[int, int], ...]:
-    counts = [state_count(*s) for s in slices]
+    counts = [state_count(*s) for s in _period_slices(family, direction, width)]
     return tuple(zip(counts, counts[1:] + counts[:1]))
 
 
@@ -1016,11 +1003,44 @@ def orbit_steps(links: tuple[Relation, ...]) -> tuple[list[Relation], np.ndarray
     return [link._narrowed for link in links], of, sizes
 
 
-def _trace_block(limbs: int, dims: Sequence[tuple[int, int]]) -> int:
-    """Basis vectors per block of a trace: its stack holds STACK_ENTRIES
-    entries at the most limbs it carries (``_carries``) and the widest
-    slice space of ``dims``."""
-    return max(1, STACK_ENTRIES // (limbs * max(r for r, _ in dims)))
+def _schedule(
+    period: Sequence[Relation], states: Callable[[StateSpace], int], orbits: Callable[[StateSpace], int],
+    periods: int, trace: bool,
+) -> tuple[int, list[tuple[int, int, int | None]], int, int, list[tuple[bool, int, int, int]], int, int]:
+    """The plan of a contraction over ``periods`` of a period's links,
+    from the sizes ``states`` and ``orbits`` give their slice spaces:
+    (start, pushed, vectors, radix, carries, half, block).  ``_contract``
+    runs it on an enumerated chain; ``_price`` prices it on a stand-in
+    period, sized by closed forms.
+
+    A trace starts at the first link of fewest rows (tr(ABC) = tr(BCA))
+    and pushes ``vectors`` basis vectors, one per orbit of that space,
+    through whole links, ``block`` at a time: as many as STACK_ENTRIES
+    holds at the widest space and the most limbs carried.  An open count
+    starts at link 0 and pushes one vector through orbit relations.
+    pushed holds the (rows, cols, column orbits or None) of each link
+    from the start; push t takes link t from the end.  carries holds each
+    push's carry, limbs and bounds in radix 2**radix (``_carries``, over
+    whole columns, on orbits too).  A block runs through ceil(N/2) of a
+    palindrome's N = links * periods links (``_palindrome``) and takes
+    its left half after ``half`` = floor(N/2) pushes; any other runs all
+    N, and its left half is its start (half = 0)."""
+    rows = [states(link.rows) for link in period]  # a period is a cycle: link i's cols are link i+1's rows
+    start = _smallest(rows) if trace else 0
+    period, rows = period[start:] + period[:start], rows[start:] + rows[:start]
+    cols = rows[1:] + rows[:1]
+    if trace:
+        pushed, vectors = list(zip(rows, cols, [None] * len(rows))), orbits(period[0].rows)
+    else:
+        o = [orbits(link.rows) for link in period]
+        pushed, vectors = list(zip(o, cols, o[1:] + o[:1])), 1
+    widest, n = max(rows), len(period) * periods
+    radix = _radix(widest)
+    pushes, half = ((n + 1) // 2, n // 2) if _palindrome(period) else (n, 0)
+    carries = _carries([pushed[-1 - t % len(pushed)][1] for t in range(pushes)], radix)
+    limbs = max((limbs for _, limbs, _, _ in carries), default=1)
+    block = max(1, STACK_ENTRIES // (limbs * widest)) if trace else 1
+    return start, pushed, vectors, radix, carries, half, block
 
 
 def _pieces(block: np.ndarray, top: int, value: int, radix: int) -> np.ndarray:
@@ -1105,29 +1125,25 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
 
     Entries are float64 digits in radix 2**``_radix``, rows x limbs x
     vectors, carried and widened only where ``_carries`` says; ``_dot``
-    joins the halves exactly.
+    joins the halves exactly.  Where a trace starts, the radix, the
+    carries, the left half and a trace's block are ``_schedule``'s, the
+    plan ``_price`` prices.
     """
-    links = chain.links
-    if trace:  # tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
-        i = _smallest([len(link.rows) for link in links])
-        links = links[i:] + links[:i]
-    dims = [(len(link.rows), len(link.cols)) for link in links]
-    radix = _radix(max(r for r, _ in dims))
-    pushes, half = _halves(len(links), periods, _palindrome(links))
+    links, wrap = chain.links, chain.links[0].wrap
+    i, _, _, radix, carries, half, k = _schedule(links, len, lambda space: len(_orbits(space, wrap)[1]), periods, trace)
+    links = links[i:] + links[:i]  # a trace's start: tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
     meet = links[half % len(links)].rows  # the halves meet in this space
     if trace:  # a basis vector is not symmetric: push it through whole links
         plan, weights = links, None
-        _, reps, sizes = _orbits(links[0].rows, links[0].wrap)
+        _, reps, sizes = _orbits(links[0].rows, wrap)
     else:
         plan, _, sizes = orbit_steps(links)
-        weights = _orbits(meet, links[0].wrap)[2]
+        weights = _orbits(meet, wrap)[2]
     steps = plan[::-1]
-    carries = _carries([len(steps[t % len(steps)].cols) for t in range(pushes)], radix)  # cols, on orbits too
     # blocks of (start, columns): start[u, j] is 1 where column j starts,
     # and columns[j] weighs column j's dot; weights[u] weighs its row u
     if trace:
-        k = _trace_block(max((limbs for _, limbs, _, _ in carries), default=1), dims)
-        states = np.arange(dims[0][0])
+        states = np.arange(len(links[0].rows))
         blocks = ((np.equal.outer(states, reps[s:s + k]), sizes[s:s + k]) for s in range(0, len(reps), k))
     else:
         blocks = ((np.ones((len(sizes), 1), dtype=bool), np.ones(1, dtype=np.int64)),)
@@ -1160,37 +1176,6 @@ def count_cyclic(chain: TransferChain, periods: int) -> int:
     if len(chain.exit_space) != len(chain.entry_space):
         raise ValueError("trace needs matching entry and exit spaces")
     return _contract(chain, periods, trace=True)
-
-
-@lru_cache(maxsize=256)
-def _sweep_links(
-    family: Family, direction: Direction, width: int, trace: bool
-) -> tuple[
-    tuple[tuple[int, int], ...], tuple[StateKind, int], tuple[tuple[int, int, int | None], ...], int, bool
-] | None:
-    """What ``_sweep`` prices a sweep's pushes by, or None where a slice
-    passes MAX_ENUM_LENGTH sites: the (rows, cols) of every step, the
-    (kind, sites) of the slice every relation lies in (the last), (rows, cols, column
-    orbits) of every link a period pushes, in the order ``_contract``
-    takes them, the vectors it pushes, and whether the period is a
-    palindrome (``_palindrome``, read from the links of stand-in spaces).
-    An open sweep pushes one vector through orbit relations; a trace
-    starts at its smallest slice space and pushes whole links (no column
-    orbits), one basis vector per orbit of that space."""
-    slices = _period_slices(family, direction, width)
-    if max(length for _, length in slices) > MAX_ENUM_LENGTH:
-        return None
-    dims = _shapes(slices)
-    orbits = [_orbit_count(kind, length, direction is Direction.ROWWISE) for kind, length in slices]
-    if trace:
-        links = [(r, c, None) for r, c in dims]
-        vectors = orbits[_smallest([r for r, _ in dims])]
-    else:
-        links = [(orbits[i], c, orbits[(i + 1) % len(dims)]) for i, (_, c) in enumerate(dims)]
-        vectors = 1
-    period = _period_links(family, direction, width, _stand_in)
-    i = _smallest([r for r, _ in dims]) if trace else 0
-    return dims, slices[-1], tuple(links[i:] + links[:i]), vectors, _palindrome(period[i:] + period[:i])
 
 
 # Nanoseconds of a kernel's one-time build of a rows x cols link per call,
@@ -1228,46 +1213,47 @@ def _price(family: Family, direction: Direction, width: int, periods: int, trace
     too narrow for its family's slices (``_MIN_WIDTH``) or a slice passes
     MAX_ENUM_LENGTH sites; a pure function of its arguments, so it is kept.
 
-    The price is each push ``_contract`` makes, by the kernel ``_kernel``
-    picks at its limbs (``_carries``) times a block's vectors, and its
-    carry; each block's dot, as ``_dot`` takes it; each kernel's one-time
-    build per link (``_SETUP_NS``).  An open sweep pushes one vector
-    through orbit relations; a trace pushes whole links, blocks of
-    ``_trace_block`` basis vectors, one per orbit of its smallest slice
-    space.  A block runs through ceil(N/2) of a palindrome's N = links *
-    periods links (``_halves``), else all N.  Pricing enumerates nothing:
-    ``_orbit_count`` counts orbits.
+    It prices the plan ``_contract`` runs (``_schedule``), made on the
+    stand-in period (``_stand_in``), whose spaces ``state_count`` and
+    ``_orbit_count`` size by closed forms, so pricing enumerates nothing.
+    Each push is priced by the kernel ``_kernel`` picks at its limbs
+    times a block's vectors and at its link's own ``bits`` and ``keys``,
+    plus its carry; each block's dot as ``_dot`` takes it; and each
+    kernel's one-time build per link (``_SETUP_NS``), summed in the
+    order the pushes first take them.
     """
     if width < _MIN_WIDTH[(family, direction)]:
         return None
-    shape = _sweep_links(family, direction, width, trace)
-    if shape is None:
+    if max(length for _, length in _period_slices(family, direction, width)) > MAX_ENUM_LENGTH:
         return None
-    dims, (kind, bits), links, vectors, palindrome = shape
-    radix = _radix(max(r for r, _ in dims))
-    pushes, half = _halves(len(links), periods, palindrome)
-    order = links[::-1]  # push t takes link t from the end of the period
-    carries = _carries([order[t % len(order)][1] for t in range(pushes)], radix)
-    k = _trace_block(max((limbs for _, limbs, _, _ in carries), default=1), dims) if trace else 1
+    wrap, period = direction is Direction.ROWWISE, _period_links(family, direction, width, _stand_in)
+
+    def states(space: StateSpace) -> int:
+        return state_count(space.kind, space.length)
+
+    start, pushed, vectors, radix, carries, half, k = _schedule(
+        period, states, lambda space: _orbit_count(space.kind, space.length, wrap), periods, trace
+    )
+    period, n = period[start:] + period[:start], len(period)
     blocks = [(w, times) for w, times in ((k, vectors // k), (vectors % k, 1)) if w]  # (width, how many)
-    (ta, va), (tb, vb) = [carries[t - 1][2:] if t else (1, 1) for t in (half, pushes)]  # the halves' bounds
-    la, lb, meet = _limbs(va, radix), _limbs(vb, radix), half % len(links)  # the halves meet at link meet
-    if la == lb == 1 and ta * tb * (links if trace else dims)[meet][0] <= _EXACT:  # its states weigh the dot
+    (ta, va), (tb, vb) = [carries[t - 1][2:] if t else (1, 1) for t in (half, len(carries))]  # the halves' bounds
+    la, lb, meet = _limbs(va, radix), _limbs(vb, radix), half % n  # the halves meet at link meet
+    if la == lb == 1 and ta * tb * states(period[meet].rows) <= _EXACT:  # its states weigh the dot
         call, entry = _DOT_NS[:2]
     else:
         call, entry = _DOT_NS[2], _DOT_NS[3] * (la + lb) + _DOT_NS[4] * la * lb
-    cost = sum(times * (call + entry * links[meet][0] * w) for w, times in blocks)
-    kernels = set()  # (link, kernel) of every push made
-    for (j, carry, limbs), runs in Counter((t % len(order), *c[:2]) for t, c in enumerate(carries)).items():
-        r, c, o = order[j]
+    cost = sum(times * (call + entry * pushed[meet][0] * w) for w, times in blocks)
+    kernels = {}  # (link, kernel) of every push made, in the order first made
+    for (j, carry, limbs), runs in Counter((n - 1 - t % n, *c[:2]) for t, c in enumerate(carries)).items():
+        (r, c, o), bits, keys = pushed[j], period[j].bits, period[j].keys
         for w, times in blocks:
-            price, kernel = _kernel(r, c, bits, limbs * w, o, kind in _KEYS_PLAN_KINDS)
+            price, kernel = _kernel(r, c, bits, limbs * w, o, keys)
             if carry:  # on the block the push takes, one entry per column or column orbit
                 price += _CARRY_NS[0] + _CARRY_NS[1] * (o or c) * limbs * w
             cost += runs * times * price
-            kernels.add((j, kernel))
+            kernels[j, kernel] = None
     for j, kernel in kernels:
-        (call, entry, side), (r, c, _) = _SETUP_NS[kernel], order[j]
+        (call, entry, side), (r, c, _) = _SETUP_NS[kernel], pushed[j]
         cost += call + entry * r * c + side * (r + c)
     return cost
 

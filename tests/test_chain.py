@@ -2,6 +2,8 @@ import collections
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -503,7 +505,7 @@ class TestOneSweep:
             raise AssertionError("enumerated a slice space")
 
         monkeypatch.setattr(chain_module, "enumerate_states", enumerate_states)
-        with pytest.raises(ValueError, match=f"quadratic {topology.value} 1000x1000 .*22-site cap"):
+        with pytest.raises(ValueError, match=f"quadratic {topology.value} 1000x1000 .*{MAX_ENUM_LENGTH}-site cap"):
             count(Family.QUADRATIC, topology, 1000, 1000)
 
     def test_aztec_cylinder_8x18_traces_by_its_cheaper_pushes(self):
@@ -542,7 +544,7 @@ class TestOneSweep:
                 if max(length for _, length in slices) <= MAX_ENUM_LENGTH:
                     assert _sweep(inst) == (direction, width, periods, trace)
                 else:
-                    with pytest.raises(ValueError, match="22-site cap"):
+                    with pytest.raises(ValueError, match=f"{MAX_ENUM_LENGTH}-site cap"):
                         _sweep(inst)
 
 
@@ -1564,16 +1566,81 @@ def test_split_counts_match_the_references(family, direction, width):
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("direction", list(Direction))
 def test_every_period_but_the_truncated_square_trace_reads_the_same_backwards(family, direction):
-    # the contraction and the sweep's price read it from the same links;
+    # the contraction reads it from the enumerated links, the sweep's
+    # price from the stand-in period, each from the start its trace takes;
     # a truncated-square trace starts at a plain space, as C B^T B
     width = _MIN_WIDTH[(family, direction)] + 2
     chain = transfer_chain(family, direction, width)
+    stand_in = chain_module._period_links(family, direction, width, chain_module._stand_in)
     smallest = chain_module._smallest([len(link.rows) for link in chain.links])
-    traced = chain.links[smallest:] + chain.links[:smallest]
-    assert chain_module._palindrome(chain.links)
-    assert chain_module._palindrome(traced) is (family is not Family.TRUNCATED_SQUARE)
+    assert smallest == chain_module._smallest([state_count(link.rows.kind, link.rows.length) for link in stand_in])
+    for links in (chain.links, stand_in):
+        traced = links[smallest:] + links[:smallest]
+        assert chain_module._palindrome(links)
+        assert chain_module._palindrome(traced) is (family is not Family.TRUNCATED_SQUARE)
+
+
+# Every family and direction up to widths whose chains build and count in
+# a few seconds in all: open counts and traces over 1 to 7 periods.
+SCHEDULE_WIDTHS = [
+    (family, direction, width)
+    for family in Family
+    for direction in Direction
+    for width in range(_MIN_WIDTH[(family, direction)], (7 if family is Family.TRUNCATED_SQUARE else 10) + 1)
+]
+
+
+@pytest.mark.parametrize("family, direction, width", SCHEDULE_WIDTHS)
+def test_the_price_schedules_what_the_contraction_runs(family, direction, width, monkeypatch):
+    # _price builds its plan on the stand-in period from closed forms,
+    # _contract on the enumerated chain: start, pushed links, vectors,
+    # radix, carries, half and block all agree
+    plans = []
+    schedule = chain_module._schedule
+
+    def logged(*args):
+        plans.append(schedule(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(chain_module, "_schedule", logged)
+    chain = transfer_chain(family, direction, width)
     for trace in (False, True):
-        assert chain_module._sweep_links(family, direction, width, trace)[4] is (not trace or family is not Family.TRUNCATED_SQUARE)
+        for periods in range(1, 8):
+            plans.clear()
+            assert chain_module._price(family, direction, width, periods, trace) is not None
+            (count_cyclic if trace else count_open)(chain, periods)
+            priced, run = plans
+            assert priced == run
+
+
+# Sweeps whose prices once summed their kernels' builds over a set of
+# (link, kernel name) tuples, in an order that changed with the string
+# hash seed of the process, and so in their last bit.
+HASHED_SWEEPS = [
+    ("aztec", "columnwise", 7, 5),
+    ("aztec", "columnwise", 7, 13),
+    ("aztec", "rowwise", 7, 5),
+    ("aztec", "rowwise", 7, 6),
+    ("aztec", "rowwise", 7, 10),
+]
+
+
+def test_prices_do_not_depend_on_the_hash_seed():
+    # the child finds the package where this process imported it from
+    where = os.path.dirname(os.path.dirname(chain_module.__file__))
+    path = os.pathsep.join(filter(None, [where, os.environ.get("PYTHONPATH")]))
+    script = (
+        "from latticegas.chain import Direction, Family, _price\n"
+        f"print([repr(_price(Family(f), Direction(d), w, p, True)) for f, d, w, p in {HASHED_SWEEPS!r}])"
+    )
+    prices = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert prices[0] == prices[1] and "None" not in prices[0]
 
 
 def test_a_lone_link_reads_the_same_backwards_when_its_spread_is_symmetric():

@@ -9,6 +9,7 @@ from latticegas import cli
 from latticegas.chain import _MIN_WIDTH, Direction, Family
 from latticegas.cli import main
 from latticegas.oracle import VerifyResult
+from latticegas.statespace import MAX_ENUM_LENGTH
 
 import golden_data as gold
 
@@ -77,7 +78,7 @@ class TestCount:
             "-m", "1000", "-n", "1000",
         )
         assert code == 1 and out == ""
-        assert err == "error: quadratic cylinder 1000x1000 has no sweep whose slices fit the 22-site cap\n"
+        assert err == f"error: quadratic cylinder 1000x1000 has no sweep whose slices fit the {MAX_ENUM_LENGTH}-site cap\n"
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_count_past_the_int_to_str_digit_limit(self, capsys, fmt):
