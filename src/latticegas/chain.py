@@ -113,7 +113,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .compat import BLOCK_ENTRIES, Spread, StepMatrix, blocked_product, build_step, compatible
-from .statespace import MAX_ENUM_LENGTH, StateKind, StateSpace, enumerate_states, state_count
+from .statespace import MAX_ENUM_LENGTH, StateKind, StateSpace, enumerate_states, fibonacci, state_count
 
 __all__ = [
     "Family",
@@ -683,9 +683,6 @@ def _orbit_count(kind: StateKind, length: int, wrap: bool) -> int:
     of a chain (paths are open, cycles wrapped), from closed forms,
     without enumerating it: by Burnside's lemma, the mean over the
     symmetry's elements of the states each one fixes."""
-    fib = [0, 1]
-    for _ in range(length + 2):
-        fib.append(fib[-1] + fib[-2])
     if not wrap:  # the identity fixes every state, the mirror the palindromes
         h = length // 2
         if kind is StateKind.FREE:
@@ -693,7 +690,7 @@ def _orbit_count(kind: StateKind, length: int, wrap: bool) -> int:
         elif kind is StateKind.PAIRED:  # a middle pair fixed by the swap is empty
             fixed = 3 ** (h // 2)
         else:  # a path's first half, whose last site stays empty at even length
-            fixed = fib[h + 3] if length % 2 else fib[h + 1]
+            fixed = fibonacci(h + 3) if length % 2 else fibonacci(h + 1)
         return (state_count(kind, length) + fixed) // 2
     # turning by j of the n units (sites, or pairs on a PAIRED space)
     # fixes the states that repeat a ring of gcd(j, n) units
@@ -704,7 +701,7 @@ def _orbit_count(kind: StateKind, length: int, wrap: bool) -> int:
             return 2**d
         if kind is StateKind.PAIRED:
             return 3**d
-        return fib[d - 1] + fib[d + 1]
+        return fibonacci(d - 1) + fibonacci(d + 1)  # Lucas(d)
 
     return sum(ring(math.gcd(j, n)) for j in range(n)) // n
 

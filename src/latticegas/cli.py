@@ -1,17 +1,23 @@
 """Command line front end.
 
-Subcommands: count, matrix, eig, bounds, verify, table.  Output goes
-to stdout as json (default), csv or text; json payloads follow the
-schemas shipped in latticegas/schemas/.  Exact counts are emitted as
-decimal strings so no consumer is tempted to round them, however many
-digits they have (``_decimal``).
+Subcommands: count, matrix, eig, bounds, verify, table.  Each states its
+record once, and ``_emit`` prints it to stdout as ``--format`` asks: json
+(the default) is the payload, which follows the schemas shipped in
+latticegas/schemas/; csv is a header line and one line per row, except
+that ``matrix`` prints the composite's rows with no header; text is lines
+for people to read.  A refused request prints one line to stderr, nothing
+to stdout, and exits 1 (a malformed command line gets argparse's usage
+message and exits 2).  Exact counts are decimal strings, so no consumer
+is tempted to round them, however many digits they have (``_decimal``).
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -22,6 +28,7 @@ from .chain import (
     Family,
     LatticeInstance,
     Topology,
+    TransferChain,
     chain_dimensions,
     count_lattice,
     transfer_chain,
@@ -52,17 +59,24 @@ def _csv_line(values) -> str:
     return ",".join([_csv_cell(v) if isinstance(v, str) else str(v) for v in values])
 
 
-def _emit_rows(fmt: str, header: list[str], rows: list[list]) -> None:
-    if fmt == "csv":
-        print(_csv_line(header))
-        for row in rows:
-            print(_csv_line(row))
+def _table(header: list[str], rows: list[list]) -> Iterator[str]:
+    """The text lines of a table: the header, then each row, every
+    column padded to its widest cell.  Lines are made as they are read."""
+    widths = [max(len(str(v)) for v in column) for column in zip(header, *rows)]
+    for row in [header, *rows]:
+        yield "  ".join(str(v).ljust(w) for v, w in zip(row, widths))
+
+
+def _emit(fmt: str, payload: dict, header: "list[str] | None", rows: list[list], text) -> None:
+    """Print one record as ``fmt`` asks: the json ``payload``; the csv
+    ``header`` (None for none) and ``rows``; or the ``text`` lines, an
+    iterable read only when text is asked for."""
+    if fmt == "json":
+        print(json.dumps(payload))
+    elif fmt == "csv":
+        print("\n".join(map(_csv_line, rows if header is None else [header, *rows])))
     else:
-        widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h)
-                  for i, h in enumerate(header)]
-        print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
+        print("\n".join(text))
 
 
 def _decimal(n: int) -> str:
@@ -88,18 +102,23 @@ def _cmd_count(args) -> int:
         Family(args.family), Topology(args.topology), args.m, args.n
     )
     total = _decimal(count_lattice(instance))
-    if args.format == "json":
-        print(json.dumps({"count": total}))
-    elif args.format == "csv":
-        print("count")
-        print(total)
-    else:
-        print(total)
+    _emit(args.format, {"count": total}, ["count"], [[total]], [total])
     return 0
 
 
 # ---------------------------------------------------------------------------
-# matrix
+# matrix and eig
+
+
+def _chain(args) -> tuple[TransferChain, dict]:
+    """The chain ``matrix`` and ``eig`` read, with the fields that open
+    their payloads: a rowwise chain wraps (cyclic), a columnwise one is
+    open."""
+    direction = Direction(args.direction)
+    boundary = Boundary.CYCLIC if direction is Direction.ROWWISE else Boundary.OPEN
+    chain = transfer_chain(Family(args.family), direction, args.width, boundary)
+    return chain, {"family": args.family, "direction": args.direction,
+                   "boundary": boundary.value, "width": args.width}
 
 
 def _grid_lines(entries) -> list[str]:
@@ -108,10 +127,17 @@ def _grid_lines(entries) -> list[str]:
     return [" ".join(c.rjust(width) for c in row) for row in cells]
 
 
+def _matrix_lines(steps: list[dict], composite: list[list[int]]) -> Iterator[str]:
+    for i, s in enumerate(steps, start=1):
+        yield f"step {i}: {s['rows']}x{s['cols']}"
+        yield from _grid_lines(s["entries"])
+        yield ""
+    yield f"composite: {len(composite)}x{len(composite[0])}"
+    yield from _grid_lines(composite)
+
+
 def _cmd_matrix(args) -> int:
-    family = Family(args.family)
-    direction = Direction(args.direction)
-    shapes = chain_dimensions(family, direction, args.width)
+    shapes = chain_dimensions(Family(args.family), Direction(args.direction), args.width)
     biggest = max(max(s) for s in shapes)
     if biggest > MATRIX_PRINT_LIMIT and not args.force:
         print(
@@ -120,8 +146,7 @@ def _cmd_matrix(args) -> int:
             file=sys.stderr,
         )
         return 1
-    boundary = Boundary.CYCLIC if direction is Direction.ROWWISE else Boundary.OPEN
-    chain = transfer_chain(family, direction, args.width, boundary)
+    chain, head = _chain(args)
     # The identity pushed through the steps, last first, is their product.
     # An entry counts paths through the inner slices, at most the product
     # of their state counts (2**44), so float64 holds it exactly.
@@ -129,68 +154,32 @@ def _cmd_matrix(args) -> int:
     for step in reversed(chain.steps):
         composite = step.push(composite)
     composite = composite.astype(np.int64).tolist()
-    payload = {
-        "family": family.value,
-        "direction": direction.value,
-        "boundary": boundary.value,
-        "width": args.width,
-        "steps": [
-            {
-                "rows": len(s.rows),
-                "cols": len(s.cols),
-                "row_masks": s.rows.masks.tolist(),
-                "col_masks": s.cols.masks.tolist(),
-                "entries": s.array.view(np.uint8).tolist(),
-            }
-            for s in chain.steps
-        ],
-        "composite": composite,
-    }
-    if args.format == "json":
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        for row in composite:
-            print(_csv_line(row))
-    else:
-        for i, s in enumerate(payload["steps"], start=1):
-            print(f"step {i}: {s['rows']}x{s['cols']}")
-            print("\n".join(_grid_lines(s["entries"])))
-            print()
-        print(f"composite: {len(chain.entry_space)}x{len(chain.exit_space)}")
-        print("\n".join(_grid_lines(composite)))
+    steps = [
+        {
+            "rows": len(s.rows),
+            "cols": len(s.cols),
+            "row_masks": s.rows.masks.tolist(),
+            "col_masks": s.cols.masks.tolist(),
+            "entries": s.array.view(np.uint8).tolist(),
+        }
+        for s in chain.steps
+    ]
+    payload = {**head, "steps": steps, "composite": composite}
+    _emit(args.format, payload, None, composite, _matrix_lines(steps, composite))
     return 0
 
 
-# ---------------------------------------------------------------------------
-# eig
-
-
 def _cmd_eig(args) -> int:
-    family = Family(args.family)
-    direction = Direction(args.direction)
-    boundary = Boundary.CYCLIC if direction is Direction.ROWWISE else Boundary.OPEN
-    chain = transfer_chain(family, direction, args.width, boundary)
+    chain, head = _chain(args)
     result = dominant_eigenvalue(chain, tol=args.tol, max_iterations=args.max_iterations)
-    payload = {
-        "family": family.value,
-        "direction": direction.value,
-        "boundary": boundary.value,
-        "width": args.width,
-        "value": result.value,
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "tol": args.tol,
-    }
-    if args.format == "json":
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        keys = ["family", "direction", "boundary", "width", "value", "iterations", "residual", "tol"]
-        print(_csv_line(keys))
-        print(_csv_line([payload[k] for k in keys]))
-    else:
-        print(f"value      {result.value!r}")
-        print(f"iterations {result.iterations}")
-        print(f"residual   {result.residual:.3e}")
+    payload = {**head, "value": result.value, "iterations": result.iterations,
+               "residual": result.residual, "tol": args.tol}
+    text = [
+        f"value      {result.value!r}",
+        f"iterations {result.iterations}",
+        f"residual   {result.residual:.3e}",
+    ]
+    _emit(args.format, payload, list(payload), [list(payload.values())], text)
     return 0
 
 
@@ -200,22 +189,17 @@ def _cmd_eig(args) -> int:
 
 def _cmd_bounds(args) -> int:
     report = entropy_interval(Family(args.family), args.p, args.q, args.k, tol=args.tol)
-    payload = report.as_dict()
-    payload["tol"] = args.tol
-    if args.format == "json":
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        keys = ["family", "p", "q", "k", "lower", "upper",
-                "per_vertex_exponent", "normalized_lower", "normalized_upper"]
-        print(_csv_line(keys))
-        print(_csv_line([payload[k] for k in keys]))
-    else:
-        print(f"family            {report.family.value}")
-        print(f"p, q, k           {report.p}, {report.q}, {report.k}")
-        print(f"lower             {report.lower!r}")
-        print(f"upper             {report.upper!r}")
-        print(f"per-vertex lower  {report.normalized_lower!r}")
-        print(f"per-vertex upper  {report.normalized_upper!r}")
+    payload = {**report.as_dict(), "tol": args.tol}
+    header = [key for key in payload if key not in ("samples", "tol")]
+    text = [
+        f"family            {report.family.value}",
+        f"p, q, k           {report.p}, {report.q}, {report.k}",
+        f"lower             {report.lower!r}",
+        f"upper             {report.upper!r}",
+        f"per-vertex lower  {report.normalized_lower!r}",
+        f"per-vertex upper  {report.normalized_upper!r}",
+    ]
+    _emit(args.format, payload, header, [[payload[key] for key in header]], text)
     return 0
 
 
@@ -237,28 +221,14 @@ def _cmd_verify(args) -> int:
         results = list(sweep(args.max_vertices, families, topologies))
         if not results:  # a sweep that checked nothing must not pass
             raise ValueError(f"no instance has at most {args.max_vertices} vertices")
-    rows = [
-        {
-            "family": r.instance.family.value,
-            "topology": r.instance.topology.value,
-            "m": r.instance.m,
-            "n": r.instance.n,
-            "vertices": r.instance.vertices,
-            "transfer": _decimal(r.transfer),
-            "brute": _decimal(r.brute),
-            "match": r.ok,
-        }
-        for r in results
-    ]
-    all_ok = all(r.ok for r in results)
-    if args.format == "json":
-        print(json.dumps({"results": rows, "ok": all_ok}))
-    else:
-        header = ["family", "topology", "m", "n", "vertices", "transfer", "brute", "match"]
-        _emit_rows(args.format, header, [[row[h] for h in header] for row in rows])
-        if args.format == "text":
-            print("OK" if all_ok else "MISMATCH")
-    return 0 if all_ok else 1
+    header = ["family", "topology", "m", "n", "vertices", "transfer", "brute", "match"]
+    rows = [[r.instance.family.value, r.instance.topology.value, r.instance.m, r.instance.n,
+             r.instance.vertices, _decimal(r.transfer), _decimal(r.brute), r.ok] for r in results]
+    ok = all(r.ok for r in results)
+    payload = {"results": [dict(zip(header, row)) for row in rows], "ok": ok}
+    text = itertools.chain(_table(header, rows), ["OK" if ok else "MISMATCH"])
+    _emit(args.format, payload, header, rows, text)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +240,10 @@ def _cmd_table(args) -> int:
         print("--k-max must be at least --k-min", file=sys.stderr)
         return 1
     reports = bound_table(Family(args.family), args.p, range(args.k_min, args.k_max + 1), tol=args.tol)
-    rows = [
-        {
-            "k": r.k,
-            "q": r.q,
-            "lower": r.lower,
-            "upper": r.upper,
-            "normalized_lower": r.normalized_lower,
-            "normalized_upper": r.normalized_upper,
-            "normalized_width": r.normalized_width,
-        }
-        for r in reports
-    ]
-    if args.format == "json":
-        print(json.dumps({"family": args.family, "p": args.p, "rows": rows}))
-    else:
-        header = ["k", "q", "lower", "upper", "normalized_lower", "normalized_upper", "normalized_width"]
-        _emit_rows(args.format, header, [[row[h] for h in header] for row in rows])
+    header = ["k", "q", "lower", "upper", "normalized_lower", "normalized_upper", "normalized_width"]
+    rows = [[getattr(r, key) for key in header] for r in reports]
+    payload = {"family": args.family, "p": args.p, "rows": [dict(zip(header, row)) for row in rows]}
+    _emit(args.format, payload, header, rows, _table(header, rows))
     return 0
 
 

@@ -121,17 +121,24 @@ def state_count(kind: StateKind, length: int) -> int:
         if length % 2:
             raise ValueError("paired spaces need an even length")
         return 3 ** (length // 2)
-    # Fibonacci with F0=0, F1=1.
-    fib = [0, 1]
-    for _ in range(length + 2):
-        fib.append(fib[-1] + fib[-2])
     if kind is StateKind.PATH:
-        return fib[length + 2]
+        return fibonacci(length + 2)
     if kind is StateKind.CYCLE:
         if length < 3:
             raise ValueError("cycle spaces need length >= 3")
-        return fib[length - 1] + fib[length + 1]
+        return fibonacci(length - 1) + fibonacci(length + 1)  # Lucas(length)
     raise ValueError(f"unknown state kind {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def fibonacci(n: int) -> int:
+    """F[n], with F0=0 and F1=1, kept per n: the closed forms of path and
+    cycle spaces (``state_count``) and of their orbits
+    (``chain._orbit_count``) read it."""
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def enumerate_states(kind: StateKind, length: int) -> StateSpace:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import sys
 from importlib import resources
@@ -27,6 +29,16 @@ def load_schema(name):
 
 def check_schema(name, payload):
     jsonschema.validate(payload, load_schema(name))
+
+
+def formats(capsys, *argv):
+    """The json payload of one request, and its csv and text output."""
+    payload = json.loads(run(capsys, *argv)[1])
+    return payload, run(capsys, *argv, "--format", "csv")[1], run(capsys, *argv, "--format", "text")[1]
+
+
+def csv_rows(out):
+    return list(csv.reader(io.StringIO(out)))
 
 
 class TestCount:
@@ -274,6 +286,17 @@ class TestEig:
         assert payload["boundary"] == "open"
         assert payload["residual"] <= payload["tol"]
 
+    def test_csv_and_text_print_the_json_record(self, capsys):
+        payload, csv_out, text = formats(
+            capsys, "eig", "--family", "crossed", "--direction", "rowwise", "--width", "6"
+        )
+        assert csv_rows(csv_out) == [list(payload), [str(v) for v in payload.values()]]
+        assert dict(line.split(None, 1) for line in text.splitlines()) == {
+            "value": repr(payload["value"]),
+            "iterations": repr(payload["iterations"]),
+            "residual": f"{payload['residual']:.3e}",
+        }
+
     def test_rowwise_defaults_to_cyclic(self, capsys):
         _, out, _ = run(
             capsys, "eig", "--family", "quadratic", "--direction", "rowwise", "--width", "4"
@@ -330,6 +353,12 @@ class TestBounds:
         code, out, err = run(capsys, command, "--family", "quadratic", "-p", "2", *widths, "--tol", "1e-17")
         assert code == 1 and out == ""
         assert "tol must be at least 2**-52" in err
+
+    @pytest.mark.parametrize("family", ["aztec", "truncated-square"])
+    def test_csv_prints_the_json_record_but_its_samples(self, capsys, family):
+        payload, csv_out, _ = formats(capsys, "bounds", "--family", family, "-p", "1", "-q", "2", "-k", "2")
+        header = [key for key in payload if key not in ("samples", "tol")]
+        assert csv_rows(csv_out) == [header, [str(payload[key]) for key in header]]
 
     def test_text_mentions_both_sides(self, capsys):
         _, out, _ = run(
@@ -438,6 +467,16 @@ class TestTable:
         )
         assert code == 1
         assert "--k-max" in err
+
+    def test_csv_and_text_print_the_json_rows(self, capsys):
+        payload, csv_out, text = formats(
+            capsys, "table", "--family", "quadratic", "-p", "1", "--k-min", "2", "--k-max", "4"
+        )
+        header = list(payload["rows"][0])
+        assert csv_rows(csv_out) == [header, *([str(v) for v in row.values()] for row in payload["rows"])]
+        assert [line.split() for line in text.splitlines()] == [
+            header, *([repr(v) for v in row.values()] for row in payload["rows"])
+        ]
 
     def test_csv_header(self, capsys):
         _, out, _ = run(
