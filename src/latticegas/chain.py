@@ -93,22 +93,20 @@ A kept relation keeps what it derives on first use: its built step,
 folded step, zeta plan, the kernel it picked for each stack width, and
 its orbit relation (``orbit_steps``), whose own state it keeps too; the
 arrays are read-only, but for the keys plan's gathers, which only the
-relation reads.  The zeta push's scratch room is one per thread,
-shared by every relation (``_scratch``) and given back when a count or
-an iteration ends (``_lends_room``).  ``_price`` keeps the price of
-every sweep it has priced.
+relation reads.  A zeta push allocates its own table or levels and
+keeps none of them.  ``_price`` keeps the price of every sweep it has
+priced.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import operator
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache, wraps
-from typing import Callable, Iterator, Sequence, TypeVar
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -355,7 +353,7 @@ class Relation:
         widest, levels = self._zeta_plan
         if levels is not None:
             # three levels, taken in turn: the current, the next, and the second gather
-            cur, nxt, other = _scratch((3, widest) + y.shape[1:])
+            cur, nxt, other = np.empty((3, widest) + y.shape[1:])
             cur[: len(y)] = y
             cur[len(y)] = 0  # the last key is a zero
             for a, b in levels[:-1]:
@@ -369,8 +367,7 @@ class Relation:
             out = np.take(cur, a, axis=0, mode="clip")
             out += np.take(cur, b, axis=0, mode="clip")
             return out
-        table = _scratch((1 << self.bits,) + block.shape[1:])
-        table.fill(0)
+        table = np.zeros((1 << self.bits,) + block.shape[1:])
         table[sites] = y
         flat = table.reshape(len(table), -1)
         # A lone vector's lowest sites have strides too short for numpy to
@@ -382,42 +379,6 @@ class Relation:
         if low:
             flat = flat.reshape(-1, 1 << low) @ _SUBSETS[: 1 << low, : 1 << low]
         return flat.reshape(table.shape)[self._gather]
-
-
-# Each thread's float64 room for ``_scratch``, one for every relation.
-_ROOM = threading.local()
-T = TypeVar("T")
-
-
-def _scratch(shape: tuple[int, ...]) -> np.ndarray:
-    """Room of this shape for a zeta push's table or levels, kept between
-    this thread's pushes through any relation until ``_lends_room`` gives
-    it back, and grown to the largest it lent, so that a push allocates
-    only its output: a fresh table per push faults its pages in again
-    wherever the allocator has handed the last one back (aztec w=16 eig,
-    1 MB tables: 2.1 ms a push where it did, 3.5 ms where it did not).
-    A push copies its output out of the room, so no array it returns is
-    a view of it."""
-    size = math.prod(shape)
-    room = getattr(_ROOM, "floats", None)
-    if room is None or room.size < size:
-        room = _ROOM.floats = np.empty(size)
-    return room[:size].reshape(shape)
-
-
-def _lends_room(run: Callable[..., T]) -> Callable[..., T]:
-    """run, giving this thread's ``_scratch`` room back when it returns:
-    a count or an iteration keeps its room between its own pushes, and
-    no table outlives it (up to 32 MiB, at 2**22 sites)."""
-
-    @wraps(run)
-    def lent(*args, **kwargs) -> T:
-        try:
-            return run(*args, **kwargs)
-        finally:
-            _ROOM.floats = None
-
-    return lent
 
 
 def _frozen(*arrays: np.ndarray) -> None:
@@ -1094,7 +1055,6 @@ def _dot(x: tuple[np.ndarray, int, int], y: tuple[np.ndarray, int, int], weights
     return total
 
 
-@_lends_room
 def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
     """1^T M^periods 1, or tr(M^periods) if trace, for the composite M.
 
@@ -1177,8 +1137,8 @@ def count_cyclic(chain: TransferChain, periods: int) -> int:
 
 # Nanoseconds of a kernel's one-time build of a rows x cols link per call,
 # entry and row or column (2-vCPU x86-64 VM): a built step; a folded one
-# (2.2 ns an entry and 12 us an image of its columns' symmetry, fitted as
-# 3.1 an entry); the zeta push's scatter and gather (keys plan: ~10x).
+# (2.2 ns an entry and 12 us an image of its columns' symmetry, priced at
+# 3.0 an entry); the zeta push's scatter and gather (keys plan: ~10x).
 _SETUP_NS = {"built": (0.0, 1.0, 0.0), "fold": (0.0, 3.0, 0.0), "zeta": (16700.0, 0.0, 1.4)}
 
 # Nanoseconds of a carry step per call and entry; of a dot (``_dot``) per

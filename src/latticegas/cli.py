@@ -5,10 +5,11 @@ record once, and ``_emit`` prints it to stdout as ``--format`` asks: json
 (the default) is the payload, which follows the schemas shipped in
 latticegas/schemas/; csv is a header line and one line per row, except
 that ``matrix`` prints the composite's rows with no header; text is lines
-for people to read.  A refused request prints one line to stderr, nothing
-to stdout, and exits 1 (a malformed command line gets argparse's usage
-message and exits 2).  Exact counts are decimal strings, so no consumer
-is tempted to round them, however many digits they have (``_decimal``).
+for people to read.  A refused request raises, and ``main`` prints it as
+one line to stderr that starts ``error: ``, nothing to stdout, and exits
+1 (a malformed command line gets argparse's usage message and exits 2).
+Exact counts are decimal strings, so no consumer is tempted to round
+them, however many digits they have (``_decimal``).
 """
 from __future__ import annotations
 
@@ -140,12 +141,10 @@ def _cmd_matrix(args) -> int:
     shapes = chain_dimensions(Family(args.family), Direction(args.direction), args.width)
     biggest = max(max(s) for s in shapes)
     if biggest > MATRIX_PRINT_LIMIT and not args.force:
-        print(
+        raise ValueError(
             f"largest step is {biggest} states per side, past the "
-            f"{MATRIX_PRINT_LIMIT} print limit; pass --force to compute anyway",
-            file=sys.stderr,
+            f"{MATRIX_PRINT_LIMIT} print limit; pass --force to compute anyway"
         )
-        return 1
     chain, head = _chain(args)
     # The identity pushed through the steps, last first, is their product.
     # An entry counts paths through the inner slices, at most the product
@@ -210,8 +209,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_verify(args) -> int:
     single = args.m is not None or args.n is not None
     if single and (args.m is None or args.n is None or args.family is None or args.topology is None):
-        print("single-instance verify needs --family, --topology, -m and -n", file=sys.stderr)
-        return 1
+        raise ValueError("single-instance verify needs --family, --topology, -m and -n")
     if single:
         instance = LatticeInstance(Family(args.family), Topology(args.topology), args.m, args.n)
         results = [verify_instance(instance)]
@@ -237,8 +235,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.k_max < args.k_min:
-        print("--k-max must be at least --k-min", file=sys.stderr)
-        return 1
+        raise ValueError("--k-max must be at least --k-min")
     reports = bound_table(Family(args.family), args.p, range(args.k_min, args.k_max + 1), tol=args.tol)
     header = ["k", "q", "lower", "upper", "normalized_lower", "normalized_upper", "normalized_width"]
     rows = [[getattr(r, key) for key in header] for r in reports]

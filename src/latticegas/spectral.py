@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import TransferChain, _lends_room, orbit_steps
+from .chain import TransferChain, orbit_steps
 
 __all__ = ["ConvergenceError", "EigenResult", "dominant_eigenvalue"]
 
@@ -106,7 +106,6 @@ def _ritz(alpha: list[float], beta: list[float], guess: float, bound: float) -> 
     return x, s
 
 
-@_lends_room
 def dominant_eigenvalue(
     chain: TransferChain,
     tol: float = 1e-12,

@@ -1764,20 +1764,32 @@ def test_cached_chain_keeps_its_orbit_plan(clear_chains):
 
 
 def test_two_threads_count_through_one_chain_alike(clear_chains):
-    # the built, folded and zeta kernels, each thread with its own room
+    # the built, folded and zeta kernels, each push through its own buffers;
+    # and Lanczos roots whose orbit relations all take the zeta push, on
+    # the table plan (aztec) and the keys plan (quadratic)
     specs = [(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 6, 6), (Family.AZTEC, Direction.ROWWISE, 10, 6)]
     clear_chains()
     chains = [(transfer_chain(f, d, w, Boundary.CYCLIC), p) for f, d, w, p in specs]
-    expected = []
-    for chain, periods in chains:
-        fresh = dataclasses.replace(chain, links=tuple(dataclasses.replace(link) for link in chain.links))
-        expected.append((count_open(fresh, periods), count_cyclic(fresh, periods)))
+    roots = [transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 9), transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 13)]
+    for chain, keys in zip(roots, (False, True)):
+        assert {(link._pick(1), link.keys) for link in orbit_steps(chain.links)[0]} == {("zeta", keys)}
+
+    def fresh(chain):
+        return dataclasses.replace(chain, links=tuple(dataclasses.replace(link) for link in chain.links))
+
+    expected = [(count_open(fresh(chain), periods), count_cyclic(fresh(chain), periods)) for chain, periods in chains]
+    expected += [dominant_eigenvalue(fresh(chain)).value for chain in roots]
     start = threading.Barrier(2)
     found = [None, None]
 
     def run(i):
         start.wait()
-        found[i] = [(count_open(chain, periods), count_cyclic(chain, periods)) for _ in range(5) for chain, periods in chains]
+        found[i] = [
+            result
+            for _ in range(5)
+            for result in [(count_open(chain, periods), count_cyclic(chain, periods)) for chain, periods in chains]
+            + [dominant_eigenvalue(chain).value for chain in roots]
+        ]
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     interval = sys.getswitchinterval()

@@ -486,6 +486,22 @@ class TestTable:
         assert out.splitlines()[0].startswith("k,q,lower,upper")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "--family", "quadratic", "--direction", "columnwise", "--width", "8"),
+        ("verify", "--family", "aztec", "-m", "2"),
+        ("table", "--family", "quadratic", "-p", "1", "--k-min", "3", "--k-max", "2"),
+    ],
+    ids=["matrix-print-limit", "verify-single-instance", "table-reversed-range"],
+)
+def test_refusals_print_one_error_line(capsys, argv):
+    # these subcommands refuse before any work, through main's one path
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestParserReuse:
     def test_main_reuses_one_parser(self, capsys):
         def fresh(argv):
