@@ -24,7 +24,7 @@ converts it to the per-vertex constant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -125,16 +125,7 @@ class BoundReport:
             "per_vertex_exponent": str(self.per_vertex_exponent),
             "normalized_lower": self.normalized_lower,
             "normalized_upper": self.normalized_upper,
-            "samples": [
-                {
-                    "role": s.role,
-                    "width": s.width,
-                    "value": s.value,
-                    "iterations": s.iterations,
-                    "residual": s.residual,
-                }
-                for s in self.samples
-            ],
+            "samples": [asdict(s) for s in self.samples],
         }
 
 

@@ -73,11 +73,11 @@ A count meets in the middle where its period reads the same backwards
 B C B^T do: for a symmetric T, 1^T T^2k 1 = |T^k 1|^2 (Calkin and Wilf,
 "The number of independent sets in a grid graph", 1998).  Its run of
 N = links * periods links then pushes only ceil(N/2) of them, and the
-two halves are joined by an exact dot (``_dot``), in float64 while
-its sum stays below 2**53, else in int64 pieces of b/2 bits.  A
-truncated-square trace starts at a plain space, where its order is
-C B^T B, which reads otherwise; it and any hand-built period that is no
-palindrome push all N links.
+two halves are joined by an exact dot (``_dot``), in float64 where
+both hold one limb and its sum stays below 2**53 (``_float_join``),
+else in int64 pieces of b/2 bits.  A truncated-square trace starts at
+a plain space, where its order is C B^T B, which reads otherwise; it
+and any hand-built period that is no palindrome push all N links.
 Each instance is counted once, by whichever of its two sweeps
 ``_sweep`` prices lowest, at the kernels and stacks its pushes take:
 ``_schedule`` states a contraction's plan once, from the sizes of its
@@ -511,7 +511,9 @@ def _kernel(
 
 @dataclass(frozen=True)
 class TransferChain:
-    """One period of a sweep: one ``Relation`` per step."""
+    """One period of a sweep: one ``Relation`` per step, closing into a
+    cycle, each link's columns as many as the next link's rows and the
+    last link's as the first's; any other chain is refused."""
 
     family: Family
     direction: Direction
@@ -525,6 +527,12 @@ class TransferChain:
         for link in self.links:
             if not isinstance(link, Relation):
                 raise TypeError(f"a chain's links are chain.Relation, got {type(link).__name__}")
+        for i, (link, after) in enumerate(zip(self.links, self.links[1:] + self.links[:1])):
+            if len(link.cols) != len(after.rows):
+                raise ValueError(
+                    f"link {i}'s {len(link.cols)} columns are not the next link's {len(after.rows)} rows: "
+                    "a chain's links close into a cycle"
+                )
 
     @property
     def steps(self) -> tuple[StepMatrix, ...]:
@@ -954,8 +962,8 @@ def orbit_steps(links: tuple[Relation, ...]) -> tuple[list[Relation], np.ndarray
     (``on_orbits``), and the orbit index and orbit size of every state of
     the first link's rows.  A vector lives on the orbits of a space, one
     entry per orbit in the order of their representatives, and a push
-    gives it on the orbits of the rows.  A period is a cycle, so a link's
-    columns are the next link's rows.
+    gives it on the orbits of the rows.  A period is a cycle, a link's
+    columns the next link's rows, as ``TransferChain`` checks.
     """
     of, _, sizes = _orbits(links[0].rows, links[0].wrap)
     return [link._narrowed for link in links], of, sizes
@@ -969,7 +977,8 @@ def _schedule(
     from the sizes ``states`` and ``orbits`` give their slice spaces:
     (start, pushed, vectors, radix, carries, half, block).  ``_contract``
     runs it on an enumerated chain; ``_price`` prices it on a stand-in
-    period, sized by closed forms.
+    period, sized by closed forms.  A period is a cycle, link i's columns
+    link i+1's rows, as ``TransferChain`` checks.
 
     A trace starts at the first link of fewest rows (tr(ABC) = tr(BCA))
     and pushes ``vectors`` basis vectors, one per orbit of that space,
@@ -983,7 +992,7 @@ def _schedule(
     palindrome's N = links * periods links (``_palindrome``) and takes
     its left half after ``half`` = floor(N/2) pushes; any other runs all
     N, and its left half is its start (half = 0)."""
-    rows = [states(link.rows) for link in period]  # a period is a cycle: link i's cols are link i+1's rows
+    rows = [states(link.rows) for link in period]
     start = _smallest(rows) if trace else 0
     period, rows = period[start:] + period[:start], rows[start:] + rows[:start]
     cols = rows[1:] + rows[:1]
@@ -1015,6 +1024,15 @@ def _pieces(block: np.ndarray, top: int, value: int, radix: int) -> np.ndarray:
     return out.reshape(2 * len(digits), -1)
 
 
+def _float_join(la: int, lb: int, ta: int, tb: int, states: int) -> bool:
+    """Whether ``_dot`` joins two halves in float64, from the limbs each
+    holds (la, lb), the tops of their digits (ta, tb) and the states of
+    the space where they meet, whose weights sum to that: where both hold
+    one limb and each vector's sum stays within 2**53; else it joins them
+    in int64 pieces.  ``_price`` prices the route this gives."""
+    return la == lb == 1 and ta * tb * states <= _EXACT
+
+
 def _dot(x: tuple[np.ndarray, int, int], y: tuple[np.ndarray, int, int], weights: np.ndarray | None,
          columns: np.ndarray, radix: int) -> int:
     """sum over rows u, vectors v of weights[u] columns[v] X[u, v] Y[u, v],
@@ -1023,17 +1041,17 @@ def _dot(x: tuple[np.ndarray, int, int], y: tuple[np.ndarray, int, int], weights
     largest int64 weight (None weighs rows 1) times the int64 columns'
     sum is at most the widest slice space, whose ``_radix`` this is.
 
-    In float64 where both halves hold one limb and each vector's sum stays
-    within 2**53.  Else C[i, k] = sum of weights columns p_i q_k over the
-    halves' pieces (``_pieces``) is a small int64 product; its int64
-    anti-diagonal sums, times 2**(radix/2 (i + k)), fold into a Python
-    int.  Rows go in chunks whose weights times the pieces' bounds and the
-    longest anti-diagonal stay below 2**63 (a trace on 2**22 states takes
-    about 2**10 rows), and whose pieces stay in cache."""
+    In float64 where ``_float_join`` says.  Else C[i, k] = sum of
+    weights columns p_i q_k over the halves' pieces (``_pieces``) is a
+    small int64 product; its int64 anti-diagonal sums, times
+    2**(radix/2 (i + k)), fold into a Python int.  Rows go in chunks
+    whose weights times the pieces' bounds and the longest anti-diagonal
+    stay below 2**63 (a trace on 2**22 states takes about 2**10 rows),
+    and whose pieces stay in cache."""
     (a, ta, va), (b, tb, vb) = x, y
     rows, vectors, half, total = len(a), a.shape[2], radix // 2, 0
     w = np.ones(rows, dtype=np.int64) if weights is None else weights
-    if a.shape[1] == b.shape[1] == 1 and ta * tb * int(w.sum()) <= _EXACT:
+    if _float_join(a.shape[1], b.shape[1], ta, tb, int(w.sum())):
         sums = w @ (a[:, 0] * b[:, 0])  # exact float64 integers, one per vector
         return sum(map(operator.mul, sums.astype(np.int64).tolist(), columns.tolist()))
     weight = np.multiply.outer(w, columns).ravel()  # of (u, v), in the pieces' order
@@ -1130,8 +1148,6 @@ def count_cyclic(chain: TransferChain, periods: int) -> int:
     """Trace contraction: tr((chain composite)^periods)."""
     if periods < 1:
         raise ValueError("a trace needs at least one period")
-    if len(chain.exit_space) != len(chain.entry_space):
-        raise ValueError("trace needs matching entry and exit spaces")
     return _contract(chain, periods, trace=True)
 
 
@@ -1193,9 +1209,10 @@ def _price(family: Family, direction: Direction, width: int, periods: int, trace
     )
     period, n = period[start:] + period[:start], len(period)
     blocks = [(w, times) for w, times in ((k, vectors // k), (vectors % k, 1)) if w]  # (width, how many)
-    (ta, va), (tb, vb) = [carries[t - 1][2:] if t else (1, 1) for t in (half, len(carries))]  # the halves' bounds
-    la, lb, meet = _limbs(va, radix), _limbs(vb, radix), half % n  # the halves meet at link meet
-    if la == lb == 1 and ta * tb * states(period[meet].rows) <= _EXACT:  # its states weigh the dot
+    # the halves' held limbs and bounds; they meet at link meet, whose states weigh the dot
+    (ha, ta, va), (hb, tb, vb) = [carries[t - 1][1:] if t else (1, 1, 1) for t in (half, len(carries))]
+    la, lb, meet = _limbs(va, radix), _limbs(vb, radix), half % n
+    if _float_join(ha, hb, ta, tb, states(period[meet].rows)):
         call, entry = _DOT_NS[:2]
     else:
         call, entry = _DOT_NS[2], _DOT_NS[3] * (la + lb) + _DOT_NS[4] * la * lb

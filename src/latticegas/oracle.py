@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Hashable
 
-from .chain import Family, LatticeInstance, Topology, count_lattice
+from .chain import Family, LatticeInstance, Topology, _minima, count_lattice
 
 __all__ = [
     "LatticeGraph",
@@ -256,20 +256,19 @@ def sweep(
 ) -> Iterator[VerifyResult]:
     """Verify every valid instance with at most max_vertices vertices.
 
+    m and n start at the smallest sizes an instance takes (``_minima``).
     Every family gains at least one vertex per unit of m or n, so m and
     n never need to range past the cap itself, and for fixed m the
-    first valid n past the cap ends the n range.
+    first n past the cap ends the n range.
     """
     if max_vertices > MAX_BRUTE_VERTICES:
         raise ValueError(f"sweep cap is {MAX_BRUTE_VERTICES} vertices")
     for family in families:
         for topology in topologies:
-            for m in range(1, max_vertices + 1):
-                for n in range(1, max_vertices + 1):
-                    try:
-                        inst = LatticeInstance(family, topology, m, n)
-                    except ValueError:
-                        continue
+            lo_m, lo_n = _minima(family, topology)
+            for m in range(lo_m, max_vertices + 1):
+                for n in range(lo_n, max_vertices + 1):
+                    inst = LatticeInstance(family, topology, m, n)
                     if inst.vertices > max_vertices:
                         break
                     yield verify_instance(inst)

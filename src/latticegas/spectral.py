@@ -130,9 +130,6 @@ def dominant_eigenvalue(
     checked vector's push, positive and of unit norm, with an entry for
     every state, unfolded from the orbits.
     """
-    n_in = len(chain.exit_space)
-    if n_in != len(chain.entry_space):
-        raise ValueError("chain composite is not square")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if tol < MIN_TOL:
@@ -159,7 +156,7 @@ def dominant_eigenvalue(
         return y * root
 
     basis = np.empty((min(BASIS, len(sizes)), len(sizes)))
-    z = root / math.sqrt(n_in)
+    z = root / math.sqrt(len(chain.entry_space))
     bz = push(z)
     if not bz.any():
         raise ValueError("chain annihilated the iterate; matrix is degenerate")

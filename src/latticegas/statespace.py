@@ -156,12 +156,9 @@ def enumerate_states(kind: StateKind, length: int) -> StateSpace:
 
 @lru_cache(maxsize=64)
 def _enumerate(kind: StateKind, length: int) -> StateSpace:
-    if not 1 <= length <= MAX_ENUM_LENGTH:
+    if length > MAX_ENUM_LENGTH:
         raise ValueError(f"length {length} outside 1..{MAX_ENUM_LENGTH}")
-    if kind is StateKind.CYCLE and length < 3:
-        raise ValueError("cycle spaces need length >= 3")
-    if kind is StateKind.PAIRED and length % 2:
-        raise ValueError("paired spaces need an even length")
+    count = state_count(kind, length)  # refuses what no space of this kind holds
 
     masks = np.arange(2**length, dtype=np.int64)
     if kind is StateKind.PATH:
@@ -172,10 +169,8 @@ def _enumerate(kind: StateKind, length: int) -> StateSpace:
         masks = masks[keep]
     elif kind is StateKind.PAIRED:
         masks = masks[(masks & (masks >> 1) & _pair_conflict_mask(length)) == 0]
-    elif kind is not StateKind.FREE:
-        raise ValueError(f"unknown state kind {kind!r}")
 
     space = StateSpace(kind, length, masks)
     # Cheap structural self-check; the closed forms are well known.
-    assert len(space) == state_count(kind, length)
+    assert len(space) == count
     return space

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -173,15 +174,25 @@ class TestContractions:
             count_cyclic(chain, 0)
 
     def test_cyclic_rejects_rectangular_chain(self):
-        lopsided = TransferChain(
-            Family.AZTEC,
-            Direction.COLUMNWISE,
-            Boundary.CYCLIC,
-            3,
-            transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3).links[:1],
-        )
-        with pytest.raises(ValueError):
+        # refused at construction, before any trace
+        with pytest.raises(ValueError, match="close into a cycle"):
+            lopsided = TransferChain(
+                Family.AZTEC,
+                Direction.COLUMNWISE,
+                Boundary.CYCLIC,
+                3,
+                transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 3).links[:1],
+            )
             count_cyclic(lopsided, 2)
+
+    def test_chain_refuses_a_middle_link_that_does_not_join(self):
+        # B, B^T, B^T: B's 8 columns are B^T's 8 rows and the last link's
+        # 9 columns are B's 9 rows, but the middle link's 9 columns are
+        # not the last link's 8 rows
+        b, _, b_t = transfer_chain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 3).links
+        assert (len(b.rows), len(b.cols), len(b_t.rows), len(b_t.cols)) == (9, 8, 8, 9)
+        with pytest.raises(ValueError, match="link 1's 9 columns are not the next link's 8 rows"):
+            TransferChain(Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, Boundary.OPEN, 3, (b, b_t, b_t))
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("direction", list(Direction))
@@ -1594,23 +1605,59 @@ SCHEDULE_WIDTHS = [
 def test_the_price_schedules_what_the_contraction_runs(family, direction, width, monkeypatch):
     # _price builds its plan on the stand-in period from closed forms,
     # _contract on the enumerated chain: start, pushed links, vectors,
-    # radix, carries, half and block all agree
-    plans = []
-    schedule = chain_module._schedule
+    # radix, carries, half and block all agree, and _price prices the
+    # route (float64 or int64) by which _dot joins every block's halves
+    plans, routes = [], []
+    schedule, float_join = chain_module._schedule, chain_module._float_join
 
     def logged(*args):
         plans.append(schedule(*args))
         return plans[-1]
 
+    def routed(*args):
+        routes.append(float_join(*args))
+        return routes[-1]
+
     monkeypatch.setattr(chain_module, "_schedule", logged)
+    monkeypatch.setattr(chain_module, "_float_join", routed)
     chain = transfer_chain(family, direction, width)
     for trace in (False, True):
         for periods in range(1, 8):
             plans.clear()
+            routes.clear()
             assert chain_module._price(family, direction, width, periods, trace) is not None
+            (priced_route,) = routes
             (count_cyclic if trace else count_open)(chain, periods)
             priced, run = plans
             assert priced == run
+            assert routes[1:] and set(routes[1:]) == {priced_route}
+
+
+# sha256 of the sweep _sweep picks for every instance with m, n <= 40,
+# one line an instance, families and topologies in enum order, then m
+# and n: "family topology m n direction width periods trace", or "family
+# topology m n refused" where no sweep fits the enumeration cap.  A
+# change to pricing that moves a pick must move this on purpose.
+PICKS_SHA256 = "877973a6ea748772c52f10fb1598a3ca2803d74f14fa19d2636518af1d721ca2"
+
+
+def test_every_pick_up_to_40_is_pinned():
+    lines, refused = [], 0
+    for family in Family:
+        for topology in Topology:
+            lo_m, lo_n = _minima(family, topology)
+            for m in range(lo_m, 41):
+                for n in range(lo_n, 41):
+                    head = f"{family.value} {topology.value} {m} {n}"
+                    try:
+                        direction, width, periods, trace = _sweep(LatticeInstance(family, topology, m, n))
+                    except ValueError:
+                        lines.append(f"{head} refused")
+                        refused += 1
+                    else:
+                        lines.append(f"{head} {direction.value} {width} {periods} {int(trace)}")
+    assert (len(lines), refused) == (18294, 5461)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PICKS_SHA256
 
 
 # Sweeps whose prices once summed their kernels' builds over a set of

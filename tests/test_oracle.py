@@ -209,7 +209,7 @@ class TestVerification:
         with pytest.raises(ValueError):
             next(sweep(MAX_BRUTE_VERTICES + 1))
 
-    @pytest.mark.parametrize("cap", [12, 24, MAX_BRUTE_VERTICES])
+    @pytest.mark.parametrize("cap", [12, 24, 26, MAX_BRUTE_VERTICES])
     def test_sweep_visits_every_instance_in_order(self, cap, monkeypatch):
         monkeypatch.setattr(oracle, "verify_instance", lambda inst: inst)
         assert list(sweep(cap)) == instances(cap)
