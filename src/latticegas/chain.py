@@ -81,7 +81,9 @@ and any hand-built period that is no palindrome push all N links.
 Each instance is counted once, by whichever of its two sweeps
 ``_sweep`` prices lowest, at the kernels and stacks its pushes take:
 ``_schedule`` states a contraction's plan once, from the sizes of its
-slice spaces, and ``_price`` prices the plan ``_contract`` runs.
+slice spaces, as the period a trace turns to its start, every push in
+the order taken with its link and carry, and the link where the halves
+meet; ``_contract`` runs those pushes and ``_price`` prices them.
 
 Each period is built once per process while it is in use: a chain from
 ``transfer_chain`` wraps the links ``_links`` keeps per (family,
@@ -90,12 +92,12 @@ and cyclic chains alike, so counts, eig and the roots of ``bounds``
 share them.  Only periods of at most CHAIN_CACHE_ENTRIES step entries
 are kept; a wider one is built for each chain.
 A kept relation keeps what it derives on first use: its built step,
-folded step, zeta plan, the kernel it picked for each stack width, and
-its orbit relation (``orbit_steps``), whose own state it keeps too; the
-arrays are read-only, but for the keys plan's gathers, which only the
-relation reads.  A zeta push allocates its own table or levels and
-keeps none of them.  ``_price`` keeps the price of every sweep it has
-priced.
+folded step, zeta plan and its orbit relation (``orbit_steps``), whose
+own state it keeps too; the arrays are read-only, but for the keys
+plan's gathers, which only the relation reads.  A zeta push allocates
+its own table or levels and keeps none of them.  ``_kernel`` keeps the
+kernel it picked for every relation's sizes and stack width, and
+``_price`` the price of every sweep it has priced.
 """
 from __future__ import annotations
 
@@ -205,11 +207,13 @@ class Relation:
         return self.cols.length if self.g is None else self.rows.length
 
     @cached_property
-    def _dims(self) -> tuple[int, int, int]:
-        """(rows, entries of a pushed vector, bits), read on every push: a
-        vector has one entry per column, or per column orbit on_orbits."""
-        cols = len(_orbits(self.cols, self.wrap)[1]) if self.on_orbits else len(self.cols)
-        return len(self.rows), cols, self.bits
+    def _dims(self) -> tuple[int, int, int, int, int | None, bool]:
+        """(rows, entries of a pushed vector, cols, bits, column orbits or
+        None, keys), read on every push: a vector has one entry per column,
+        or per column orbit on_orbits; all but its entries are the sizes
+        ``_kernel`` picks a kernel by."""
+        orbits = len(_orbits(self.cols, self.wrap)[1]) if self.on_orbits else None
+        return len(self.rows), orbits or len(self.cols), len(self.cols), self.bits, orbits, self.keys
 
     @cached_property
     def _scatter(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -265,21 +269,6 @@ class Relation:
         rows = StateSpace(self.rows.kind, self.rows.length, self.rows.masks[reps])
         return Relation(rows, self.cols, self.f, self.g, self.wrap, on_orbits=True)
 
-    @cached_property
-    def _picks(self) -> dict[int, str]:
-        """The kernel ``push`` takes for each stack width it has met."""
-        return {}
-
-    def _pick(self, stack: int) -> str:
-        """The kernel ``push`` takes for a stack this wide, from ``_kernel``,
-        priced on the first push of that width."""
-        kernel = self._picks.get(stack)
-        if kernel is None:
-            rows, cols, bits = self._dims
-            orbits = cols if self.on_orbits else None
-            kernel = self._picks[stack] = _kernel(rows, len(self.cols), bits, stack, orbits, self.keys)[1]
-        return kernel
-
     @property
     def keys(self) -> bool:
         """Whether the zeta push takes the keys plan: where the side left
@@ -301,16 +290,16 @@ class Relation:
 
     def push(self, block: np.ndarray) -> np.ndarray:
         """The step times block, a vector or a stack of vectors indexed by cols
-        (by column orbits on_orbits) along axis 0, by the kernel ``_pick``
-        gives its stack width: ``built``, ``_fold``, or ``_zeta`` on chunks
-        whose widest level holds STACK_ENTRIES entries or one vector, a
-        vector on orbits first unfolded to every column."""
+        (by column orbits on_orbits) along axis 0, by the kernel ``_kernel``
+        picks for its sizes and stack width: ``built``, ``_fold``, or
+        ``_zeta`` on chunks whose widest level holds STACK_ENTRIES entries
+        or one vector, a vector on orbits first unfolded to every column."""
         block = np.asarray(block, dtype=np.float64)
-        rows, cols, _ = self._dims
-        if len(block) != cols:
+        rows, entries, cols, bits, orbits, keys = self._dims
+        if len(block) != entries:
             raise ValueError("vector length does not match column space")
-        stack = block.size // cols
-        kernel = self._pick(stack)
+        stack = block.size // entries
+        kernel = _kernel(rows, cols, bits, stack, orbits, keys)[1]
         if kernel == "built":
             return self.built.push(block)
         if kernel == "fold":
@@ -488,6 +477,7 @@ def _push_costs(
 FOLD_ENTRIES = 1 << 17
 
 
+@lru_cache(maxsize=None)
 def _kernel(
     rows: int, cols: int, bits: int, stack: int, orbits: int | None = None, keys: bool = False
 ) -> tuple[float, str]:
@@ -501,7 +491,10 @@ def _kernel(
     folds or FOLD_ENTRIES entries.  It holds 8 bytes per entry of rows x
     orbits: on a ring of L sites 8/L of the bool step's bytes, on a
     mirrored slice 4 times them (truncated-square strip 8's 136 x 1107
-    fold would hold 1.2 MB for a 0.3 MB step)."""
+    fold would hold 1.2 MB for a 0.3 MB step).
+
+    A pure function of its arguments, so it keeps every pick, the one
+    record of them (8,903 over all instances with m, n <= 40)."""
     dense, zeta = _push_costs(rows, cols, bits, stack, orbits, keys)
     if orbits is None:
         return (dense, "built") if dense <= zeta else (zeta, "zeta")
@@ -806,11 +799,6 @@ def _palindrome(links: Sequence[Relation]) -> bool:
     return True
 
 
-def _smallest(rows: Sequence[int]) -> int:
-    """Where a trace starts its period: the first link of fewest rows."""
-    return min(range(len(rows)), key=rows.__getitem__)
-
-
 def chain_dimensions(family: Family, direction: Direction, width: int) -> tuple[tuple[int, int], ...]:
     """Step shapes of a would-be chain, from closed-form state counts.
 
@@ -972,42 +960,46 @@ def orbit_steps(links: tuple[Relation, ...]) -> tuple[list[Relation], np.ndarray
 def _schedule(
     period: Sequence[Relation], states: Callable[[StateSpace], int], orbits: Callable[[StateSpace], int],
     periods: int, trace: bool,
-) -> tuple[int, list[tuple[int, int, int | None]], int, int, list[tuple[bool, int, int, int]], int, int]:
+) -> tuple[Sequence[Relation], list, int, int, list[tuple[int, bool, int, int, int]], int, int, int]:
     """The plan of a contraction over ``periods`` of a period's links,
     from the sizes ``states`` and ``orbits`` give their slice spaces:
-    (start, pushed, vectors, radix, carries, half, block).  ``_contract``
-    runs it on an enumerated chain; ``_price`` prices it on a stand-in
-    period, sized by closed forms.  A period is a cycle, link i's columns
-    link i+1's rows, as ``TransferChain`` checks.
+    (period, sizes, vectors, radix, pushes, half, meet, block), which
+    ``_contract`` runs on an enumerated chain and ``_price`` prices on a
+    stand-in period, sized by closed forms.  A period is a cycle, link
+    i's columns link i+1's rows, as ``TransferChain`` checks.
 
-    A trace starts at the first link of fewest rows (tr(ABC) = tr(BCA))
-    and pushes ``vectors`` basis vectors, one per orbit of that space,
-    through whole links, ``block`` at a time: as many as STACK_ENTRIES
-    holds at the widest space and the most limbs carried.  An open count
-    starts at link 0 and pushes one vector through orbit relations.
-    pushed holds the (rows, cols, column orbits or None) of each link
-    from the start; push t takes link t from the end.  carries holds each
-    push's carry, limbs and bounds in radix 2**radix (``_carries``, over
-    whole columns, on orbits too).  A block runs through ceil(N/2) of a
+    A trace turns the period to its first link of fewest rows (tr(ABC) =
+    tr(BCA)) and pushes ``vectors`` basis vectors, one per orbit of that
+    space, through whole links, ``block`` at a time: as many as
+    STACK_ENTRIES holds at the widest space and the most limbs carried.
+    An open count, whose 1^T ABC 1 has no such symmetry, keeps link 0
+    first and pushes one vector through orbit relations.  sizes holds
+    the (rows, cols, column orbits or None) of each link of the period
+    returned, and pushes one (link, carry, limbs, top, value) per push in
+    the order taken: push t takes link t from the end, after its carry,
+    with its limbs and bounds in radix 2**radix (``_carries``, over whole
+    columns, on orbits too).  A block runs through ceil(N/2) of a
     palindrome's N = links * periods links (``_palindrome``) and takes
     its left half after ``half`` = floor(N/2) pushes; any other runs all
-    N, and its left half is its start (half = 0)."""
+    N, and its left half is its start (half = 0).  The halves meet in
+    the rows of link ``meet``."""
     rows = [states(link.rows) for link in period]
-    start = _smallest(rows) if trace else 0
+    start = rows.index(min(rows)) if trace else 0
     period, rows = period[start:] + period[:start], rows[start:] + rows[:start]
     cols = rows[1:] + rows[:1]
     if trace:
-        pushed, vectors = list(zip(rows, cols, [None] * len(rows))), orbits(period[0].rows)
+        sizes, vectors = list(zip(rows, cols, [None] * len(rows))), orbits(period[0].rows)
     else:
         o = [orbits(link.rows) for link in period]
-        pushed, vectors = list(zip(o, cols, o[1:] + o[:1])), 1
-    widest, n = max(rows), len(period) * periods
+        sizes, vectors = list(zip(o, cols, o[1:] + o[:1])), 1
+    widest, n = max(rows), len(period)
     radix = _radix(widest)
-    pushes, half = ((n + 1) // 2, n // 2) if _palindrome(period) else (n, 0)
-    carries = _carries([pushed[-1 - t % len(pushed)][1] for t in range(pushes)], radix)
-    limbs = max((limbs for _, limbs, _, _ in carries), default=1)
+    taken, half = ((n * periods + 1) // 2, n * periods // 2) if _palindrome(period) else (n * periods, 0)
+    order = [n - 1 - t % n for t in range(taken)]
+    pushes = [(j, *c) for j, c in zip(order, _carries([cols[j] for j in order], radix))]
+    limbs = max((limbs for _, _, limbs, _, _ in pushes), default=1)
     block = max(1, STACK_ENTRIES // (limbs * widest)) if trace else 1
-    return start, pushed, vectors, radix, carries, half, block
+    return period, sizes, vectors, radix, pushes, half, half % n, block
 
 
 def _pieces(block: np.ndarray, top: int, value: int, radix: int) -> np.ndarray:
@@ -1100,36 +1092,34 @@ def _contract(chain: TransferChain, periods: int, trace: bool) -> int:
 
     Entries are float64 digits in radix 2**``_radix``, rows x limbs x
     vectors, carried and widened only where ``_carries`` says; ``_dot``
-    joins the halves exactly.  Where a trace starts, the radix, the
-    carries, the left half and a trace's block are ``_schedule``'s, the
-    plan ``_price`` prices.
+    joins the halves exactly.  The period as a trace turns it, the radix,
+    every push with its link and carry, the left half, the link where the
+    halves meet and a trace's block are ``_schedule``'s, the plan
+    ``_price`` prices.
     """
-    links, wrap = chain.links, chain.links[0].wrap
-    i, _, _, radix, carries, half, k = _schedule(links, len, lambda space: len(_orbits(space, wrap)[1]), periods, trace)
-    links = links[i:] + links[:i]  # a trace's start: tr(ABC) = tr(BCA); 1^T ABC 1 has no such symmetry
-    meet = links[half % len(links)].rows  # the halves meet in this space
+    wrap = chain.links[0].wrap
+    links, _, _, radix, pushes, half, meet, k = _schedule(
+        chain.links, len, lambda space: len(_orbits(space, wrap)[1]), periods, trace
+    )
+    # blocks of (start, columns): start[u, j] is 1 where column j starts,
+    # and columns[j] weighs column j's dot; weights[u] weighs its row u
     if trace:  # a basis vector is not symmetric: push it through whole links
         plan, weights = links, None
         _, reps, sizes = _orbits(links[0].rows, wrap)
-    else:
-        plan, _, sizes = orbit_steps(links)
-        weights = _orbits(meet, wrap)[2]
-    steps = plan[::-1]
-    # blocks of (start, columns): start[u, j] is 1 where column j starts,
-    # and columns[j] weighs column j's dot; weights[u] weighs its row u
-    if trace:
         states = np.arange(len(links[0].rows))
         blocks = ((np.equal.outer(states, reps[s:s + k]), sizes[s:s + k]) for s in range(0, len(reps), k))
     else:
+        plan, _, sizes = orbit_steps(links)
+        weights = _orbits(links[meet].rows, wrap)[2]
         blocks = ((np.ones((len(sizes), 1), dtype=bool), np.ones(1, dtype=np.int64)),)
     count = 0
     for start, columns in blocks:
         block = start[:, None]  # one limb
         left = right = block, 1, 1  # (block, top, value)
-        for t, (carry, limbs, top, value) in enumerate(carries):
+        for t, (j, carry, limbs, top, value) in enumerate(pushes):
             if carry:
                 block = _carry(block, limbs, radix)
-            block = steps[t % len(steps)].push(block)
+            block = plan[j].push(block)
             right = block, top, value
             if t + 1 == half:
                 left = right
@@ -1189,11 +1179,12 @@ def _price(family: Family, direction: Direction, width: int, periods: int, trace
     It prices the plan ``_contract`` runs (``_schedule``), made on the
     stand-in period (``_stand_in``), whose spaces ``state_count`` and
     ``_orbit_count`` size by closed forms, so pricing enumerates nothing.
-    Each push is priced by the kernel ``_kernel`` picks at its limbs
-    times a block's vectors and at its link's own ``bits`` and ``keys``,
-    plus its carry; each block's dot as ``_dot`` takes it; and each
-    kernel's one-time build per link (``_SETUP_NS``), summed in the
-    order the pushes first take them.
+    It groups the schedule's pushes by (link, carry, limbs), in the order
+    first taken, and prices each group by the kernel ``_kernel`` picks at
+    its limbs times a block's vectors and at its link's own ``bits`` and
+    ``keys``, plus its carry; each block's dot as ``_dot`` takes it at the
+    link where the halves meet; and each kernel's one-time build per link
+    (``_SETUP_NS``), summed in the order the pushes first take them.
     """
     if width < _MIN_WIDTH[(family, direction)]:
         return None
@@ -1204,22 +1195,21 @@ def _price(family: Family, direction: Direction, width: int, periods: int, trace
     def states(space: StateSpace) -> int:
         return state_count(space.kind, space.length)
 
-    start, pushed, vectors, radix, carries, half, k = _schedule(
+    period, sizes, vectors, radix, pushes, half, meet, k = _schedule(
         period, states, lambda space: _orbit_count(space.kind, space.length, wrap), periods, trace
     )
-    period, n = period[start:] + period[:start], len(period)
     blocks = [(w, times) for w, times in ((k, vectors // k), (vectors % k, 1)) if w]  # (width, how many)
     # the halves' held limbs and bounds; they meet at link meet, whose states weigh the dot
-    (ha, ta, va), (hb, tb, vb) = [carries[t - 1][1:] if t else (1, 1, 1) for t in (half, len(carries))]
-    la, lb, meet = _limbs(va, radix), _limbs(vb, radix), half % n
+    (ha, ta, va), (hb, tb, vb) = [pushes[t - 1][2:] if t else (1, 1, 1) for t in (half, len(pushes))]
+    la, lb = _limbs(va, radix), _limbs(vb, radix)
     if _float_join(ha, hb, ta, tb, states(period[meet].rows)):
         call, entry = _DOT_NS[:2]
     else:
         call, entry = _DOT_NS[2], _DOT_NS[3] * (la + lb) + _DOT_NS[4] * la * lb
-    cost = sum(times * (call + entry * pushed[meet][0] * w) for w, times in blocks)
+    cost = sum(times * (call + entry * sizes[meet][0] * w) for w, times in blocks)
     kernels = {}  # (link, kernel) of every push made, in the order first made
-    for (j, carry, limbs), runs in Counter((n - 1 - t % n, *c[:2]) for t, c in enumerate(carries)).items():
-        (r, c, o), bits, keys = pushed[j], period[j].bits, period[j].keys
+    for (j, carry, limbs), runs in Counter(push[:3] for push in pushes).items():
+        (r, c, o), bits, keys = sizes[j], period[j].bits, period[j].keys
         for w, times in blocks:
             price, kernel = _kernel(r, c, bits, limbs * w, o, keys)
             if carry:  # on the block the push takes, one entry per column or column orbit
@@ -1227,7 +1217,7 @@ def _price(family: Family, direction: Direction, width: int, periods: int, trace
             cost += runs * times * price
             kernels[j, kernel] = None
     for j, kernel in kernels:
-        (call, entry, side), (r, c, _) = _SETUP_NS[kernel], pushed[j]
+        (call, entry, side), (r, c, _) = _SETUP_NS[kernel], sizes[j]
         cost += call + entry * r * c + side * (r + c)
     return cost
 

@@ -14,6 +14,7 @@ them, however many digits they have (``_decimal``).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import itertools
 import json
@@ -48,16 +49,9 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
 
 
-def _csv_cell(s: str) -> str:
-    if any(ch in s for ch in ",\"\n"):
-        return '"' + s.replace('"', '""') + '"'
-    return s
-
-
-def _csv_line(values) -> str:
-    # Only strings can hold a comma, quote or newline: numbers and bools
-    # print without one, so they skip the scan.
-    return ",".join([_csv_cell(v) if isinstance(v, str) else str(v) for v in values])
+def _add_tol(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="max-norm residual to meet, relative to the root (at least 2**-52)")
 
 
 def _table(header: list[str], rows: list[list]) -> Iterator[str]:
@@ -75,7 +69,7 @@ def _emit(fmt: str, payload: dict, header: "list[str] | None", rows: list[list],
     if fmt == "json":
         print(json.dumps(payload))
     elif fmt == "csv":
-        print("\n".join(map(_csv_line, rows if header is None else [header, *rows])))
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows if header is None else [header, *rows])
     else:
         print("\n".join(text))
 
@@ -278,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=_FAMILIES, required=True)
     p.add_argument("--direction", choices=_DIRECTIONS, required=True)
     p.add_argument("--width", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="max-norm residual to meet, relative to the root (at least 2**-52)")
+    _add_tol(p)
     p.add_argument("--max-iterations", type=int, default=50000,
                    help="most pushes through the chain, checking pushes included")
     _add_format(p)
@@ -290,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", type=int, required=True)
     p.add_argument("-q", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    _add_tol(p)
     _add_format(p)
     p.set_defaults(func=_cmd_bounds)
 
@@ -309,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", type=int, required=True)
     p.add_argument("--k-min", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    _add_tol(p)
     _add_format(p)
     p.set_defaults(func=_cmd_table)
 

@@ -259,10 +259,12 @@ def sweep(
     m and n start at the smallest sizes an instance takes (``_minima``).
     Every family gains at least one vertex per unit of m or n, so m and
     n never need to range past the cap itself, and for fixed m the
-    first n past the cap ends the n range.
+    first n past the cap ends the n range.  Each argument is read once,
+    so an iterator serves every family.
     """
     if max_vertices > MAX_BRUTE_VERTICES:
         raise ValueError(f"sweep cap is {MAX_BRUTE_VERTICES} vertices")
+    topologies = tuple(topologies)
     for family in families:
         for topology in topologies:
             lo_m, lo_n = _minima(family, topology)

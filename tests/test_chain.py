@@ -831,11 +831,16 @@ def test_eig_and_open_counts_build_no_whole_step(family, direction, monkeypatch)
     dominant_eigenvalue(chain)
     count_open(chain, 3)
     assert built == []
+    pushes = record_pushes(monkeypatch)
     count_cyclic(chain, 3)
     # a trace builds the links it pushes by their built step, each once;
     # the truncated-square ring's wide links take the zeta push instead
+    # (links of one shape have one ``bits`` and ``keys`` here, so one pick)
+    taken = {(push.cols, push.rows, push.kernel) for push in pushes}
     traced = [rows_built(link) for link in chain.links]
-    assert traced == [[len(link.rows)] if "built" in link._picks.values() else [] for link in chain.links]
+    assert traced == [
+        [len(link.rows)] if (len(link.cols), len(link.rows), "built") in taken else [] for link in chain.links
+    ]
     assert any(traced)
     # matrix reads the steps the trace built, and builds the others once
     assert all(step is link.built for step, link in zip(chain.steps, chain.links))
@@ -1119,11 +1124,11 @@ def test_keys_plan_splits_its_stack_by_its_widest_level(budget, monkeypatch):
         (Family.TRUNCATED_SQUARE, Direction.COLUMNWISE, 9, "table"),
     ],
 )
-def test_zeta_relations_pick_their_plan(family, direction, width, plan):
+def test_zeta_relations_pick_their_plan(family, direction, width, plan, pick):
     # paths and rings reach a few keys of their table, free and paired
     # slices nearly all of them
     steps, _, _ = orbit_steps(transfer_chain(family, direction, width).links)
-    zetas = [step for step in steps if step._pick(1) == "zeta"]
+    zetas = [step for step in steps if pick(step, 1) == "zeta"]
     assert zetas and {zeta_plan(step) for step in zetas} == {plan}
 
 
@@ -1583,12 +1588,13 @@ def test_every_period_but_the_truncated_square_trace_reads_the_same_backwards(fa
     width = _MIN_WIDTH[(family, direction)] + 2
     chain = transfer_chain(family, direction, width)
     stand_in = chain_module._period_links(family, direction, width, chain_module._stand_in)
-    smallest = chain_module._smallest([len(link.rows) for link in chain.links])
-    assert smallest == chain_module._smallest([state_count(link.rows.kind, link.rows.length) for link in stand_in])
-    for links in (chain.links, stand_in):
-        traced = links[smallest:] + links[:smallest]
+    starts = []
+    for links, states in ((chain.links, len), (stand_in, lambda space: state_count(space.kind, space.length))):
+        traced = chain_module._schedule(links, states, states, 1, True)[0]
+        starts.append([(link.rows.kind, link.rows.length) for link in traced])
         assert chain_module._palindrome(links)
         assert chain_module._palindrome(traced) is (family is not Family.TRUNCATED_SQUARE)
+    assert starts[0] == starts[1]
 
 
 # Every family and direction up to widths whose chains build and count in
@@ -1604,9 +1610,10 @@ SCHEDULE_WIDTHS = [
 @pytest.mark.parametrize("family, direction, width", SCHEDULE_WIDTHS)
 def test_the_price_schedules_what_the_contraction_runs(family, direction, width, monkeypatch):
     # _price builds its plan on the stand-in period from closed forms,
-    # _contract on the enumerated chain: start, pushed links, vectors,
-    # radix, carries, half and block all agree, and _price prices the
-    # route (float64 or int64) by which _dot joins every block's halves
+    # _contract on the enumerated chain: the period's layout from where a
+    # trace starts, each link's sizes, vectors, radix, every push, half,
+    # meet and block all agree, and _price prices the route (float64 or
+    # int64) by which _dot joins every block's halves
     plans, routes = [], []
     schedule, float_join = chain_module._schedule, chain_module._float_join
 
@@ -1629,7 +1636,8 @@ def test_the_price_schedules_what_the_contraction_runs(family, direction, width,
             (priced_route,) = routes
             (count_cyclic if trace else count_open)(chain, periods)
             priced, run = plans
-            assert priced == run
+            layout, again = [[(link.rows.kind, link.rows.length) for link in plan[0]] for plan in plans]
+            assert layout == again and priced[1:] == run[1:]
             assert routes[1:] and set(routes[1:]) == {priced_route}
 
 
@@ -1810,7 +1818,7 @@ def test_cached_chain_keeps_its_orbit_plan(clear_chains):
     assert all(a is b for a, b in zip(plan, again))
 
 
-def test_two_threads_count_through_one_chain_alike(clear_chains):
+def test_two_threads_count_through_one_chain_alike(clear_chains, pick):
     # the built, folded and zeta kernels, each push through its own buffers;
     # and Lanczos roots whose orbit relations all take the zeta push, on
     # the table plan (aztec) and the keys plan (quadratic)
@@ -1819,7 +1827,7 @@ def test_two_threads_count_through_one_chain_alike(clear_chains):
     chains = [(transfer_chain(f, d, w, Boundary.CYCLIC), p) for f, d, w, p in specs]
     roots = [transfer_chain(Family.AZTEC, Direction.COLUMNWISE, 9), transfer_chain(Family.QUADRATIC, Direction.COLUMNWISE, 13)]
     for chain, keys in zip(roots, (False, True)):
-        assert {(link._pick(1), link.keys) for link in orbit_steps(chain.links)[0]} == {("zeta", keys)}
+        assert {(pick(link, 1), link.keys) for link in orbit_steps(chain.links)[0]} == {("zeta", keys)}
 
     def fresh(chain):
         return dataclasses.replace(chain, links=tuple(dataclasses.replace(link) for link in chain.links))

@@ -255,9 +255,9 @@ class TestMatrix:
         )
         assert out == "9,6,6\n6,3,4\n6,4,3\n"
 
-    def test_csv_quotes_only_strings_that_need_it(self):
-        line = cli._csv_line(["a,b", 'say "hi"', "two\nlines", "plain", 12, 1.5, True])
-        assert line == '"a,b","say ""hi""","two\nlines",plain,12,1.5,True'
+    def test_csv_quotes_only_strings_that_need_it(self, capsys):
+        cli._emit("csv", {}, None, [["a,b", 'say "hi"', "two\nlines", "plain", 12, 1.5, True]], [])
+        assert capsys.readouterr().out == '"a,b","say ""hi""","two\nlines",plain,12,1.5,True\n'
 
     def test_size_guard_refuses_then_force_overrides(self, capsys):
         code, out, err = run(

@@ -205,6 +205,12 @@ class TestVerification:
             for r in results
         )
 
+    def test_sweep_reads_iterators_as_lists(self):
+        families, topologies = [Family.QUADRATIC, Family.CROSSED], [Topology.PLANE, Topology.TORUS]
+        listed = list(sweep(12, families, topologies))
+        assert len(listed) == 30
+        assert list(sweep(12, iter(families), iter(topologies))) == listed
+
     def test_sweep_cap(self):
         with pytest.raises(ValueError):
             next(sweep(MAX_BRUTE_VERTICES + 1))

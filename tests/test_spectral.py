@@ -119,24 +119,27 @@ class TestZetaIteration:
             if sum(r * c for r, c in chain_dimensions(f, d, w)) <= 2**24
         ],
     )
-    def test_matches_the_built_steps(self, family, direction, width, monkeypatch):
+    def test_matches_the_built_steps(self, family, direction, width, monkeypatch, pick):
         chain = transfer_chain(family, direction, width)
         results = []
 
         def iterate():
-            # on links made afresh, since a link keeps the kernels and
-            # plans its orbit relation took (orbit_steps)
+            # on links made afresh, since a link keeps the plans its orbit
+            # relation took (orbit_steps); each push takes one vector
             fresh = dataclasses.replace(chain, links=tuple(dataclasses.replace(link) for link in chain.links))
             results.append(dominant_eigenvalue(fresh))
             plan, _, _ = chain_module.orbit_steps(fresh.links)
-            kernels = {kernel for step in plan for kernel in step._picks.values()}
-            plans = {step._zeta_plan[1] is None for step in plan if "zeta" in step._picks.values()}
+            kernels = {pick(step, 1) for step in plan}
+            plans = {step._zeta_plan[1] is None for step in plan if pick(step, 1) == "zeta"}
             return kernels, plans
 
+        # _kernel keeps its picks: each patch of the prices takes them afresh
         monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (0.0, 1.0))
+        chain_module._kernel.cache_clear()
         kernels, _ = iterate()
         assert kernels <= {"fold", "zeta"}  # the folded step where it fits
         monkeypatch.setattr(chain_module, "_push_costs", lambda *args: (1.0, 0.0))
+        chain_module._kernel.cache_clear()
         # the slice kinds that take the keys plan: none, then all, forcing each plan in turn
         for kinds, table in ((frozenset(), True), (frozenset(StateKind), False)):
             monkeypatch.setattr(chain_module, "_KEYS_PLAN_KINDS", kinds)
@@ -291,6 +294,13 @@ class TestFailureModes:
         with pytest.raises(ConvergenceError, match="stalled"):
             dominant_eigenvalue(chain, tol=1e-30)
         assert 0 < len(pushes) < 100
+
+    def test_one_state_chain_stops_after_one_lanczos_step(self):
+        # the step [[1]]: its start is its eigenvector, so the first Lanczos
+        # step leaves nothing, and the start's one push is the check
+        one = StateSpace(StateKind.PATH, 1, np.array([0], dtype=np.int64))
+        res = dominant_eigenvalue(chain_of([Relation(one, one, None, None, False)]))
+        assert (res.value, res.vector.tolist(), res.iterations, res.residual) == (1.0, [1.0], 1, 0.0)
 
     def test_nilpotent_matrix_reported_degenerate(self):
         # the one mask meets itself: the step is [[0]]

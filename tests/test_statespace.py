@@ -52,6 +52,11 @@ class TestCardinalities:
             space = enumerate_states(StateKind.PAIRED, length)
             assert len(space.masks) == 3 ** (length // 2)
 
+    @pytest.mark.parametrize("kind", list(StateKind))
+    def test_state_count_refuses_an_empty_slice(self, kind):
+        with pytest.raises(ValueError, match="at least 1"):
+            state_count(kind, 0)
+
     def test_state_count_safe_far_beyond_enumeration(self):
         assert state_count(StateKind.PATH, 200) == fib(202)
         assert state_count(StateKind.FREE, 200) == 2**200
@@ -170,3 +175,19 @@ def test_inadmissible_masks_are_absent(length, data):
     mask = data.draw(st.integers(min_value=0, max_value=2**length - 1))
     space = enumerate_states(StateKind.PATH, length)
     assert (mask in space.masks) == is_admissible(StateKind.PATH, mask, length)
+
+
+@pytest.mark.parametrize("kind", list(StateKind))
+def test_enumeration_is_the_admissibility_filter(kind):
+    # at every length up to 14 where the kind has a space, which
+    # state_count alone decides
+    lengths = 0
+    for length in range(1, 15):
+        try:
+            state_count(kind, length)
+        except ValueError:
+            continue
+        admissible = [m for m in range(2**length) if is_admissible(kind, m, length)]
+        assert enumerate_states(kind, length).masks.tolist() == admissible
+        lengths += 1
+    assert lengths >= 7
